@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 when a verdict or report was produced, 2 for an
-INCONCLUSIVE obstruction run, 1 for input errors.  JSON goes to stdout,
-diagnostics to stderr.  The environment variable SLICEGUARD_PRECISION_BITS
-sets the default precision floor for signature certification.
+Exit codes: 0 report, 1 input error, 2 INCONCLUSIVE or budget refused,
+3 internal check failed.  JSON goes to stdout; diagnostics, and every
+error as one line, to stderr.  The environment variable
+SLICEGUARD_PRECISION_BITS sets the default precision floor for signature
+certification.
 """
 
 from __future__ import annotations
@@ -13,10 +14,13 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import gcd
 
 from . import covers, metabolizers, pipeline, seifert
 from .covers import Character
 from .expr import ParseError, parse
+from .knots import prime_power_exponent
+from .metabolizers import BudgetExceeded
 from .twisted import twisted_alex_exterior, twisted_alex_surgery
 
 
@@ -124,6 +128,11 @@ def _parse_character(text: str, r: int) -> Character:
 
 
 def _cmd_talex(args) -> int:
+    if args.p < 2 or args.q < 2 or gcd(args.p, args.q) != 1:
+        raise ValueError(
+            f"T({args.p},{args.q}) is not a torus knot: p and q must be "
+            "at least 2 and coprime"
+        )
     chi = _parse_character(args.character, args.q)
     if chi.p != args.p:
         print(f"character needs {args.p} entries", file=sys.stderr)
@@ -199,6 +208,8 @@ def _cmd_signature(args) -> int:
 
 
 def _cmd_homology(args) -> int:
+    if not prime_power_exponent(args.n):
+        raise ValueError(f"cover degree {args.n} is not a prime power >= 2")
     cover = seifert.branched_cover(args.p, args.q, args.n)
     doc = {
         "p": args.p, "q": args.q, "n": args.n,
@@ -312,6 +323,13 @@ def main(argv=None) -> int:
     except pipeline.VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
+    except BudgetExceeded as exc:
+        print(f"budget refused: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        # ConventionError, MatchFailure and every other failed self-check
+        print(f"internal check failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

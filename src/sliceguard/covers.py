@@ -18,7 +18,7 @@ from functools import lru_cache
 import itertools
 
 from . import modp, seifert
-from .knots import _is_prime
+from .knots import prime_power_exponent
 
 
 class MatchFailure(ArithmeticError):
@@ -95,7 +95,7 @@ def companion_action(p: int, r: int) -> tuple:
 def model_module(p: int, r: int) -> CoverModule:
     """The model F_r-module with the linking form pulled back from the
     Seifert-presented p-fold cover of T(p, r) along a matched isomorphism."""
-    if not _is_prime(r):
+    if prime_power_exponent(r) != 1:
         raise ValueError(f"{r} is not prime")
     cover = seifert.branched_cover(p, r, p)
     mod = cover.module
@@ -169,10 +169,6 @@ def characters(p: int, r: int) -> list[Character]:
         out.append(Character(r, head + (last,)))
     out.sort(key=lambda c: c.values)
     return out
-
-
-def shift_character(chi: Character) -> Character:
-    return chi.shift()
 
 
 def character_from_functional(module: CoverModule, functional) -> Character:

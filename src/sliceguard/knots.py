@@ -17,28 +17,19 @@ from dataclasses import dataclass
 from math import gcd
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+def prime_power_exponent(n: int) -> int:
+    """k when n = r^k for a prime r and k >= 1, else 0; so n is prime
+    exactly when this is 1."""
     d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
+            k = 0
+            while n % d == 0:
+                n //= d
+                k += 1
+            return k if n == 1 else 0
         d += 1
-    return True
-
-
-def is_prime_power(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in range(2, n + 1):
-        if p * p > n:
-            return True  # n itself is prime
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1
-    return False
+    return 1 if n >= 2 else 0
 
 
 @dataclass(frozen=True, order=True, repr=False)
@@ -76,7 +67,7 @@ def in_sp(knot: IteratedTorusKnot) -> bool:
     """Membership in the family S_p: the final index is prime and every
     earlier index is coprime to it (coprimality with p is enforced by the
     type)."""
-    if not _is_prime(knot.final):
+    if prime_power_exponent(knot.final) != 1:
         return False
     if knot.length > 1:
         for q in knot.qs[:-1]:

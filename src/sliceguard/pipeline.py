@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import covers, knots, metabolizers, seifert, witt
 from .covers import Character
 from .cyclo import RootOfUnity
-from .knots import KnotCombination, NormalForm, is_prime_power
+from .knots import KnotCombination, NormalForm, prime_power_exponent
 from .metabolizers import (
     BudgetExceeded,
     CharacterChoice,
@@ -251,7 +251,7 @@ class Verdict:
 
 
 def _hypotheses_ok(K: KnotCombination):
-    if not is_prime_power(K.p):
+    if not prime_power_exponent(K.p):
         return f"cabling parameter {K.p} is not a prime power"
     for knot in K.terms:
         if not knots.in_sp(knot):
@@ -331,7 +331,11 @@ def obstruct(K: KnotCombination, options: Options = Options(),
              input_str: str | None = None) -> Verdict:
     """Full obstruction run; see the module docstring for the shape."""
     source = input_str if input_str is not None else str(K)
-    seifert.set_precision_floor(options.precision_bits)
+    with seifert.precision_floor(options.precision_bits):
+        return _obstruct(K, options, source)
+
+
+def _obstruct(K: KnotCombination, options: Options, source: str) -> Verdict:
     hypothesis_problem = _hypotheses_ok(K)
     if hypothesis_problem and K.terms:
         return Verdict(

@@ -16,9 +16,20 @@ j+1 of letter i, the linking numbers reduce to a four-line rule:
     interleaving patterns the four band positions form;
   * everything else is 0.
 
-The construction is re-validated on every call: det(V - V^T) must be a
-unit and det(V - t V^T) must give the torus-knot Alexander polynomial, so
-a convention slip cannot propagate silently.
+The construction is validated once per (p, q): det(V - t V^T) must give
+the torus-knot Alexander polynomial, and its value at t = 1, which is
+det(V - V^T), must be a unit, so a convention slip cannot propagate
+silently.  The determinant is one fraction-free Bareiss elimination over
+Z[t] on integer coefficient lists; every division in it is exact by
+Sylvester's identity and is checked to be.  Integer determinants are the
+constant case of the same elimination.
+
+Branched covers are presented by integer matrices and reduced to Smith
+normal form with both transforms tracked: U A W = diag(d), with U^-1
+carried along as the inverse column operation of each row operation.
+Both identities are checked exactly before the form is used.  The
+linking form then needs no inverse: Y^-1 = W D^-1 U, so the pairing of
+generators u and v is u . W[:, v] / d_v.
 
 Signatures are computed on exact Hermitian matrices over a cyclotomic
 field.  The working route is an LDL* sweep in complex interval
@@ -31,15 +42,17 @@ rule is exact for polynomials with all-real roots).
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
 from mpmath import iv
 
 from .cyclo import Cyclo, RootOfUnity, certified_sign
-from .knots import is_prime_power, _is_prime
+from .knots import prime_power_exponent
 from .laurent import LaurentPoly, unit_circle_roots
 
 
@@ -51,12 +64,21 @@ DEFAULT_PRECISION_BITS = 64
 _precision_floor = DEFAULT_PRECISION_BITS
 
 
-def set_precision_floor(bits: int):
-    """Set the starting precision for signature certification.  Results do
-    not depend on it (precision is raised until signs are certified, with
-    an exact fallback); it only tunes how often retries happen."""
+@contextmanager
+def precision_floor(bits: int | None):
+    """Start signature certification at ``bits`` inside the block (None
+    keeps the current floor) and restore the previous floor on exit.
+    Results do not depend on it (precision is raised until signs are
+    certified, with an exact fallback); it only tunes how often retries
+    happen."""
     global _precision_floor
-    _precision_floor = max(int(bits), 8)
+    previous = _precision_floor
+    if bits is not None:
+        _precision_floor = max(int(bits), 8)
+    try:
+        yield
+    finally:
+        _precision_floor = previous
 
 
 # ---------------------------------------------------------------------------
@@ -108,84 +130,123 @@ def seifert_matrix(p: int, q: int) -> tuple[tuple[int, ...], ...]:
     V = _seifert_matrix_raw(p, q)
     if len(V) != (p - 1) * (q - 1):
         raise ConventionError("unexpected cycle count in the band basis")
-    if abs(_int_det([[V[i][j] - V[j][i] for j in range(len(V))] for i in range(len(V))])) != 1:
+    delta = _seifert_alexander(V)
+    # det(V - V^T) is det(V - t V^T) at t = 1
+    if abs(sum(delta)) != 1:
         raise ConventionError("det(V - V^T) is not a unit")
     # det(V - t V^T) against the closed torus-knot Alexander polynomial
-    if not _seifert_alexander(V).eq_up_to_units(_torus_alexander_reference(p, q)):
+    ref = _torus_alexander_reference(p, q)
+    while delta and not delta[0]:
+        delta = delta[1:]
+    if len(delta) != len(ref) or any(
+        a * ref[-1] != b * delta[-1] for a, b in zip(delta, ref)
+    ):
         raise ConventionError("det(V - t V^T) does not match the Alexander polynomial")
     return V
 
 
-def _int_det(rows) -> int:
-    # Bareiss fraction-free elimination
-    a = [list(map(int, r)) for r in rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
+@lru_cache(maxsize=None)
+def _seifert_alexander(V) -> tuple[int, ...]:
+    """det(V - t V^T) as integer coefficients, lowest degree first; cached
+    so that validation and alexander_poly share one elimination."""
+    n = len(V)
+    return tuple(_poly_det([[_poly_trim([V[i][j], -V[j][i]]) for j in range(n)]
+                            for i in range(n)]))
 
 
-def _laurent_det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Fraction-free Bareiss determinant over the polynomial ring; every
+# Integer polynomials are coefficient lists, lowest degree first, with no
+# trailing zeros; the zero polynomial is the empty list.
+
+
+def _poly_trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _poly_mul(a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _poly_sub(a: list, b: list) -> list:
+    return _poly_trim([x - y for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+
+
+def _poly_div_exact(a: list, b: list) -> list:
+    """a / b in Z[t]; a remainder or a fractional coefficient is a
+    ConventionError, since every division made here must be exact."""
+    if not a:
+        return []
+    shift, lead = len(b) - 1, b[-1]
+    a = list(a)
+    out = [0] * max(len(a) - shift, 0)
+    for k in range(len(out) - 1, -1, -1):
+        c, rem = divmod(a[k + shift], lead)
+        if rem:
+            raise ConventionError("inexact division in the Bareiss elimination")
+        out[k] = c
+        if c:
+            for j, y in enumerate(b, k):
+                a[j] -= c * y
+    if any(a[:shift]) or not out:
+        raise ConventionError("inexact division in the Bareiss elimination")
+    return out
+
+
+def _poly_det(rows) -> list:
+    """Determinant over Z[t] by Bareiss's fraction-free elimination: every
     division is exact by the Sylvester identity, which doubles as a
     consistency check."""
-    n = len(rows)
-    M = [row[:] for row in rows]
+    M = [list(row) for row in rows]
+    n = len(M)
     sign = 1
-    prev = LaurentPoly.one()
+    prev = [1]
     for k in range(n - 1):
-        if M[k][k].is_zero():
-            swap = next((i for i in range(k + 1, n) if not M[i][k].is_zero()), None)
+        if not M[k][k]:
+            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
             if swap is None:
-                return LaurentPoly.zero()
+                return []
             M[k], M[swap] = M[swap], M[k]
             sign = -sign
+        pivot, row_k = M[k][k], M[k]
         for i in range(k + 1, n):
+            row_i = M[i]
+            a_ik = row_i[k]
             for j in range(k + 1, n):
-                num = M[i][j] * M[k][k] - M[i][k] * M[k][j]
-                M[i][j] = num.exact_div(prev) if prev.span() > 0 else num.scale(
-                    prev.lead().inverse()
-                ).shift(-prev.low)
-        prev = M[k][k]
+                num = _poly_sub(_poly_mul(row_i[j], pivot), _poly_mul(a_ik, row_k[j]))
+                row_i[j] = _poly_div_exact(num, prev)
+        prev = pivot
     out = M[n - 1][n - 1]
-    return out if sign == 1 else -out
+    return out if sign == 1 else [-c for c in out]
+
+
+def _int_det(rows) -> int:
+    """Integer determinant: the constant case of the Z[t] Bareiss."""
+    det = _poly_det([[[x] if x else [] for x in row] for row in rows])
+    return det[0] if det else 0
 
 
 @lru_cache(maxsize=None)
-def _torus_alexander_reference(p: int, q: int) -> LaurentPoly:
+def _torus_alexander_reference(p: int, q: int) -> list:
     # (t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)), exact integer division
     def cyc(k):
-        return LaurentPoly.from_ints([-1] + [0] * (k - 1) + [1])
+        return [-1] + [0] * (k - 1) + [1]
 
-    num = cyc(p * q) * cyc(1)
-    return num.exact_div(cyc(p)).exact_div(cyc(q))
-
-
-def _seifert_alexander(V) -> LaurentPoly:
-    n = len(V)
-    t = LaurentPoly.t()
-    rows = [
-        [LaurentPoly.from_ints([V[i][j]]) - t * V[j][i] for j in range(n)]
-        for i in range(n)
-    ]
-    return _laurent_det(rows)
+    num = _poly_mul(cyc(p * q), cyc(1))
+    return _poly_div_exact(_poly_div_exact(num, cyc(p)), cyc(q))
 
 
 @lru_cache(maxsize=None)
 def alexander_poly(p: int, q: int) -> LaurentPoly:
     """det(V - t V^T) in monic low-0 normal form."""
-    return _seifert_alexander(seifert_matrix(p, q)).unit_normal()
+    return LaurentPoly.from_ints(_seifert_alexander(seifert_matrix(p, q))).unit_normal()
 
 
 @lru_cache(maxsize=None)
@@ -314,11 +375,12 @@ def jump_function(p: int, q: int, precision_bits: int | None = None) -> dict:
     a/(pq); the two one-sided limits are read off at midpoints between
     consecutive candidates.  Zero jumps are dropped.
     """
-    return dict(_jump_function_cached(p, q, precision_bits))
+    with precision_floor(precision_bits):
+        return dict(_jump_function_cached(p, q))
 
 
 @lru_cache(maxsize=None)
-def _jump_function_cached(p: int, q: int, precision_bits) -> tuple:
+def _jump_function_cached(p: int, q: int) -> tuple:
     candidates = sorted(root.frac for root in alexander_roots(p, q))
     mids = []
     prev = Fraction(0)
@@ -326,7 +388,7 @@ def _jump_function_cached(p: int, q: int, precision_bits) -> tuple:
         mids.append((prev + c) / 2)
         prev = c
     mids.append((prev + 1) / 2)
-    sigma = [lt_signature(p, q, m, precision_bits) for m in mids]
+    sigma = [lt_signature(p, q, m) for m in mids]
     if sigma[0] != 0 or sigma[-1] != 0:
         raise ConventionError("signature does not vanish near 1 on the circle")
     jumps = []
@@ -376,50 +438,73 @@ class CoverHomology:
 
 
 def smith_normal_form(rows):
-    """Integer Smith normal form.  Returns (divisors, U, Uinv) where
-    U @ A @ W = diag(divisors) for a unimodular U tracked explicitly
-    (column operations are untracked).  coker(A) = ⊕ Z/d_i via x -> U x.
+    """Integer Smith normal form.  Returns (divisors, U, Uinv, W) with
+    U @ A @ W = diag(divisors) for unimodular U and W, and Uinv the
+    inverse of U, all tracked alongside the elimination and checked
+    exactly at the end.  coker(A) = ⊕ Z/d_i via x -> U x.
     """
     A = [list(map(int, r)) for r in rows]
     nrows, ncols = len(A), len(A[0])
     U = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    # the columns of Uinv and of W, kept as rows so that the column
+    # operation matching each step is a row update
+    Uinv_cols = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    W_cols = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+
+    def row_swap(i, j):
+        A[i], A[j] = A[j], A[i]
+        U[i], U[j] = U[j], U[i]
+        Uinv_cols[i], Uinv_cols[j] = Uinv_cols[j], Uinv_cols[i]
 
     def row_sub(i, j, c):
         if c:
             A[i] = [x - c * y for x, y in zip(A[i], A[j])]
             U[i] = [x - c * y for x, y in zip(U[i], U[j])]
+            Uinv_cols[j] = [x + c * y for x, y in zip(Uinv_cols[j], Uinv_cols[i])]
+
+    def col_swap(i, j):
+        for row in A:
+            row[i], row[j] = row[j], row[i]
+        W_cols[i], W_cols[j] = W_cols[j], W_cols[i]
+
+    def col_sub(j, i, c):
+        for row in A:
+            row[j] -= c * row[i]
+        W_cols[j] = [x - c * y for x, y in zip(W_cols[j], W_cols[i])]
+
+    def smallest_entry(t):
+        # first entry of least absolute value in row-major order
+        best = None
+        for i in range(t, nrows):
+            row = A[i]
+            for j in range(t, ncols):
+                if row[j] and (best is None or abs(row[j]) < best[0]):
+                    best = (abs(row[j]), i, j)
+                    if best[0] == 1:
+                        return best
+        return best
 
     def reduce_from(t):
         while t < min(nrows, ncols):
-            best = None
-            for i in range(t, nrows):
-                for j in range(t, ncols):
-                    if A[i][j] and (best is None or abs(A[i][j]) < best[0]):
-                        best = (abs(A[i][j]), i, j)
+            best = smallest_entry(t)
             if best is None:
                 return
             _, i0, j0 = best
-            A[t], A[i0] = A[i0], A[t]
-            U[t], U[i0] = U[i0], U[t]
-            for row in A:
-                row[t], row[j0] = row[j0], row[t]
+            row_swap(t, i0)
+            col_swap(t, j0)
             while True:
                 dirty = False
                 for i in range(t + 1, nrows):
                     if A[i][t]:
                         row_sub(i, t, A[i][t] // A[t][t])
                         if A[i][t]:
-                            A[t], A[i] = A[i], A[t]
-                            U[t], U[i] = U[i], U[t]
+                            row_swap(t, i)
                             dirty = True
                 for j in range(t + 1, ncols):
                     if A[t][j]:
-                        c = A[t][j] // A[t][t]
-                        for row in A:
-                            row[j] -= c * row[t]
+                        col_sub(j, t, A[t][j] // A[t][t])
                         if A[t][j]:
-                            for row in A:
-                                row[t], row[j] = row[j], row[t]
+                            col_swap(t, j)
                             dirty = True
                 if not dirty:
                     break
@@ -433,6 +518,7 @@ def smith_normal_form(rows):
             if A[i][i] < 0:
                 A[i] = [-x for x in A[i]]
                 U[i] = [-x for x in U[i]]
+                Uinv_cols[i] = [-x for x in Uinv_cols[i]]
         broken = next(
             (
                 i
@@ -446,48 +532,19 @@ def smith_normal_form(rows):
         row_sub(broken, broken + 1, -1)
         reduce_from(broken)
     divisors = tuple(A[i][i] for i in range(rank))
-    Uinv = _int_matrix_inverse(U)
-    return divisors, tuple(map(tuple, U)), Uinv
+    if any(_dot(U[i], col) != int(i == j)
+           for i in range(nrows) for j, col in enumerate(Uinv_cols)):
+        raise ConventionError("tracked inverse does not invert U")
+    UA = [[_dot(u, col) for col in zip(*rows)] for u in U]
+    if any(_dot(UA[i], col) != (divisors[i] if i == j else 0)
+           for i in range(nrows) for j, col in enumerate(W_cols)):
+        raise ConventionError("U A W is not the diagonal of elementary divisors")
+    return (divisors, tuple(map(tuple, U)), tuple(zip(*Uinv_cols)),
+            tuple(zip(*W_cols)))
 
 
-def _int_matrix_inverse(U):
-    n = len(U)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(U)]
-    for col in range(n):
-        pivot = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                c = aug[i][col]
-                aug[i] = [x - c * y for x, y in zip(aug[i], aug[col])]
-    out = []
-    for row in aug:
-        vals = row[n:]
-        if any(f.denominator != 1 for f in vals):
-            raise ConventionError("matrix inverse is not integral")
-        out.append(tuple(int(f) for f in vals))
-    return tuple(out)
-
-
-def _fraction_matrix_inverse(rows):
-    n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                c = aug[i][col]
-                aug[i] = [x - c * y for x, y in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
+def _dot(u, v) -> int:
+    return sum(map(mul, u, v))
 
 
 def _symmetric_cover_presentation(V, n: int):
@@ -544,13 +601,13 @@ def branched_cover(p: int, q: int, n: int) -> CoverHomology:
         raise ValueError("cover degree must be at least 2")
     V = seifert_matrix(p, q)
     circ = _circulant_presentation(V, n)
-    circ_div, _, _ = smith_normal_form(circ.matrix)
+    circ_div = smith_normal_form(circ.matrix)[0]
     Y, T = _symmetric_cover_presentation(V, n)
-    divisors, U, Uinv = smith_normal_form(Y)
+    divisors, U, Uinv, W = smith_normal_form(Y)
     if any(d == 0 for d in divisors) or any(d == 0 for d in circ_div):
         raise ConventionError(
             f"singular cover presentation for n={n}"
-            + ("" if is_prime_power(n) else " (n is not a prime power)")
+            + ("" if prime_power_exponent(n) else " (n is not a prime power)")
         )
     torsion = tuple(d for d in divisors if d != 1)
     circ_torsion = tuple(sorted(d for d in circ_div if d != 1))
@@ -563,34 +620,26 @@ def branched_cover(p: int, q: int, n: int) -> CoverHomology:
     for d in torsion:
         order *= d
     module = None
-    if _is_prime(q) and torsion and all(d == q for d in torsion):
-        module = _prime_module(Y, T, divisors, U, Uinv, q, n)
+    if prime_power_exponent(q) == 1 and torsion and all(d == q for d in torsion):
+        module = _prime_module(T, divisors, U, Uinv, W, q, n)
     return CoverHomology(
         p=p, q=q, n=n, presentation=circ,
         divisors=torsion, order=order, module=module,
     )
 
 
-def _prime_module(Y, T, divisors, U, Uinv, r: int, n: int) -> PrimeModule:
-    N = len(Y)
+def _prime_module(T, divisors, U, Uinv, W, r: int, n: int) -> PrimeModule:
+    N = len(U)
     gen_idx = [i for i, d in enumerate(divisors) if d != 1]
     dim = len(gen_idx)
     gens = [[Uinv[i][g] for i in range(N)] for g in gen_idx]
-    Yinv = _fraction_matrix_inverse(Y)
-
-    def pair(u, v) -> Fraction:
-        total = Fraction(0)
-        for i, ui in enumerate(u):
-            if ui:
-                row = Yinv[i]
-                total += ui * sum(row[j] * vj for j, vj in enumerate(v) if vj)
-        return total % 1
-
+    # U Y W = D gives Y^-1 = W D^-1 U, and U maps the generator g_v to the
+    # unit vector e_v, so g_u . Y^-1 g_v = g_u . W[:, v] / d_v.
     gram = []
     for gu in gens:
         row = []
-        for gv in gens:
-            val = pair(gu, gv) * r
+        for v in gen_idx:
+            val = Fraction(_dot(gu, [W[i][v] for i in range(N)]), divisors[v]) % 1 * r
             if val.denominator != 1:
                 raise ConventionError(
                     f"linking value with denominator {val.denominator} != {r}"

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sliceguard import seifert
 from sliceguard.cli import main
 
 J2 = "T(2,3;2,5) # -T(2,5) # -T(2,3;2,7) # T(2,7)"
@@ -103,3 +104,31 @@ def test_input_errors_exit_1(capsys):
     assert code == 1
     code, _, err = run(capsys, "signature", "2", "3")
     assert code == 1
+
+
+def test_homology_rejects_non_prime_power_degree(capsys):
+    code, out, err = run(capsys, "homology", "2", "3", "6")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "prime power" in err
+
+
+def test_talex_rejects_non_torus_knot(capsys):
+    code, out, err = run(capsys, "talex", "2", "4", "1,3")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "torus knot" in err
+
+
+def test_budget_refusal_exit_2(capsys):
+    code, out, err = run(capsys, "metabolizers", "3", "5", "--copies", "2")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "budget" in err
+
+
+def test_internal_check_failure_exit_3(capsys, monkeypatch):
+    def failing(*args):
+        raise seifert.ConventionError("U A W is not diagonal")
+
+    monkeypatch.setattr(seifert, "branched_cover", failing)
+    code, out, err = run(capsys, "homology", "3", "2", "3")
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and "ConventionError" in err

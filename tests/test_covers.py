@@ -9,7 +9,6 @@ from sliceguard.covers import (
     characters,
     evaluate_character,
     model_module,
-    shift_character,
 )
 
 
@@ -76,7 +75,7 @@ class TestCharacters:
     def test_group_structure_closed_under_shift(self):
         chars = {c.values for c in characters(3, 5)}
         for c in characters(3, 5):
-            assert shift_character(c).values in chars
+            assert c.shift().values in chars
             summed = tuple(
                 (a + b) % 5 for a, b in zip(c.values, characters(3, 5)[7].values)
             )
@@ -84,13 +83,13 @@ class TestCharacters:
 
     def test_shift_examples(self):
         c = Character(3, (1, 2))
-        assert shift_character(c).values == (2, 1)
+        assert c.shift().values == (2, 1)
         theta = Character(5, (0, 0))
-        assert shift_character(theta).values == theta.values
+        assert theta.shift().values == theta.values
         c2 = Character(5, (1, 2, 3, 4, 0))
         out = c2
         for _ in range(5):
-            out = shift_character(out)
+            out = out.shift()
         assert out.values == c2.values
 
     def test_evaluation_pairing_bilinear_nondegenerate(self):

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+import sympy
 
 from sliceguard.knots import (
     IteratedTorusKnot,
@@ -10,6 +11,7 @@ from sliceguard.knots import (
     algebraically_slice,
     in_sp,
     normal_form,
+    prime_power_exponent,
     s_level,
     simplify,
 )
@@ -129,3 +131,10 @@ class TestNormalForm:
             for group, prime in zip(nf.groups, nf.primes):
                 for qplus, qminus in group:
                     assert qplus[-1] == prime and qminus[-1] == prime
+
+
+def test_prime_power_exponent_matches_sympy():
+    for n in range(-3, 400):
+        factors = sympy.factorint(n) if n >= 2 else {}
+        expected = next(iter(factors.values())) if len(factors) == 1 else 0
+        assert prime_power_exponent(n) == expected, n

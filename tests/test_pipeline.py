@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sliceguard import knots, pipeline
+from sliceguard import knots, pipeline, seifert
 from sliceguard.covers import Character
 from sliceguard.cyclo import normalize_root
 from sliceguard.expr import parse
@@ -150,6 +150,21 @@ class TestObstruct:
         assert v.kind == "INCONCLUSIVE" and "exceeds budget" in v.reason
         v2 = obstruct(parse(J2), Options(budget=1))
         assert v2.kind == "INCONCLUSIVE"
+
+    def test_precision_floor_restored(self, monkeypatch):
+        # the starting precision of one run must not leak into the next,
+        # also when the run raises
+        before = seifert._precision_floor
+        obstruct(parse(J2), Options(precision_bits=9))
+        assert seifert._precision_floor == before
+
+        def failing(K):
+            raise seifert.ConventionError("injected")
+
+        monkeypatch.setattr(knots, "simplify", failing)
+        with pytest.raises(seifert.ConventionError):
+            obstruct(parse(J2), Options(precision_bits=9))
+        assert seifert._precision_floor == before
 
 
 class TestVerification:

@@ -4,6 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from sliceguard import seifert
 from sliceguard.cyclo import normalize_root
@@ -206,3 +209,106 @@ class TestBranchedCovers:
         # presentation must be rejected
         with pytest.raises(seifert.ConventionError):
             seifert.branched_cover(2, 3, 6)
+
+
+# ---------------------------------------------------------------------------
+# Exact integer kernels against independent routes
+# ---------------------------------------------------------------------------
+
+
+def _fraction_inverse(rows):
+    """Gauss-Jordan inverse over the rationals: the reference for the
+    tracked Smith transforms and for the linking form."""
+    n = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if aug[i][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col] != 0:
+                c = aug[i][col]
+                aug[i] = [x - c * y for x, y in zip(aug[i], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def _mat_mul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def _int_matrices(max_rows=5, max_cols=5, bound=6):
+    return st.integers(1, max_rows).flatmap(
+        lambda r: st.integers(1, max_cols).flatmap(
+            lambda c: st.lists(
+                st.lists(st.integers(-bound, bound), min_size=c, max_size=c),
+                min_size=r, max_size=r,
+            )
+        )
+    )
+
+
+@given(_int_matrices())
+@settings(max_examples=150, deadline=None)
+def test_smith_transforms_diagonalize_and_invert(A):
+    divisors, U, Uinv, W = seifert.smith_normal_form(A)
+    nrows, ncols = len(A), len(A[0])
+    assert len(divisors) == min(nrows, ncols)
+    diag = [[divisors[i] if i == j else 0 for j in range(ncols)] for i in range(nrows)]
+    assert _mat_mul(_mat_mul(U, A), W) == diag
+    assert _mat_mul(U, Uinv) == [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    assert abs(sympy.Matrix(W).det()) == 1
+    assert all(d >= 0 for d in divisors)
+    assert all(b % a == 0 for a, b in zip(divisors, divisors[1:]) if a)
+
+
+_int_polys = st.lists(st.integers(-3, 3), max_size=3)
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(_int_polys, min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+@settings(max_examples=150, deadline=None)
+def test_poly_bareiss_matches_sympy(rows):
+    t = sympy.symbols("t")
+    n = len(rows)
+    M = sympy.Matrix(n, n, lambda i, j: sum(c * t**e for e, c in enumerate(rows[i][j])))
+    dM = DomainMatrix.from_Matrix(M)
+    ref = sympy.Poly(dM.domain.to_sympy(dM.det()), t).all_coeffs()[::-1]
+    while ref and ref[-1] == 0:
+        ref.pop()
+    trimmed = [[seifert._poly_trim(list(entry)) for entry in row] for row in rows]
+    assert seifert._poly_det(trimmed) == ref
+    constants = [[entry[0] if entry else 0 for entry in row] for row in rows]
+    assert seifert._int_det(constants) == sympy.Matrix(constants).det()
+
+
+ACCEPTANCE_COVERS = [
+    (p, q, n)
+    for (p, q) in [(2, 3), (2, 5), (2, 7), (3, 2), (3, 5), (4, 3), (5, 2)]
+    for n in sorted({p, 2, 3, 4})
+]
+
+
+@pytest.mark.parametrize("p,q,n", ACCEPTANCE_COVERS)
+def test_linking_form_matches_fraction_inverse_route(p, q, n):
+    # the gram read off W D^-1 equals u^T Y^-1 v with Y inverted over Q,
+    # and the tracked Uinv equals the rational inverse of U
+    cover = seifert.branched_cover(p, q, n)
+    Y, _ = seifert._symmetric_cover_presentation(seifert.seifert_matrix(p, q), n)
+    divisors, U, Uinv, _ = seifert.smith_normal_form(Y)
+    assert [list(map(Fraction, row)) for row in Uinv] == _fraction_inverse(U)
+    if cover.module is None:
+        return
+    Yinv = _fraction_inverse(Y)
+    N = len(Y)
+    gens = [[Uinv[i][g] for i in range(N)] for g, d in enumerate(divisors) if d != 1]
+    gram = tuple(
+        tuple(
+            int(sum(u[i] * Yinv[i][j] * v[j] for i in range(N) for j in range(N)) % 1 * q)
+            for v in gens
+        )
+        for u in gens
+    )
+    assert cover.module.gram == gram
