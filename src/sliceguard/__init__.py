@@ -16,6 +16,7 @@ from .knots import (
 from .laurent import LaurentPoly, RationalFn, unit_circle_roots
 from .expr import ParseError, parse
 from .pipeline import Options, Verdict, obstruct, verify_verdict
+from .twisted import twisted_alex_exterior, twisted_alex_surgery
 
 __version__ = "0.1.0"
 
@@ -40,5 +41,7 @@ __all__ = [
     "Verdict",
     "obstruct",
     "verify_verdict",
+    "twisted_alex_exterior",
+    "twisted_alex_surgery",
     "__version__",
 ]

@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 report, 1 input error, 2 INCONCLUSIVE or budget refused,
-3 internal check failed.  JSON goes to stdout; diagnostics, and every
-error as one line, to stderr.  The environment variable
-SLICEGUARD_PRECISION_BITS sets the default precision floor for signature
-certification.
+Exit codes: 0 report, 1 input or usage error, 2 INCONCLUSIVE or budget
+refused, 3 internal check failed.  JSON goes to stdout; diagnostics, and
+every error as one line, to stderr.  Verdicts use no numerics, so
+``--precision-bits`` and the environment variable
+SLICEGUARD_PRECISION_BITS (its default) only set the starting precision
+of ``signature`` at a point; ``obstruct`` accepts and ignores the flag.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from .metabolizers import BudgetExceeded
 from .twisted import twisted_alex_exterior, twisted_alex_surgery
 
 
-def _precision_default() -> int:
-    env = os.environ.get("SLICEGUARD_PRECISION_BITS")
-    return int(env) if env else seifert.DEFAULT_PRECISION_BITS
+def _precision_default():
+    # argparse converts a string default with the option's type at parse
+    # time, so a malformed variable is a one-line usage error
+    return os.environ.get("SLICEGUARD_PRECISION_BITS") or seifert.DEFAULT_PRECISION_BITS
 
 
 def _options(args) -> pipeline.Options:
@@ -35,7 +37,6 @@ def _options(args) -> pipeline.Options:
         budget=args.budget,
         max_ambient_dim=args.max_dim,
         max_r=args.max_r,
-        precision_bits=args.precision_bits,
     )
 
 
@@ -46,7 +47,7 @@ def _cmd_obstruct(args) -> int:
         pipeline.verify_verdict(doc)
         options = pipeline.Options(
             r=doc.get("r"), budget=args.budget, max_ambient_dim=args.max_dim,
-            max_r=args.max_r, precision_bits=args.precision_bits,
+            max_r=args.max_r,
         )
         verdict = pipeline.obstruct(parse(doc["input"]), options, doc["input"])
         fresh = json.dumps(verdict.to_json_dict(), sort_keys=True)
@@ -184,7 +185,7 @@ def _cmd_metabolizers(args) -> int:
 
 def _cmd_signature(args) -> int:
     if args.jumps:
-        jumps = seifert.jump_function(args.p, args.q, args.precision_bits)
+        jumps = seifert.jump_function(args.p, args.q)
         if args.json:
             print(json.dumps({
                 "p": args.p, "q": args.q,
@@ -235,8 +236,16 @@ def _cmd_homology(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are one line and exit 1, like every other input error;
+    subparsers inherit this class."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="sliceguard",
         description="Certified sliceness obstructions for combinations of "
                     "iterated torus knots",
@@ -253,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="max subspaces to enumerate per form")
     ob.add_argument("--max-r", type=int, default=13)
     ob.add_argument("--max-dim", type=int, default=8)
-    ob.add_argument("--precision-bits", type=int, default=_precision_default())
+    ob.add_argument("--precision-bits", type=int, default=_precision_default(),
+                    help="ignored: verdicts use no numerics")
     ob.add_argument("--verify", metavar="FILE",
                     help="re-check a previously emitted JSON verdict bit-for-bit")
     add_common(ob)
@@ -299,7 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     si.add_argument("q", type=int)
     si.add_argument("x", nargs="?", help="rational point, e.g. '1/2'")
     si.add_argument("--jumps", action="store_true", help="print the jump function")
-    si.add_argument("--precision-bits", type=int, default=_precision_default())
+    si.add_argument("--precision-bits", type=int, default=_precision_default(),
+                    help="starting precision of the certified signature "
+                         "(speed only, never the result)")
     add_common(si)
     si.set_defaults(func=_cmd_signature)
 

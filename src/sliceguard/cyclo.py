@@ -383,12 +383,12 @@ class Cyclo:
         return not self.__eq__(other)
 
     def __hash__(self):
-        # Canonical hash: lift to nothing, strip trailing zeros.  Values equal
-        # across conductors hash equally only when both are rational, which is
-        # the only cross-conductor key usage we allow.
-        if self.is_rational():
-            return hash(Fraction(self.num[0], self.den))
-        return hash((self.n, self.num, self.den))
+        # Equal values may sit at different conductors, so hash the trace
+        # over Q divided by the degree, which lifting does not change; on
+        # rationals it is the value itself.
+        weights = _trace_weights(self.n)
+        trace = sum((c * w for c, w in zip(self.num, weights) if c), Fraction(0))
+        return hash(trace / self.den)
 
     # -- numerics ----------------------------------------------------------
 
@@ -437,6 +437,15 @@ class Cyclo:
         for t in terms[1:]:
             out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
         return out
+
+
+@lru_cache(maxsize=None)
+def _trace_weights(n: int) -> tuple:
+    """Tr(zeta_n^j) / phi(n) for the power basis.  With m = n / gcd(j, n)
+    it is mu(m) / phi(m), and mu(m), the sum of the primitive m-th roots
+    of unity, is minus the second-highest coefficient of Phi_m."""
+    return tuple(Fraction(-cyclotomic_poly(m)[-2], euler_phi(m))
+                 for m in (n // gcd(j, n) for j in range(euler_phi(n))))
 
 
 @lru_cache(maxsize=None)

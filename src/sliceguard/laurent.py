@@ -244,17 +244,6 @@ class LaurentPoly:
                 out[m * i] = a * (c**k).as_cyclo()
         return LaurentPoly(m * self.low, out)
 
-    def interval_at(self, j: int, n: int):
-        """Interval enclosure of f(e^(2 pi i j / n)) at current iv precision."""
-        theta = 2 * iv.pi * j / n
-        z = iv.mpc(iv.cos(theta), iv.sin(theta))
-        acc = iv.mpc(0)
-        for c in reversed(self.coeffs):
-            acc = acc * z + c.interval()
-        if self.low:
-            acc = acc * z**self.low
-        return acc
-
     # -- division ----------------------------------------------------------
 
     def divmod_poly(self, other: "LaurentPoly"):
@@ -385,10 +374,6 @@ class RationalFn:
         object.__setattr__(self, "den", den)
 
     @staticmethod
-    def from_poly(p: LaurentPoly) -> "RationalFn":
-        return RationalFn(p, LaurentPoly.one())
-
-    @staticmethod
     def from_reduced(num: LaurentPoly, den: LaurentPoly) -> "RationalFn":
         """Wrap an already-coprime pair, skipping the gcd; the unit
         normalization still runs.  Callers are responsible for coprimality."""
@@ -516,14 +501,3 @@ def _certify_no_circle_roots(g: LaurentPoly, max_depth: int, prec: int):
     finally:
         iv.prec = old
 
-
-def root_multiset_of_fraction(fn: RationalFn, orders) -> dict[RootOfUnity, int]:
-    """Numerator roots count positively, denominator roots negatively."""
-    out = dict(unit_circle_roots(fn.num, orders))
-    for root, mult in unit_circle_roots(fn.den, orders).items():
-        m = out.get(root, 0) - mult
-        if m:
-            out[root] = m
-        else:
-            out.pop(root, None)
-    return out

@@ -52,50 +52,30 @@ class FormSpace:
     def ambient_dim(self) -> int:
         return 2 * self.half_dim
 
+    def _block_diagonal(self, block, signs) -> tuple:
+        """One copy of ``block`` per entry of ``signs`` down the diagonal,
+        each scaled by its sign, mod r."""
+        d, r = self.block_dim, self.r
+        n = len(signs) * d
+        M = [[0] * n for _ in range(n)]
+        for b, sign in enumerate(signs):
+            for i in range(d):
+                M[b * d + i][b * d : (b + 1) * d] = [(sign * x) % r for x in block[i]]
+        return tuple(map(tuple, M))
+
     def gram(self) -> tuple:
         """Full Gram matrix, entries meaning value/r in Q/Z."""
-        r = self.r
-        d = self.block_dim
-        n = self.ambient_dim
-        G = [[0] * n for _ in range(n)]
-        for b in range(2 * self.m1):
-            sign = 1 if b < self.m1 else -1
-            for i in range(d):
-                for j in range(d):
-                    G[b * d + i][b * d + j] = (sign * self.module.gram[i][j]) % r
-        return tuple(map(tuple, G))
+        return self._block_diagonal(self.module.gram, (1,) * self.m1 + (-1,) * self.m1)
 
     def half_gram(self) -> tuple:
         """Gram of lambda^m1 on one half (positive sign)."""
-        r = self.r
-        d = self.block_dim
-        n = self.half_dim
-        G = [[0] * n for _ in range(n)]
-        for b in range(self.m1):
-            for i in range(d):
-                for j in range(d):
-                    G[b * d + i][b * d + j] = self.module.gram[i][j]
-        return tuple(map(tuple, G))
+        return self._block_diagonal(self.module.gram, (1,) * self.m1)
 
     def action(self) -> tuple:
-        n = self.ambient_dim
-        d = self.block_dim
-        A = [[0] * n for _ in range(n)]
-        for b in range(2 * self.m1):
-            for i in range(d):
-                for j in range(d):
-                    A[b * d + i][b * d + j] = self.module.action[i][j]
-        return tuple(map(tuple, A))
+        return self._block_diagonal(self.module.action, (1,) * (2 * self.m1))
 
     def half_action(self) -> tuple:
-        n = self.half_dim
-        d = self.block_dim
-        A = [[0] * n for _ in range(n)]
-        for b in range(self.m1):
-            for i in range(d):
-                for j in range(d):
-                    A[b * d + i][b * d + j] = self.module.action[i][j]
-        return tuple(map(tuple, A))
+        return self._block_diagonal(self.module.action, (1,) * self.m1)
 
 
 def is_invariant_metabolizer(L: Subspace, F: FormSpace) -> bool:

@@ -55,7 +55,6 @@ class Options:
     budget: int = 2_000_000
     max_ambient_dim: int = 8
     max_r: int = 13
-    precision_bits: int = seifert.DEFAULT_PRECISION_BITS
 
 
 @dataclass(frozen=True)
@@ -331,11 +330,6 @@ def obstruct(K: KnotCombination, options: Options = Options(),
              input_str: str | None = None) -> Verdict:
     """Full obstruction run; see the module docstring for the shape."""
     source = input_str if input_str is not None else str(K)
-    with seifert.precision_floor(options.precision_bits):
-        return _obstruct(K, options, source)
-
-
-def _obstruct(K: KnotCombination, options: Options, source: str) -> Verdict:
     hypothesis_problem = _hypotheses_ok(K)
     if hypothesis_problem and K.terms:
         return Verdict(
@@ -415,10 +409,12 @@ def _obstruct(K: KnotCombination, options: Options, source: str) -> Verdict:
 def verify_verdict(doc: dict) -> None:
     """Re-check a NOT_SLICE verdict document from scratch.
 
-    Recomputes the metabolizer enumeration, characters' vanishing, the
-    level conditions, and every witness jump, raising VerificationError at
-    the first disagreement.  Non-NOT_SLICE documents re-run the cheap
-    verdicts only.
+    Recomputes the metabolizer enumeration (in order, so a duplicated or
+    reordered entry fails), the construction case, characters and level of
+    each certificate, the characters' vanishing, the level conditions, and
+    every witness jump, raising VerificationError at the first
+    disagreement.  The recorded p must be the input's.  Non-NOT_SLICE
+    documents re-run the cheap verdicts only.
     """
     from .expr import parse
 
@@ -426,6 +422,8 @@ def verify_verdict(doc: dict) -> None:
         K = KnotCombination(doc["p"], {})
     else:
         K = parse(doc["input"])
+    if doc["p"] != K.p:
+        raise VerificationError(f"recorded p={doc['p']} but the input has p={K.p}")
     if doc["verdict"] == "TRIVIAL_COMBINATION":
         if not knots.simplify(K).is_empty():
             raise VerificationError("combination does not cancel to the unknot")
@@ -451,17 +449,26 @@ def verify_verdict(doc: dict) -> None:
         Subspace([tuple(row) for row in entry["basis"]], module.r, F.ambient_dim)
         for entry in doc["metabolizers"]
     ]
-    if {m.rows for m in mets} != {m.rows for m in recorded}:
+    if [m.rows for m in mets] != [m.rows for m in recorded]:
         raise VerificationError(
             "recorded metabolizers do not match the enumeration "
             f"({len(recorded)} recorded, {len(mets)} enumerated)"
         )
+    ctx = _obstruction_context(nf, sets)
     for entry, L in zip(doc["metabolizers"], recorded):
         if not metabolizers.is_invariant_metabolizer(L, F):
             raise VerificationError(f"recorded basis {entry['basis']} is not a metabolizer")
         chi_a = tuple(Character(r, tuple(v)) for v in entry["character"]["a"])
         chi_b = tuple(Character(r, tuple(v)) for v in entry["character"]["b"])
         q, s = entry["qs"]
+        choice = metabolizers.construct_character(L, F, ctx)
+        if not isinstance(choice, CharacterChoice) or (
+            choice.case, choice.chi_a, choice.chi_b, choice.q, choice.s
+        ) != (entry["case"], chi_a, chi_b, q, s):
+            raise VerificationError(
+                f"recorded case {entry['case']}, characters and level are not "
+                "what the character construction gives for this metabolizer"
+            )
         _verify_entry(entry, L, F, nf, sets, chi_a, chi_b, q, s)
 
 

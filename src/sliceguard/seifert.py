@@ -31,18 +31,24 @@ Both identities are checked exactly before the form is used.  The
 linking form then needs no inverse: Y^-1 = W D^-1 U, so the pairing of
 generators u and v is u . W[:, v] / d_v.
 
-Signatures are computed on exact Hermitian matrices over a cyclotomic
-field.  The working route is an LDL* sweep in complex interval
-arithmetic whose pivot signs must be certified, raising precision until
-they are; if certification keeps failing, an exact characteristic
-polynomial with certified coefficient signs settles the count (Descartes'
-rule is exact for polynomials with all-real roots).
+The verdict path needs only closed forms.  The Alexander roots of T(p, q)
+are the points k/pq with p and q not dividing k, each simple.  The
+signature jumps are Litherland's count ("Signatures of iterated torus
+knots", 1979): for 0 < i < p and 0 < j < q with s = i/p + j/q, the
+signature jumps by +2 at s when s < 1 and by -2 at s - 1 when s > 1.
+
+Levine-Tristram signatures at a point serve the ``signature`` command and
+the tests' oracle for those jumps.  They are computed on exact Hermitian
+matrices over a cyclotomic field.  The working route is an LDL* sweep in
+complex interval arithmetic whose pivot signs must be certified, raising
+precision until they are; if certification keeps failing, an exact
+characteristic polynomial with certified coefficient signs settles the
+count (Descartes' rule is exact for polynomials with all-real roots).
 """
 
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -53,7 +59,7 @@ from mpmath import iv
 
 from .cyclo import Cyclo, RootOfUnity, certified_sign
 from .knots import prime_power_exponent
-from .laurent import LaurentPoly, unit_circle_roots
+from .laurent import LaurentPoly
 
 
 class ConventionError(ArithmeticError):
@@ -61,24 +67,6 @@ class ConventionError(ArithmeticError):
 
 
 DEFAULT_PRECISION_BITS = 64
-_precision_floor = DEFAULT_PRECISION_BITS
-
-
-@contextmanager
-def precision_floor(bits: int | None):
-    """Start signature certification at ``bits`` inside the block (None
-    keeps the current floor) and restore the previous floor on exit.
-    Results do not depend on it (precision is raised until signs are
-    certified, with an exact fallback); it only tunes how often retries
-    happen."""
-    global _precision_floor
-    previous = _precision_floor
-    if bits is not None:
-        _precision_floor = max(int(bits), 8)
-    try:
-        yield
-    finally:
-        _precision_floor = previous
 
 
 # ---------------------------------------------------------------------------
@@ -120,13 +108,17 @@ def _seifert_matrix_raw(p: int, q: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in V)
 
 
-@lru_cache(maxsize=None)
-def seifert_matrix(p: int, q: int) -> tuple[tuple[int, ...], ...]:
-    """Validated Seifert matrix of T(p, q), size (p-1)(q-1)."""
+def _check_torus(p: int, q: int):
     if p < 2 or q < 2:
         raise ValueError("torus knot parameters must be at least 2")
     if gcd(p, q) != 1:
         raise ValueError(f"gcd({p}, {q}) != 1")
+
+
+@lru_cache(maxsize=None)
+def seifert_matrix(p: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """Validated Seifert matrix of T(p, q), size (p-1)(q-1)."""
+    _check_torus(p, q)
     V = _seifert_matrix_raw(p, q)
     if len(V) != (p - 1) * (q - 1):
         raise ConventionError("unexpected cycle count in the band basis")
@@ -249,15 +241,12 @@ def alexander_poly(p: int, q: int) -> LaurentPoly:
     return LaurentPoly.from_ints(_seifert_alexander(seifert_matrix(p, q))).unit_normal()
 
 
-@lru_cache(maxsize=None)
-def _alexander_roots_cached(p: int, q: int) -> tuple:
-    return tuple(unit_circle_roots(alexander_poly(p, q), {p * q}).items())
-
-
 def alexander_roots(p: int, q: int) -> dict:
-    """Unit-circle roots of the Alexander polynomial (all of them), with
-    multiplicities; the admissible orders divide pq."""
-    return dict(_alexander_roots_cached(p, q))
+    """Unit-circle roots of the Alexander polynomial with multiplicities:
+    every k/pq with p and q not dividing k, each simple."""
+    _check_torus(p, q)
+    return {RootOfUnity.normalized(k, p * q): 1
+            for k in range(1, p * q) if k % p and k % q}
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +266,9 @@ def _interval_ldl_signature(V, k: int, n: int, prec: int):
         wbar = iv.mpc(w.real, -w.imag)
         a = (1 - w)
         b = (1 - wbar)
-        H = [[a * V[i][j] + b * V[j][i] for j in range(size)] for i in range(size)]
+        # None marks an exact zero
+        H = [[a * V[i][j] + b * V[j][i] if V[i][j] or V[j][i] else None
+              for j in range(size)] for i in range(size)]
         active = list(range(size))
         signature = 0
         while active:
@@ -296,10 +287,19 @@ def _interval_ldl_signature(V, k: int, n: int, prec: int):
             signature += 1 if d.a > 0 else -1
             active.remove(pivot)
             dinv = 1 / H[pivot][pivot]
-            for i in active:
+            row_p = H[pivot]
+            # the Schur complement is Hermitian and changes only on the
+            # pivot row's nonzero columns: update their upper triangle and
+            # mirror it
+            support = [j for j in active if row_p[j] is not None]
+            for x, i in enumerate(support):
                 f = H[i][pivot] * dinv
-                for j in active:
-                    H[i][j] = H[i][j] - f * H[pivot][j]
+                row_i = H[i]
+                for j in support[x:]:
+                    g = f * row_p[j]
+                    row_i[j] = -g if row_i[j] is None else row_i[j] - g
+                    if j != i:
+                        H[j][i] = iv.mpc(row_i[j].real, -row_i[j].imag)
         return signature
     finally:
         iv.prec = old
@@ -349,11 +349,13 @@ def _cyclo_mat_mul(A, B):
     return out
 
 
-def lt_signature(p: int, q: int, x, precision_bits: int | None = None) -> int:
+def lt_signature(p: int, q: int, x,
+                 precision_bits: int = DEFAULT_PRECISION_BITS) -> int:
     """Levine-Tristram signature of T(p, q) at e^(2 pi i x), x in (0, 1).
 
-    Rejects evaluation at roots of the Alexander polynomial, where the
-    signature is undefined.
+    Certification starts at ``precision_bits`` and doubles on failure; the
+    result does not depend on it.  Rejects evaluation at roots of the
+    Alexander polynomial, where the signature is undefined.
     """
     x = Fraction(x)
     if not 0 < x < 1:
@@ -361,7 +363,7 @@ def lt_signature(p: int, q: int, x, precision_bits: int | None = None) -> int:
     if RootOfUnity(x) in alexander_roots(p, q):
         raise ValueError(f"{x} is a root of the Alexander polynomial of T({p},{q})")
     V = seifert_matrix(p, q)
-    prec = max(precision_bits if precision_bits is not None else _precision_floor, 8)
+    prec = max(precision_bits, 8)
     for _ in range(4):
         sig = _interval_ldl_signature(V, x.numerator, x.denominator, prec)
         if sig is not None:
@@ -370,33 +372,23 @@ def lt_signature(p: int, q: int, x, precision_bits: int | None = None) -> int:
     return _exact_signature(V, x)
 
 
-def jump_function(p: int, q: int, precision_bits: int | None = None) -> dict:
-    """Signature jumps of T(p, q): candidate points are the Alexander roots
-    a/(pq); the two one-sided limits are read off at midpoints between
-    consecutive candidates.  Zero jumps are dropped.
-    """
-    with precision_floor(precision_bits):
-        return dict(_jump_function_cached(p, q))
+def jump_function(p: int, q: int) -> dict:
+    """Signature jumps of T(p, q) by Litherland's count; see the module
+    docstring."""
+    return dict(_jump_function_cached(p, q))
 
 
 @lru_cache(maxsize=None)
 def _jump_function_cached(p: int, q: int) -> tuple:
-    candidates = sorted(root.frac for root in alexander_roots(p, q))
-    mids = []
-    prev = Fraction(0)
-    for c in candidates:
-        mids.append((prev + c) / 2)
-        prev = c
-    mids.append((prev + 1) / 2)
-    sigma = [lt_signature(p, q, m) for m in mids]
-    if sigma[0] != 0 or sigma[-1] != 0:
-        raise ConventionError("signature does not vanish near 1 on the circle")
+    _check_torus(p, q)
+    # iq + jp runs over distinct residues mod pq, so no two pairs (i, j)
+    # share a point and no jump cancels
     jumps = []
-    for i, c in enumerate(candidates):
-        delta = sigma[i + 1] - sigma[i]
-        if delta:
-            jumps.append((c, delta))
-    return tuple(jumps)
+    for i in range(1, p):
+        for j in range(1, q):
+            s = Fraction(i, p) + Fraction(j, q)
+            jumps.append((s, 2) if s < 1 else (s - 1, -2))
+    return tuple(sorted(jumps))
 
 
 # ---------------------------------------------------------------------------

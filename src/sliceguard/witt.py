@@ -11,17 +11,26 @@ torus-knot jumps), and a sum of classical atoms is metabolic exactly when
 the coefficient-weighted jumps cancel everywhere: that is the decision
 rule used by the pipeline.  Twisted atoms only ever contribute their root
 support, which is what the splitting criterion needs.
+
+Supports are root bookkeeping on closed forms, with no polynomial
+arithmetic.  A classical atom's support is the torus-knot Alexander roots
+pulled back through the twist and dilation.  A twisted atom's order is
+(1 - t^r)^(p-1) / (prod_i (t xi^(a_i) - 1) (t - 1)) up to units, the
+0-surgery form of the closed product in ``twisted``: its support is where
+the numerator and denominator root multiplicities differ.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from . import seifert, twisted as twistedmod
+from . import seifert
 from .covers import Character
 from .cyclo import RootOfUnity
-from .laurent import RationalFn, unit_circle_roots
+# unused here: perfbench/spans.py wraps witt.unit_circle_roots by this name
+from .laurent import unit_circle_roots  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -105,33 +114,20 @@ class WittClass:
     __repr__ = __str__
 
 
-def order_of(atom: Atom) -> RationalFn:
-    """Order of the underlying module, up to units."""
-    if isinstance(atom, Classical):
-        poly = seifert.alexander_poly(atom.p, atom.q).substitute(atom.twist, atom.power)
-        return RationalFn.from_poly(poly)
-    return twistedmod.twisted_alex_surgery(atom.p, atom.r, atom.chi).fraction
-
-
 def support_of(atom: Atom) -> frozenset:
-    """Unit-circle root support of the order, as fractions in [0, 1).
-
-    For twisted atoms this is the conservative union of the reduced
-    numerator and denominator roots.
-    """
+    """Unit-circle root support of the order, as fractions in [0, 1)."""
     if isinstance(atom, Classical):
         points = set()
         for root in seifert.alexander_roots(atom.p, atom.q):
             for j in range(atom.power):
                 points.add(((root.frac - atom.twist.frac + j) / atom.power) % 1)
         return frozenset(points)
-    fraction = order_of(atom)
-    out = set()
-    for root in unit_circle_roots(fraction.num, {atom.r}):
-        out.add(root.frac)
-    for root in unit_circle_roots(fraction.den, {atom.r}):
-        out.add(root.frac)
-    return frozenset(out)
+    r = atom.r
+    numerator = Counter({Fraction(k, r): atom.p - 1 for k in range(r)})
+    denominator = Counter(Fraction(-a, r) % 1 for a in atom.chi.values)
+    denominator[Fraction(0)] += 1
+    return frozenset(x for x in numerator | denominator
+                     if numerator[x] != denominator[x])
 
 
 def jump_of(atom: Classical, x: Fraction) -> int:

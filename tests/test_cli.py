@@ -132,3 +132,36 @@ def test_internal_check_failure_exit_3(capsys, monkeypatch):
     code, out, err = run(capsys, "homology", "3", "2", "3")
     assert code == 3 and out == ""
     assert err.count("\n") == 1 and "ConventionError" in err
+
+
+@pytest.mark.parametrize("argv", [["obstruct", "--budget", "abc"], ["frobnicate"]])
+def test_usage_errors_exit_1_with_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 1 and captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+def test_malformed_precision_variable_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("SLICEGUARD_PRECISION_BITS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["signature", "2", "3", "1/2"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 1 and err.count("\n") == 1 and "precision-bits" in err
+    assert run(capsys, "alex", "2", "3")[0] == 0
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["obstruct", "--help"])
+    assert exc.value.code == 0 and "--precision-bits" in capsys.readouterr().out
+
+
+def test_precision_bits_parse_and_touch_only_signature(capsys, monkeypatch):
+    _, plain, _ = run(capsys, "obstruct", J2, "--json")
+    code, out, _ = run(capsys, "obstruct", J2, "--json", "--precision-bits", "9")
+    assert code == 0 and out == plain
+    monkeypatch.setenv("SLICEGUARD_PRECISION_BITS", "9")
+    code, out, _ = run(capsys, "signature", "3", "4", "1/2", "--json")
+    assert code == 0 and json.loads(out)["signature"] == -6

@@ -99,6 +99,26 @@ def test_cross_conductor_equality():
     assert normalize_root(3, 6).as_cyclo() == Cyclo.from_fraction(-1)
 
 
+def test_hash_agrees_with_equality_across_conductors():
+    z3 = normalize_root(1, 3).as_cyclo()
+    lifted = z3._lift(6)
+    minus_one = normalize_root(1, 2).as_cyclo()
+    detour = z3 * minus_one * minus_one  # comes out at conductor 6
+    assert lifted.n == detour.n == 6
+    for other in (lifted, detour):
+        assert other == z3 and hash(other) == hash(z3)
+        assert len({z3, other}) == 1
+    assert hash(Cyclo.from_fraction(Fraction(3, 4))._lift(10)) == hash(Fraction(3, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 4, 5, 6, 8, 12]), st.integers(2, 4),
+       st.lists(st.integers(-5, 5), min_size=1, max_size=12))
+def test_hash_survives_lifting(n, k, coeffs):
+    x = Cyclo(n, (coeffs + [0] * euler_phi(n))[: euler_phi(n)], 1)
+    assert hash(x._lift(n * k)) == hash(x)
+
+
 def test_certified_sign():
     z = normalize_root(1, 5).as_cyclo()
     # 2*cos(2*pi/5) = z + z^-1 > 0

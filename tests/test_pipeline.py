@@ -1,9 +1,10 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
-from sliceguard import knots, pipeline, seifert
+from sliceguard import knots, laurent, pipeline, seifert, twisted
 from sliceguard.covers import Character
 from sliceguard.cyclo import normalize_root
 from sliceguard.expr import parse
@@ -151,21 +152,6 @@ class TestObstruct:
         v2 = obstruct(parse(J2), Options(budget=1))
         assert v2.kind == "INCONCLUSIVE"
 
-    def test_precision_floor_restored(self, monkeypatch):
-        # the starting precision of one run must not leak into the next,
-        # also when the run raises
-        before = seifert._precision_floor
-        obstruct(parse(J2), Options(precision_bits=9))
-        assert seifert._precision_floor == before
-
-        def failing(K):
-            raise seifert.ConventionError("injected")
-
-        monkeypatch.setattr(knots, "simplify", failing)
-        with pytest.raises(seifert.ConventionError):
-            obstruct(parse(J2), Options(precision_bits=9))
-        assert seifert._precision_floor == before
-
 
 class TestVerification:
     def test_roundtrip(self):
@@ -195,6 +181,44 @@ class TestVerification:
         bad4["metabolizers"][0]["qs"] = [7, 1]
         with pytest.raises(VerificationError):
             verify_verdict(bad4)
+
+    def test_duplicated_metabolizer_rejected(self):
+        doc = json.loads(obstruct(parse(J2)).to_json())
+        doc["metabolizers"].append(doc["metabolizers"][0])
+        with pytest.raises(VerificationError):
+            verify_verdict(doc)
+
+    def test_changed_p_rejected(self):
+        doc = json.loads(obstruct(parse(J2)).to_json())
+        doc["p"] = 7
+        with pytest.raises(VerificationError):
+            verify_verdict(doc)
+
+    def test_changed_case_rejected(self):
+        doc = json.loads(obstruct(parse(J2)).to_json())
+        doc["metabolizers"][0]["case"] = 99
+        with pytest.raises(VerificationError):
+            verify_verdict(doc)
+
+    def test_verdict_path_uses_no_numeric_route(self, monkeypatch):
+        # signatures, root isolation and the twisted polynomials serve only
+        # the inspection commands and the tests: patch every binding of
+        # them to raise, and the verdicts still come out and verify
+        def forbidden(*args, **kwargs):
+            raise AssertionError("numeric route called on the verdict path")
+
+        numeric = (seifert.lt_signature, laurent.unit_circle_roots,
+                   twisted.twisted_alex_exterior, twisted.twisted_alex_surgery)
+        for name, module in list(sys.modules.items()):
+            if name == "sliceguard" or name.startswith("sliceguard."):
+                for attr, value in list(vars(module).items()):
+                    if any(value is fn for fn in numeric):
+                        monkeypatch.setattr(module, attr, forbidden)
+        seifert._jump_function_cached.cache_clear()
+        for expr in [J2, "T(3,4;3,5) # -T(3,5) # -T(3,4;3,7) # T(3,7)"]:
+            verdict = obstruct(parse(expr))
+            assert verdict.kind == "NOT_SLICE"
+            verify_verdict(json.loads(verdict.to_json()))
 
     def test_schema_fields(self):
         doc = json.loads(obstruct(parse(J2)).to_json())

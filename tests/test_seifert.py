@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -10,7 +11,13 @@ from sympy.polys.matrices import DomainMatrix
 
 from sliceguard import seifert
 from sliceguard.cyclo import normalize_root
-from sliceguard.laurent import LaurentPoly
+from sliceguard.laurent import LaurentPoly, unit_circle_roots
+
+# every coprime (p, q) with p <= 6 and q <= 11: the closed forms of the
+# verdict path are checked against the numeric routes on all of them
+CLOSED_FORM_PAIRS = [
+    (p, q) for p in range(2, 7) for q in range(2, 12) if gcd(p, q) == 1
+]
 
 
 def _sympy_alexander_oracle(p, q):
@@ -94,6 +101,27 @@ class TestAlexander:
         assert set(roots) == expected
         assert all(m == 1 for m in roots.values())
 
+    @pytest.mark.parametrize("p,q", CLOSED_FORM_PAIRS)
+    def test_closed_form_roots_match_root_isolation(self, p, q):
+        isolated = unit_circle_roots(seifert.alexander_poly(p, q), {p * q})
+        assert seifert.alexander_roots(p, q) == isolated
+
+
+def _midpoint_jumps(p, q):
+    """The signature route to the jumps: certified signatures at the
+    midpoints between consecutive Alexander roots, differenced.  The
+    signature is symmetric under x -> 1 - x, and so is the set of
+    midpoints, so each value is computed once."""
+    roots = sorted(root.frac for root in seifert.alexander_roots(p, q))
+    edges = [Fraction(0)] + roots + [Fraction(1)]
+    sigma = {}
+    for a, b in zip(edges, edges[1:]):
+        m = (a + b) / 2
+        sigma[m] = sigma[1 - m] if 1 - m in sigma else seifert.lt_signature(p, q, m, 128)
+    values = list(sigma.values())
+    assert values[0] == values[-1] == 0, "signature does not vanish near 1"
+    return {x: d for x, d in zip(roots, (b - a for a, b in zip(values, values[1:]))) if d}
+
 
 class TestSignature:
     def test_known_values(self):
@@ -137,6 +165,17 @@ class TestSignature:
 
 
 class TestJumps:
+    @pytest.mark.parametrize("p,q", CLOSED_FORM_PAIRS)
+    def test_litherland_matches_midpoint_signatures(self, p, q):
+        assert seifert.jump_function(p, q) == _midpoint_jumps(p, q)
+
+    def test_closed_forms_reject_non_torus_parameters(self):
+        for p, q in [(4, 6), (1, 3)]:
+            with pytest.raises(ValueError):
+                seifert.jump_function(p, q)
+            with pytest.raises(ValueError):
+                seifert.alexander_roots(p, q)
+
     def test_trefoil(self):
         assert seifert.jump_function(2, 3) == {
             Fraction(1, 6): -2,

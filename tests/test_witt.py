@@ -1,19 +1,20 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from sliceguard import seifert
+from sliceguard import covers, seifert
 from sliceguard.covers import Character
 from sliceguard.cyclo import normalize_root
-from sliceguard.laurent import LaurentPoly
+from sliceguard.laurent import LaurentPoly, unit_circle_roots
+from sliceguard.twisted import twisted_alex_surgery
 from sliceguard.witt import (
     Classical,
     Twisted,
     WittClass,
     is_metabolic_classical,
     jump_of,
-    order_of,
     split_components,
     support_of,
 )
@@ -23,19 +24,59 @@ def C(p, q, num=0, den=1, power=1, coeff=1):
     return Classical(p, q, normalize_root(num, den), power, coeff)
 
 
+def _classical_order(atom):
+    """Delta_{T(p,q)}(xi^twist * t^power), the order the support summarises."""
+    return seifert.alexander_poly(atom.p, atom.q).substitute(atom.twist, atom.power)
+
+
+def _isolated_support(orders, *polys):
+    """The numeric route: unit-circle roots of each polynomial, isolated by
+    synthetic division and certified interval arcs."""
+    return frozenset(root.frac for f in polys for root in unit_circle_roots(f, orders))
+
+
+def _twisted_oracle_support(p, r, chi):
+    """Roots of the reduced 0-surgery fraction (Fox route checked inside)."""
+    fraction = twisted_alex_surgery(p, r, chi).fraction
+    return _isolated_support({r}, fraction.num, fraction.den)
+
+
+# the full part of the benchmark's twisted grid
+TWISTED_GRID = [(p, q) for p in (2, 3, 4) for q in (2, 3, 5, 7) if gcd(p, q) == 1]
+TWISTED_GRID += [(5, 2), (5, 3)]
+
+
 class TestOrders:
+    """Closed-form supports against the orders they summarise, with the
+    roots of those orders isolated numerically."""
+
     def test_classical_untwisted(self):
-        assert order_of(C(2, 3)).num == LaurentPoly.from_ints([1, -1, 1])
+        order = _classical_order(C(2, 3))
+        assert order == LaurentPoly.from_ints([1, -1, 1])
+        assert support_of(C(2, 3)) == _isolated_support({6}, order)
 
     def test_classical_twisted(self):
-        out = order_of(C(2, 3, 1, 3))
+        out = _classical_order(C(2, 3, 1, 3))
         z3 = normalize_root(1, 3).as_cyclo()
         expected = LaurentPoly(0, [1 + 0 * z3, -z3, z3 * z3])
-        assert out.num == expected
+        assert out == expected
+        rng = random.Random(5)
+        for _ in range(20):
+            p, q = rng.choice([(2, 3), (2, 5), (3, 4), (3, 5)])
+            den = rng.choice([1, 2, 3, 5])
+            atom = C(p, q, rng.randrange(den), den, power=rng.randrange(1, 4))
+            orders = {p * q * den * atom.power}
+            assert support_of(atom) == _isolated_support(orders, _classical_order(atom))
 
     def test_twisted_unit(self):
         atom = Twisted(2, 3, Character(3, (1, 2)))
-        assert order_of(atom).is_unit()
+        assert twisted_alex_surgery(2, 3, atom.chi).fraction.is_unit()
+        assert support_of(atom) == frozenset()
+
+    @pytest.mark.parametrize("p,r", TWISTED_GRID)
+    def test_twisted_supports_match_root_isolation(self, p, r):
+        for chi in covers.characters(p, r):
+            assert support_of(Twisted(p, r, chi)) == _twisted_oracle_support(p, r, chi), chi
 
 
 class TestJumps:
