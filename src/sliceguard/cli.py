@@ -44,7 +44,7 @@ def _cmd_obstruct(args) -> int:
     if args.verify:
         with open(args.verify) as handle:
             doc = json.load(handle)
-        pipeline.verify_verdict(doc)
+        pipeline.verify_verdict(doc, budget=args.budget)
         options = pipeline.Options(
             r=doc.get("r"), budget=args.budget, max_ambient_dim=args.max_dim,
             max_r=args.max_r,

@@ -406,7 +406,7 @@ def obstruct(K: KnotCombination, options: Options = Options(),
 # ---------------------------------------------------------------------------
 
 
-def verify_verdict(doc: dict) -> None:
+def verify_verdict(doc: dict, *, budget: int = Options.budget) -> None:
     """Re-check a NOT_SLICE verdict document from scratch.
 
     Recomputes the metabolizer enumeration (in order, so a duplicated or
@@ -414,7 +414,9 @@ def verify_verdict(doc: dict) -> None:
     each certificate, the characters' vanishing, the level conditions, and
     every witness jump, raising VerificationError at the first
     disagreement.  The recorded p must be the input's.  Non-NOT_SLICE
-    documents re-run the cheap verdicts only.
+    documents re-run the cheap verdicts only.  ``budget`` bounds the
+    enumeration as in ``obstruct``; a document produced under a larger
+    budget needs that budget here, or BudgetExceeded is raised.
     """
     from .expr import parse
 
@@ -444,7 +446,7 @@ def verify_verdict(doc: dict) -> None:
     sets = index_sets(nf)
     module = covers.model_module(K.p, r)
     F = FormSpace(module=module, m1=nf.m1)
-    mets = metabolizers.enumerate_invariant_metabolizers(F)
+    mets = metabolizers.enumerate_invariant_metabolizers(F, budget)
     recorded = [
         Subspace([tuple(row) for row in entry["basis"]], module.r, F.ambient_dim)
         for entry in doc["metabolizers"]

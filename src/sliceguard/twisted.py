@@ -8,11 +8,18 @@ representative of the metabelian representation sends
     c2 |-> t * diag(xi^(a_1), ..., xi^(a_p)),      xi = e^(2 pi i / q),
     c1 |-> A_p(t)^q,
 
-with A_p(t) the companion-style matrix whose p-th power is t * id.  The
-twisted polynomial of the exterior is computed twice: once through Fox
-calculus on the relator (a determinant quotient) and once from the closed
-product formula; the two must agree up to units on every call.  Dividing
-by the extra (-1)^(p-1) (t - 1) gives the polynomial of the 0-surgery.
+with A_p(t) the companion-style matrix whose p-th power is t * id.  Both
+images are monomial (one entry xi^a t^k per row), so words in c1, c2 are
+multiplied as (column, a mod q, k) triples in integer arithmetic, and only
+the results are expanded into Laurent polynomial matrices.
+
+The twisted polynomial of the exterior is computed twice: once through
+Fox calculus on the relator (a determinant quotient) and once from the
+closed product formula.  The two numerators must agree up to units, and so
+must the two denominators, on every call.  The closed form is reduced by
+counting the roots of unity the two sides share and dividing each out
+exactly, with no polynomial gcd.  Dividing by the extra (-1)^(p-1) (t - 1)
+gives the polynomial of the 0-surgery.
 """
 
 from __future__ import annotations
@@ -71,58 +78,45 @@ def fox_derivative(w: Word, gen: int) -> list[tuple[int, Word]]:
 # The representation
 # ---------------------------------------------------------------------------
 
+# A monomial matrix over Z[xi, t^(+-1)], xi = e^(2 pi i / q): row i holds
+# its single nonzero entry xi^a * t^k, in column c, as (c, a mod q, k).
+Monomial = tuple[tuple[int, int, int], ...]
 
-def _mat_mul(A, B):
-    n = len(A)
-    out = [[LaurentPoly.zero()] * n for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            a = A[i][k]
-            if a.is_zero():
-                continue
-            for j in range(n):
-                b = B[k][j]
-                if not b.is_zero():
-                    out[i][j] = out[i][j] + a * b
-    return [row[:] for row in out]
 
-def _mat_pow(A, e, size):
-    out = _identity(size)
-    base = A
+def _mono_mul(M: Monomial, N: Monomial, q: int) -> Monomial:
+    return tuple((N[c][0], (a + N[c][1]) % q, k + N[c][2]) for c, a, k in M)
+
+
+def _mono_pow(M: Monomial, e: int, q: int) -> Monomial:
+    out = tuple((i, 0, 0) for i in range(len(M)))
     while e:
         if e & 1:
-            out = _mat_mul(out, base)
-        base = _mat_mul(base, base)
+            out = _mono_mul(out, M, q)
+        M = _mono_mul(M, M, q)
         e >>= 1
     return out
 
 
-def _identity(n):
-    return [
-        [LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(n)]
-        for i in range(n)
-    ]
+def _monomial_companion(p: int, sign: int) -> Monomial:
+    """A_p(t) for sign 1, with ones on the superdiagonal and t in the
+    corner, so that A_p^p = t*id; its inverse for sign -1."""
+    if sign > 0:
+        return tuple((i + 1, 0, 0) for i in range(p - 1)) + ((0, 0, 1),)
+    return ((p - 1, 0, -1),) + tuple((i, 0, 0) for i in range(p - 1))
 
 
-def _companion(p: int):
-    """A_p(t): ones on the superdiagonal, t in the corner; A_p^p = t*id."""
-    A = [[LaurentPoly.zero()] * p for _ in range(p)]
-    for i in range(p - 1):
-        A[i][i + 1] = LaurentPoly.one()
-    A[p - 1][0] = LaurentPoly.t()
-    return A
-
-
-def _companion_inv(p: int):
-    A = [[LaurentPoly.zero()] * p for _ in range(p)]
-    for i in range(p - 1):
-        A[i + 1][i] = LaurentPoly.one()
-    A[0][p - 1] = LaurentPoly.t(-1)
-    return A
+def _dense(M: Monomial, q: int) -> list[list[LaurentPoly]]:
+    """The matrix of Laurent polynomials; each entry's coefficient is the
+    reduced root xi^a, so its conductor is the order of a/q."""
+    out = [[LaurentPoly.zero()] * len(M) for _ in M]
+    for i, (c, a, k) in enumerate(M):
+        out[i][c] = LaurentPoly(k, [RootOfUnity.normalized(a, q).as_cyclo()])
+    return out
 
 
 class TorusRep:
-    """Images of c1, c2 (and inverses) under the working representative."""
+    """Images of c1, c2 (and inverses) under the working representative,
+    as monomial matrices."""
 
     def __init__(self, p: int, q: int, chi: Character):
         if chi.p != p:
@@ -130,41 +124,24 @@ class TorusRep:
         if chi.r != q:
             raise ValueError("character modulus must equal q")
         self.p, self.q, self.chi = p, q, chi
-        roots = [RootOfUnity.normalized(a, q) for a in chi.values]
-        diag = [
-            [
-                LaurentPoly(1, [roots[i].as_cyclo()]) if i == j else LaurentPoly.zero()
-                for j in range(p)
-            ]
-            for i in range(p)
-        ]
-        diag_inv = [
-            [
-                LaurentPoly(-1, [roots[i].inverse().as_cyclo()])
-                if i == j
-                else LaurentPoly.zero()
-                for j in range(p)
-            ]
-            for i in range(p)
-        ]
-        self.images = {
-            (1, 1): _mat_pow(_companion(p), q, p),
-            (1, -1): _mat_pow(_companion_inv(p), q, p),
-            (2, 1): diag,
-            (2, -1): diag_inv,
+        self.images: dict[tuple[int, int], Monomial] = {
+            (1, 1): _mono_pow(_monomial_companion(p, 1), q, q),
+            (1, -1): _mono_pow(_monomial_companion(p, -1), q, q),
+            (2, 1): tuple((i, a, 1) for i, a in enumerate(chi.values)),
+            (2, -1): tuple((i, -a % q, -1) for i, a in enumerate(chi.values)),
         }
 
-    def image_of_word(self, w: Word):
-        out = _identity(self.p)
+    def image_of_word(self, w: Word) -> Monomial:
+        out: Monomial = tuple((i, 0, 0) for i in range(self.p))
         for g, e in w:
             base = self.images[(g, 1 if e > 0 else -1)]
-            out = _mat_mul(out, _mat_pow(base, abs(e), self.p))
+            out = _mono_mul(out, _mono_pow(base, abs(e), self.q), self.q)
         return out
 
     def image_of_combination(self, terms):
         out = [[LaurentPoly.zero()] * self.p for _ in range(self.p)]
         for coeff, w in terms:
-            m = self.image_of_word(w)
+            m = _dense(self.image_of_word(w), self.q)
             for i in range(self.p):
                 for j in range(self.p):
                     if not m[i][j].is_zero():
@@ -173,16 +150,13 @@ class TorusRep:
 
 
 def rep_images(p: int, q: int, chi: Character):
-    """(image of c1, image of c2); the defining relation is re-checked."""
+    """(image of c1, image of c2) as matrices of Laurent polynomials; the
+    defining relation c1^p = c2^q is re-checked on the monomial forms."""
     rep = TorusRep(p, q, chi)
     c1, c2 = rep.images[(1, 1)], rep.images[(2, 1)]
-    lhs = _mat_pow(c1, p, p)
-    rhs = _mat_pow(c2, q, p)
-    for i in range(p):
-        for j in range(p):
-            if lhs[i][j] != rhs[i][j]:
-                raise ArithmeticError("representation violates c1^p = c2^q")
-    return c1, c2
+    if _mono_pow(c1, p, q) != _mono_pow(c2, q, q):
+        raise ArithmeticError("representation violates c1^p = c2^q")
+    return _dense(c1, q), _dense(c2, q)
 
 
 def _det(rows):
@@ -192,8 +166,8 @@ def _det(rows):
     for k in range(n):
         new = {}
         for subset, acc in states.items():
-            seen = 0
-            for c in range(n):
+            seen = 0  # chosen columns right of c: the inversions (k, c) adds
+            for c in reversed(range(n)):
                 bit = 1 << c
                 if subset & bit:
                     seen += 1
@@ -237,40 +211,47 @@ class TwistedPoly:
         return str(self.fraction)
 
 
+def _disagree(p: int, q: int, chi=None) -> ArithmeticError:
+    where = f"p={p}, q={q}" + ("" if chi is None else f", chi={chi}")
+    return ArithmeticError(f"Fox-calculus and closed-form twisted polynomials disagree for {where}")
+
+
+@lru_cache(maxsize=None)
+def _closed_numerator(p: int, q: int) -> LaurentPoly:
+    """(1 - t^q)^(p-1), each q-th root of unity with multiplicity p - 1,
+    checked against the Fox numerator; neither depends on the character."""
+    closed = (LaurentPoly.one() - LaurentPoly.from_ints([1], q)) ** (p - 1)
+    if not _fox_numerator(p, q).eq_up_to_units(closed):
+        raise _disagree(p, q)
+    return closed
+
+
 @lru_cache(maxsize=None)
 def twisted_alex_exterior(p: int, q: int, chi: Character) -> TwistedPoly:
     """Twisted Alexander polynomial of the knot exterior, by both routes.
 
     Route one is the Fox calculus torsion quotient
     det(rep(d relator / d c1)) / det(rep(c2) - id); route two is the
-    closed form (1 - t^q)^(p-1) / prod_i (t xi^(a_i) - 1).  They must
-    agree up to units, and the reduced closed form is returned.
+    closed form (1 - t^q)^(p-1) / prod_i (t xi^(a_i) - 1).  Numerators and
+    denominators must agree up to units, each on its own.  The closed form
+    is then reduced by root bookkeeping: the root xi^(-a) is common to both
+    sides min(#{i : a_i = a}, p - 1) times, and is divided out exactly.
     """
-    rep = TorusRep(p, q, chi)
-    fox_num = _fox_numerator(p, q)
-    c2 = rep.images[(2, 1)]
-    den_rows = [
-        [c2[i][j] - (LaurentPoly.one() if i == j else LaurentPoly.zero()) for j in range(p)]
-        for i in range(p)
-    ]
-    fox_den = _det(den_rows)
-    # closed form
-    closed_num = (LaurentPoly.one() - LaurentPoly.from_ints([1], q)) ** (p - 1)
+    c2 = _dense(TorusRep(p, q, chi).images[(2, 1)], q)
+    for i in range(p):
+        c2[i][i] = c2[i][i] - LaurentPoly.one()
     closed_den = LaurentPoly.one()
     for a in chi.values:
         factor = LaurentPoly(0, [Cyclo.from_fraction(-1), RootOfUnity.normalized(a, q).as_cyclo()])
         closed_den = closed_den * factor
-    if fox_num == closed_num and fox_den == closed_den:
-        # the usual outcome: the routes agree on the nose, reduce once
-        return TwistedPoly(RationalFn(closed_num, closed_den))
-    fox = RationalFn(fox_num, fox_den)
-    closed = RationalFn(closed_num, closed_den)
-    if not fox.eq_up_to_units(closed):
-        raise ArithmeticError(
-            f"Fox-calculus and closed-form twisted polynomials disagree for "
-            f"p={p}, q={q}, chi={chi}"
-        )
-    return TwistedPoly(closed)
+    if not _det(c2).eq_up_to_units(closed_den):
+        raise _disagree(p, q, chi)
+    num, den = _closed_numerator(p, q), closed_den
+    for a in sorted(set(chi.values)):
+        root = RootOfUnity.normalized(-a, q)
+        for _ in range(min(chi.values.count(a), p - 1)):
+            num, den = num.divide_linear(root), den.divide_linear(root)
+    return TwistedPoly(RationalFn.from_reduced(num, den))
 
 
 @lru_cache(maxsize=None)
@@ -278,17 +259,11 @@ def twisted_alex_surgery(p: int, q: int, chi: Character) -> TwistedPoly:
     """Twisted polynomial of the 0-surgery: the exterior polynomial divided
     by (-1)^(p-1) (t - 1)."""
     ext = twisted_alex_exterior(p, q, chi).fraction
-    sign = 1 if (p - 1) % 2 == 0 else -1
-    num = ext.num.scale(sign)
-    # the exterior fraction is already reduced, so only the new (t - 1)
-    # factor can cancel
-    one = RootOfUnity.one()
-    extra = 0
-    while num.span() > 0 and num.evaluate_root(one).is_zero() and extra < 1:
-        num = num.divide_linear(one)
-        extra += 1
-    if extra:
-        return TwistedPoly(RationalFn.from_reduced(num, ext.den))
+    num = ext.num.scale(1 if (p - 1) % 2 == 0 else -1)
+    # the exterior fraction is reduced, so only the new (t - 1) can cancel;
+    # its numerator keeps the root 1 when fewer than p - 1 values are 0
+    if chi.values.count(0) < p - 1:
+        return TwistedPoly(RationalFn.from_reduced(num.divide_linear(RootOfUnity.one()), ext.den))
     return TwistedPoly(
         RationalFn.from_reduced(num, ext.den * LaurentPoly.from_ints([-1, 1]))
     )

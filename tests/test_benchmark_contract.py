@@ -11,7 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from sliceguard import expr, pipeline
+from sliceguard import expr, pipeline, twisted
+from sliceguard.covers import Character
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -30,6 +31,21 @@ def test_corpus_verdicts_are_byte_identical_to_expected():
     for text in corpus:
         doc = pipeline.obstruct(expr.parse(text)).to_json()
         assert hashlib.sha256(doc.encode()).hexdigest()[:12] == expected[text], text
+
+
+def test_twisted_grid_outputs_are_byte_identical_to_expected():
+    # the sampled (5, 7) part is left to perfbench/run.py
+    inputs = _load("inputs")
+    expected = json.loads((PERFBENCH / "expected.json").read_text())["twisted-grid"]
+    for p, q in inputs.GRID_FULL:
+        digests = []
+        for values in inputs.characters(p, q):
+            chi = Character(q, values)
+            images = twisted.rep_images(p, q, chi)
+            ext = twisted.twisted_alex_exterior(p, q, chi)
+            sur = twisted.twisted_alex_surgery(p, q, chi)
+            digests.append(hashlib.sha256(f"{images}\n{ext}\n{sur}".encode()).hexdigest()[:12])
+        assert "".join(digests) == expected[f"{p},{q}"], (p, q)
 
 
 CONTRACT_CHECK = """

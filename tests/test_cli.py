@@ -43,6 +43,18 @@ def test_obstruct_verify_roundtrip(tmp_path, capsys):
     assert "bit-for-bit" in out2
 
 
+def test_obstruct_verify_uses_the_budget(tmp_path, capsys):
+    # J2 at r = 5 needs a budget of 6 subspaces
+    code, out, _ = run(capsys, "obstruct", J2, "--json", "--budget", "6")
+    path = tmp_path / "cert.json"
+    path.write_text(out)
+    code, out, _ = run(capsys, "obstruct", "--verify", str(path), "--budget", "6")
+    assert code == 0 and "bit-for-bit" in out
+    code, out, err = run(capsys, "obstruct", "--verify", str(path), "--budget", "5")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "budget" in err
+
+
 def test_obstruct_verify_detects_tampering(tmp_path, capsys):
     code, out, _ = run(capsys, "obstruct", J2, "--json")
     doc = json.loads(out)

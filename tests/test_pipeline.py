@@ -8,6 +8,7 @@ from sliceguard import knots, laurent, pipeline, seifert, twisted
 from sliceguard.covers import Character
 from sliceguard.cyclo import normalize_root
 from sliceguard.expr import parse
+from sliceguard.metabolizers import BudgetExceeded
 from sliceguard.pipeline import (
     Options,
     VerificationError,
@@ -181,6 +182,15 @@ class TestVerification:
         bad4["metabolizers"][0]["qs"] = [7, 1]
         with pytest.raises(VerificationError):
             verify_verdict(bad4)
+
+    def test_budget_reaches_the_enumeration(self):
+        # J2 at r = 5 scans the 6 lines of F_5^2: a document made under a
+        # budget verifies under that budget and is refused below it
+        doc = json.loads(obstruct(parse(J2), Options(budget=6)).to_json())
+        assert doc["verdict"] == "NOT_SLICE"
+        verify_verdict(doc, budget=6)
+        with pytest.raises(BudgetExceeded):
+            verify_verdict(doc, budget=5)
 
     def test_duplicated_metabolizer_rejected(self):
         doc = json.loads(obstruct(parse(J2)).to_json())

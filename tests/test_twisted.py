@@ -1,9 +1,13 @@
 import itertools
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sliceguard import twisted
 from sliceguard.covers import Character, characters
-from sliceguard.cyclo import normalize_root
+from sliceguard.cyclo import Cyclo, normalize_root
 from sliceguard.laurent import LaurentPoly, RationalFn, unit_circle_roots
 from sliceguard.twisted import (
     TorusRep,
@@ -13,6 +17,79 @@ from sliceguard.twisted import (
     twisted_alex_surgery,
     word,
 )
+
+
+# -- dense oracle: matrices of Laurent polynomials, multiplied entry by entry
+
+
+def _mat_mul(A, B):
+    n = len(A)
+    out = [[LaurentPoly.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for k in range(n):
+            a = A[i][k]
+            if a.is_zero():
+                continue
+            for j in range(n):
+                b = B[k][j]
+                if not b.is_zero():
+                    out[i][j] = out[i][j] + a * b
+    return out
+
+
+def _mat_pow(A, e):
+    n = len(A)
+    out = [[LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(n)]
+           for i in range(n)]
+    base = A
+    while e:
+        if e & 1:
+            out = _mat_mul(out, base)
+        base = _mat_mul(base, base)
+        e >>= 1
+    return out
+
+
+def _companion(p):
+    """A_p(t): ones on the superdiagonal, t in the corner; A_p^p = t*id."""
+    A = [[LaurentPoly.zero()] * p for _ in range(p)]
+    for i in range(p - 1):
+        A[i][i + 1] = LaurentPoly.one()
+    A[p - 1][0] = LaurentPoly.t()
+    return A
+
+
+def _companion_inv(p):
+    A = [[LaurentPoly.zero()] * p for _ in range(p)]
+    for i in range(p - 1):
+        A[i + 1][i] = LaurentPoly.one()
+    A[0][p - 1] = LaurentPoly.t(-1)
+    return A
+
+
+def _diagonal(chi, sign):
+    """t^sign * diag(xi^(sign * a_i))."""
+    p, q = chi.p, chi.r
+    return [[LaurentPoly(sign, [normalize_root(sign * a, q).as_cyclo()]) if i == j
+             else LaurentPoly.zero() for j in range(p)] for i, a in enumerate(chi.values)]
+
+
+def _closed_form(p, q, chi):
+    """(1 - t^q)^(p-1) and prod_i (t xi^(a_i) - 1), unreduced."""
+    num = (LaurentPoly.one() - LaurentPoly.from_ints([1], q)) ** (p - 1)
+    den = LaurentPoly.one()
+    for a in chi.values:
+        den = den * LaurentPoly(0, [Cyclo.from_fraction(-1), normalize_root(a, q).as_cyclo()])
+    return num, den
+
+
+@st.composite
+def _monomial_case(draw):
+    p = draw(st.integers(2, 6))
+    q = draw(st.integers(2, 13).filter(lambda q: gcd(p, q) == 1))
+    head = draw(st.lists(st.integers(0, q - 1), min_size=p - 1, max_size=p - 1))
+    chi = Character(q, tuple(head) + ((-sum(head)) % q,))
+    return p, q, chi, draw(st.integers(0, 3 * q))
 
 
 class TestWords:
@@ -76,6 +153,39 @@ class TestRepresentation:
         with pytest.raises(ValueError):
             rep_images(2, 3, Character(5, (1, 4)))
 
+    @settings(max_examples=80, deadline=None)
+    @given(_monomial_case())
+    def test_monomial_powers_match_dense(self, case):
+        p, q, chi, e = case
+        rep = TorusRep(p, q, chi)
+        bases = [
+            (twisted._monomial_companion(p, 1), _companion(p)),
+            (twisted._monomial_companion(p, -1), _companion_inv(p)),
+            (rep.images[(2, 1)], _diagonal(chi, 1)),
+            (rep.images[(2, -1)], _diagonal(chi, -1)),
+        ]
+        for mono, dense in bases:
+            assert twisted._dense(mono, q) == dense
+            assert twisted._dense(twisted._mono_pow(mono, e, q), q) == _mat_pow(dense, e)
+        assert twisted._dense(rep.images[(1, 1)], q) == _mat_pow(_companion(p), q)
+        assert twisted._dense(rep.images[(1, -1)], q) == _mat_pow(_companion_inv(p), q)
+
+    @pytest.mark.parametrize("p,q", [(2, 3), (3, 4), (4, 9), (5, 6), (6, 7)])
+    def test_images_print_as_dense_powers(self, p, q):
+        # the public images keep the entry conductors of the dense route
+        chi = characters(p, q)[-1]
+        c1, c2 = rep_images(p, q, chi)
+        assert str(c1) == str(_mat_pow(_companion(p), q))
+        assert str(c2) == str(_diagonal(chi, 1))
+
+    def test_determinant_sign(self):
+        one, zero = LaurentPoly.one(), LaurentPoly.zero()
+        for n in range(1, 5):
+            for perm in itertools.permutations(range(n)):
+                rows = [[one if perm[i] == j else zero for j in range(n)] for i in range(n)]
+                inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+                assert twisted._det(rows) == (-1) ** inversions
+
 
 class TestTwistedPolynomials:
     def test_exterior_examples(self):
@@ -131,3 +241,55 @@ class TestTwistedPolynomials:
             allowed = {normalize_root(k, q) for k in range(q)} | {normalize_root(0, 1)}
             for side in (fraction.num, fraction.den):
                 assert set(unit_circle_roots(side, {q})) <= allowed
+
+
+# every coprime (p, q) with q prime, p <= 6, q <= 13 and at most 500 characters
+REDUCTION_GRID = [(p, q) for p in range(2, 7) for q in (2, 3, 5, 7, 11, 13)
+                  if gcd(p, q) == 1 and q ** (p - 1) <= 500]
+
+
+class TestReduction:
+    @pytest.mark.parametrize("p,q", REDUCTION_GRID)
+    def test_bookkeeping_matches_gcd_reduction(self, p, q):
+        chars = characters(p, q)
+        # chi = 0 has the root 1 p > p - 1 times; for p > 2 other values repeat
+        assert chars[0].is_trivial()
+        assert p == 2 or any(len(set(chi.values)) < p for chi in chars[1:])
+        for chi in chars:
+            ref = RationalFn(*_closed_form(p, q, chi))
+            out = twisted_alex_exterior(p, q, chi).fraction
+            assert out.num == ref.num and out.den == ref.den
+            assert str(out) == str(ref)
+            assert (out.num.conductor, out.den.conductor) == (ref.num.conductor, ref.den.conductor)
+
+    @pytest.mark.parametrize("p,q", [(2, 5), (3, 7), (4, 3)])
+    def test_fox_numerator_is_checked_up_to_units(self, p, q, monkeypatch):
+        real = twisted._fox_numerator(p, q)
+        expected = [str(twisted_alex_exterior(p, q, chi)) for chi in characters(p, q)]
+
+        def run(fox):
+            monkeypatch.setattr(twisted, "_fox_numerator", lambda p, q: fox)
+            twisted._closed_numerator.cache_clear()
+            twisted_alex_exterior.cache_clear()
+            try:
+                return [str(twisted_alex_exterior(p, q, chi)) for chi in characters(p, q)]
+            finally:
+                twisted._closed_numerator.cache_clear()
+                twisted_alex_exterior.cache_clear()
+
+        # a unit, such as the sign a determinant convention gives, is allowed
+        assert run(-real.shift(3)) == expected
+        with pytest.raises(ArithmeticError):
+            run(real * LaurentPoly.from_ints([1, 1]))
+        with pytest.raises(ArithmeticError):
+            run(real.scale(2) + LaurentPoly.one())
+
+    def test_denominator_is_checked(self, monkeypatch):
+        twisted._closed_numerator(3, 5)  # the numerator check passes first
+        monkeypatch.setattr(twisted, "_det", lambda rows: LaurentPoly.from_ints([1, 1]))
+        twisted_alex_exterior.cache_clear()
+        try:
+            with pytest.raises(ArithmeticError):
+                twisted_alex_exterior(3, 5, Character(5, (1, 2, 2)))
+        finally:
+            twisted_alex_exterior.cache_clear()
