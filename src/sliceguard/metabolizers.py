@@ -6,6 +6,10 @@ deck action acts blockwise.  A metabolizer is a half-dimension subspace
 equal to its own orthogonal complement; since the form is nonsingular,
 isotropy plus half dimension suffices.
 
+``enumerate_invariant_metabolizers`` builds echelon bases row by row and
+drops a prefix at its first non-isotropic row, so only isotropic bases
+reach the metabolizer test; the Grassmannian filter is the tests' oracle.
+
 ``construct_character`` realizes the three-case character construction:
 when one projection of the metabolizer is proper, a functional killing it
 does the job; when the metabolizer is a graph, its (anti-)isometry g is
@@ -18,6 +22,7 @@ treats as a bug, not a verdict.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import modp
@@ -98,18 +103,44 @@ def is_invariant_metabolizer(L: Subspace, F: FormSpace) -> bool:
 
 
 def enumerate_invariant_metabolizers(F: FormSpace, budget: int = 2_000_000) -> list[Subspace]:
-    """All invariant metabolizers, by filtering every half-dimension
-    subspace in echelon order.  Refuses loudly over budget."""
-    total = modp.subspace_count(F.ambient_dim, F.half_dim, F.r)
+    """All invariant metabolizers, in the order of ``modp.enumerate_subspaces``,
+    by the isotropic echelon walk: rows are filled first to last, pivots in
+    combinations order and free slots in product order, and a row is kept
+    only if it pairs to zero with itself and the rows above it (pairings
+    ``is_invariant_metabolizer`` also tests).  The budget counts every
+    half-dimension subspace, walked or not; refuses loudly over budget."""
+    n, k, r = F.ambient_dim, F.half_dim, F.r
+    total = modp.subspace_count(n, k, r)
     if total > budget:
         raise BudgetExceeded(
             f"{total} half-dimension subspaces exceed the budget of {budget}"
         )
-    return [
-        L
-        for L in modp.enumerate_subspaces(F.ambient_dim, F.half_dim, F.r)
-        if is_invariant_metabolizer(L, F)
-    ]
+    G = F.gram()
+    found = []
+
+    def walk(pivots, rows, images):
+        if len(rows) == k:
+            L = Subspace(rows, r, n)
+            if is_invariant_metabolizer(L, F):
+                found.append(L)
+            return
+        pc = pivots[len(rows)]
+        free = [c for c in range(pc + 1, n) if c not in pivots]
+        for values in itertools.product(range(r), repeat=len(free)):
+            row = [0] * n
+            row[pc] = 1
+            for c, v in zip(free, values):
+                row[c] = v
+            if any(sum(a * b for a, b in zip(row, Gw)) % r for Gw in images):
+                continue
+            Grow = modp.mat_vec(G, row, r)
+            if sum(a * b for a, b in zip(row, Grow)) % r:
+                continue
+            walk(pivots, rows + [row], images + [Grow])
+
+    for pivots in itertools.combinations(range(n), k):
+        walk(pivots, [], [])
+    return found
 
 
 @dataclass(frozen=True)

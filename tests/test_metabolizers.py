@@ -83,6 +83,36 @@ class TestEnumeration:
         assert not is_invariant_metabolizer(Subspace([(1, 0), (0, 1)], 3), F)  # too big
 
 
+def _walk_shapes(limit=50_000):
+    """(p, r, m1) with p in {2, 3}, prime r <= 13 prime to p and m1 <= 3
+    whose Grassmannian the filter can scan within ``limit`` subspaces:
+    r = 2, (3, 13, 1) and the three-row (2, 3, 3) among them."""
+    shapes = []
+    for p in (2, 3):
+        for r in (2, 3, 5, 7, 11, 13):
+            if r % p == 0:
+                continue
+            for m1 in (0, 1, 2, 3):
+                k = m1 * (p - 1)
+                if modp.subspace_count(2 * k, k, r) <= limit:
+                    shapes.append((p, r, m1))
+    return shapes
+
+
+class TestEchelonWalk:
+    """The isotropic echelon walk against the Grassmannian filter it
+    replaced: the same subspaces, in the same order."""
+
+    @pytest.mark.parametrize("p,r,m1", _walk_shapes())
+    def test_walk_equals_filter(self, p, r, m1):
+        F = FormSpace(module=model_module(p, r), m1=m1)
+        expected = [
+            L for L in enumerate_subspaces(F.ambient_dim, F.half_dim, F.r)
+            if is_invariant_metabolizer(L, F)
+        ]
+        assert enumerate_invariant_metabolizers(F) == expected
+
+
 class TestGraphDetection:
     def test_identity_and_scaling_graphs(self):
         F = _form("T(2,5)")

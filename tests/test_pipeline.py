@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from sliceguard import knots, laurent, pipeline, seifert, twisted
+from sliceguard import knots, laurent, modp, pipeline, seifert, twisted
 from sliceguard.covers import Character
 from sliceguard.cyclo import normalize_root
 from sliceguard.expr import parse
@@ -20,6 +20,11 @@ from sliceguard.pipeline import (
 from sliceguard.witt import Classical
 
 J2 = "T(2,3;2,5) # -T(2,5) # -T(2,3;2,7) # T(2,7)"
+J3 = "T(3,4;3,5) # -T(3,5) # -T(3,4;3,7) # T(3,7)"
+# p = 2, m1 = 3 at r = 5: 2 558 556 half-dimension subspaces, over the
+# default budget of 2 000 000
+M3 = ("T(2,3;2,5) # -T(2,3;2,11) # -3*T(2,5) # T(2,11) # 2*T(2,11;2,5) "
+      "# -2*T(2,11;2,13) # 2*T(2,13)")
 
 
 class TestIndexSets:
@@ -154,6 +159,30 @@ class TestObstruct:
         assert v2.kind == "INCONCLUSIVE"
 
 
+class TestBudgetSemantics:
+    """The budget counts every half-dimension subspace, walked or not: the
+    refused trials of the stress seed keep their reasons byte for byte."""
+
+    @pytest.mark.parametrize("expr,reason", [
+        ("2*T(3,5;3,5;3,11) # -2*T(3,5;3,5;3,13) # -2*T(3,5;3,11) # 2*T(3,5;3,13)",
+         "r=11: 51007364468993670 half-dimension subspaces exceed the budget of "
+         "2000000; r=13: 725512377757846342 half-dimension subspaces exceed the "
+         "budget of 2000000"),
+        ("2*T(3,2;3,7) # -2*T(3,2;3,13) # -2*T(3,8;3,2;3,7) # 2*T(3,8;3,2;3,13)",
+         "r=7: 39709010932102 half-dimension subspaces exceed the budget of "
+         "2000000; r=13: 725512377757846342 half-dimension subspaces exceed the "
+         "budget of 2000000"),
+        ("-2*T(3,8;3,11;3,7) # 2*T(3,8;3,11;3,13) # 2*T(3,11;3,7) # -2*T(3,11;3,13)",
+         "r=7: 39709010932102 half-dimension subspaces exceed the budget of "
+         "2000000; r=13: 725512377757846342 half-dimension subspaces exceed the "
+         "budget of 2000000"),
+    ])
+    def test_refused_stress_trials(self, expr, reason):
+        v = obstruct(parse(expr))
+        assert v.kind == "INCONCLUSIVE"
+        assert v.reason == reason
+
+
 class TestVerification:
     def test_roundtrip(self):
         for expr in [J2, "T(3,4;3,5) # -T(3,5) # -T(3,4;3,7) # T(3,7)"]:
@@ -191,6 +220,29 @@ class TestVerification:
         verify_verdict(doc, budget=6)
         with pytest.raises(BudgetExceeded):
             verify_verdict(doc, budget=5)
+
+    def test_m1_3_document_under_a_larger_budget(self):
+        # over the default budget: produced and verified under a larger
+        # one, refused with the budget's text under the default
+        v = obstruct(parse(M3), Options(budget=3_000_000))
+        assert v.kind == "NOT_SLICE" and v.r == 5
+        assert len(v.certificates) == 312
+        verify_verdict(json.loads(v.to_json()), budget=3_000_000)
+        refused = obstruct(parse(M3), Options(r=5))
+        assert refused.reason == (
+            "r=5: 2558556 half-dimension subspaces exceed the budget of 2000000"
+        )
+
+    def test_verdict_path_uses_no_grassmannian_filter(self, monkeypatch):
+        # enumerate_subspaces is the tests' brute-force oracle only
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Grassmannian filter called on the verdict path")
+
+        monkeypatch.setattr(modp, "enumerate_subspaces", forbidden)
+        for expr in [J2, J3, "T(3,4;3,13) # -T(3,13) # -T(3,4;3,17) # T(3,17)"]:
+            verdict = obstruct(parse(expr))
+            assert verdict.kind == "NOT_SLICE"
+            verify_verdict(json.loads(verdict.to_json()))
 
     def test_duplicated_metabolizer_rejected(self):
         doc = json.loads(obstruct(parse(J2)).to_json())
