@@ -2,10 +2,10 @@
 
 Exit codes: 0 report, 1 input or usage error, 2 INCONCLUSIVE or budget
 refused, 3 internal check failed.  JSON goes to stdout; diagnostics, and
-every error as one line, to stderr.  Verdicts use no numerics, so
-``--precision-bits`` and the environment variable
-SLICEGUARD_PRECISION_BITS (its default) only set the starting precision
-of ``signature`` at a point; ``obstruct`` accepts and ignores the flag.
+every error as one line, to stderr.  Verdicts and signatures come from
+closed forms and use no numerics, so ``--precision-bits`` and the
+environment variable SLICEGUARD_PRECISION_BITS (its default) are parsed
+by ``obstruct`` and ``signature`` and otherwise ignored.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .twisted import twisted_alex_exterior, twisted_alex_surgery
 def _precision_default():
     # argparse converts a string default with the option's type at parse
     # time, so a malformed variable is a one-line usage error
-    return os.environ.get("SLICEGUARD_PRECISION_BITS") or seifert.DEFAULT_PRECISION_BITS
+    return os.environ.get("SLICEGUARD_PRECISION_BITS") or 64
 
 
 def _options(args) -> pipeline.Options:
@@ -200,7 +200,7 @@ def _cmd_signature(args) -> int:
         print("a rational point or --jumps is required", file=sys.stderr)
         return 1
     x = Fraction(args.x)
-    sig = seifert.lt_signature(args.p, args.q, x, args.precision_bits)
+    sig = seifert.lt_signature(args.p, args.q, x)
     if args.json:
         print(json.dumps({"p": args.p, "q": args.q, "x": str(x), "signature": sig}))
     else:
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     ob.add_argument("--max-r", type=int, default=13)
     ob.add_argument("--max-dim", type=int, default=8)
     ob.add_argument("--precision-bits", type=int, default=_precision_default(),
-                    help="ignored: verdicts use no numerics")
+                    help="ignored: verdicts come from closed forms")
     ob.add_argument("--verify", metavar="FILE",
                     help="re-check a previously emitted JSON verdict bit-for-bit")
     add_common(ob)
@@ -310,8 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     si.add_argument("x", nargs="?", help="rational point, e.g. '1/2'")
     si.add_argument("--jumps", action="store_true", help="print the jump function")
     si.add_argument("--precision-bits", type=int, default=_precision_default(),
-                    help="starting precision of the certified signature "
-                         "(speed only, never the result)")
+                    help="ignored: signatures come from closed forms")
     add_common(si)
     si.set_defaults(func=_cmd_signature)
 

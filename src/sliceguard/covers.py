@@ -2,10 +2,14 @@
 
 The model module is F_r^(p-1) with the deck action given by the companion
 matrix of 1 + t + ... + t^(p-1); abstractly the homology is the cyclic
-module F_r[t] / (1 + t + ... + t^(p-1)).  The linking form is imported
-from the Seifert-presented cover through an explicit isomorphism found by
-matching a cyclic generator; if no deck orbit spans, the import aborts
-rather than guessing.
+module F_r[t] / (1 + t + ... + t^(p-1)), with basis x_i = t^i x_0 for
+i < p - 1.  The linking form is the closed-form orbit pairing
+lambda(x_i, x_j) = c[(j - i) mod p] / r, the coefficients of
+t - 2 + t^-1, so c = (-2, 1, 0, ..., 0, 1) for p >= 3 and c = (1, -1)
+for p = 2 (cf. Borodzik-Friedl, "The unknotting number and classical
+invariants I", 2015).  The tests check it against the form of the
+Seifert-presented cover: the two agree up to an equivariant unit and a
+global scalar.
 
 Characters are zero-sum vectors of length p over Z_r: the character sends
 the i-th orbit generator x_i = t^i x_0 to the (i+1)-st entry.
@@ -15,27 +19,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 import itertools
 
-from . import modp, seifert
+from . import modp
 from .knots import prime_power_exponent
 
 
 class MatchFailure(ArithmeticError):
-    """The Seifert-presented cover did not match the model; conventions
-    must be wrong somewhere, so stop rather than guess."""
+    """A self-check of the model module, or of a metabolizer or character
+    built on it, failed; conventions must be wrong somewhere, so stop
+    rather than guess."""
 
 
 @dataclass(frozen=True)
 class CoverModule:
     """F_r^(p-1) with deck action (rows act on row vectors, v -> v @ action)
-    and linking form gram[i][j] / r in Q/Z."""
+    and the closed-form linking form gram[i][j] / r in Q/Z on the basis
+    x_0, ..., x_{p-2}."""
 
     p: int
     r: int
     action: tuple
     gram: tuple
-    iso_from_seifert: tuple
 
     @property
     def dim(self) -> int:
@@ -93,59 +99,17 @@ def companion_action(p: int, r: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def model_module(p: int, r: int) -> CoverModule:
-    """The model F_r-module with the linking form pulled back from the
-    Seifert-presented p-fold cover of T(p, r) along a matched isomorphism."""
+    """The model F_r-module of the p-fold cover of T(p, r) with the
+    closed-form linking form; see the module docstring."""
     if prime_power_exponent(r) != 1:
         raise ValueError(f"{r} is not prime")
-    cover = seifert.branched_cover(p, r, p)
-    mod = cover.module
-    if mod is None or mod.dim != p - 1:
-        raise MatchFailure(
-            f"cover of T({p},{r}) is not F_{r}^{p-1}: divisors {cover.divisors}"
-        )
-    action = companion_action(p, r)
-    # find a cyclic generator of the Seifert-presented module
-    dim = p - 1
-    for cand in itertools.product(range(r), repeat=dim):
-        if not any(cand):
-            continue
-        orbit = []
-        v = cand
-        for _ in range(dim):
-            orbit.append(v)
-            v = modp.vec_mat(v, mod.action, r)
-        if modp.rank(orbit, r) == dim:
-            break
-    else:
-        raise MatchFailure("no deck orbit spans the cover module")
-    # gram of the model basis x_i = t^i x_0 pulled through the orbit
-    full_orbit = []
-    v = cand
-    for _ in range(p):
-        full_orbit.append(v)
-        v = modp.vec_mat(v, mod.action, r)
-    if any(sum(col) % r for col in zip(*full_orbit)):
-        raise MatchFailure("orbit does not satisfy x_0 + ... + x_{p-1} = 0")
-
-    def pair(u, w):
-        return sum(
-            u[i] * mod.gram[i][j] * w[j] for i in range(dim) for j in range(dim)
-        ) % r
-
-    gram = tuple(
-        tuple(pair(full_orbit[i], full_orbit[j]) for j in range(dim))
-        for i in range(dim)
-    )
-    full = [
-        [pair(full_orbit[i], full_orbit[j]) for j in range(p)] for i in range(p)
-    ]
-    for i in range(p):
-        for j in range(p):
-            if full[i][j] != full[(i + 1) % p][(j + 1) % p]:
-                raise MatchFailure("imported form is not deck equivariant")
-    module = CoverModule(
-        p=p, r=r, action=action, gram=gram, iso_from_seifert=tuple(full_orbit)
-    )
+    if p < 2:
+        raise ValueError("cover degree must be at least 2")
+    if gcd(p, r) != 1:
+        raise ValueError(f"gcd({p}, {r}) != 1")
+    c = (1, -1) if p == 2 else (-2, 1) + (0,) * (p - 3) + (1,)
+    gram = tuple(tuple(c[(j - i) % p] % r for j in range(p - 1)) for i in range(p - 1))
+    module = CoverModule(p=p, r=r, action=companion_action(p, r), gram=gram)
     _check_model(module)
     return module
 
@@ -157,7 +121,7 @@ def _check_model(m: CoverModule):
     AGA = modp.mat_mul(AG, tuple(zip(*A)), r)
     if not modp.mat_eq(AGA, m.gram):
         raise MatchFailure("model form lost equivariance")
-    if seifert._int_det([list(row) for row in m.gram]) % r == 0:
+    if modp.rank(m.gram, r) < dim:
         raise MatchFailure("model form is singular")
 
 

@@ -506,31 +506,3 @@ def _frac_poly_sub(a, b):
 def _frac_poly_scale(a, c):
     return [x * c for x in a]
 
-
-def certified_sign(x: Cyclo, start_prec: int = 64, max_prec: int = 4096) -> int:
-    """Sign of a real cyclotomic number, certified by interval arithmetic.
-
-    Exact zero is decided symbolically; otherwise the precision is raised
-    until the enclosing interval excludes zero.  Raises if the imaginary
-    part cannot be certified to vanish (the input was not real).
-    """
-    if x.is_zero():
-        return 0
-    prec = start_prec
-    while prec <= max_prec:
-        old = iv.prec
-        try:
-            iv.prec = prec
-            z = x.interval()
-            if not (0 in z.imag):
-                raise ValueError(f"certified_sign of a non-real number {x}")
-            re = z.real
-            if not (0 in re):
-                return 1 if re.a > 0 else -1
-        finally:
-            iv.prec = old
-        prec *= 2
-    raise ArithmeticError(
-        f"could not certify sign of nonzero cyclotomic number {x} "
-        f"below {max_prec} bits"
-    )

@@ -24,26 +24,22 @@ Z[t] on integer coefficient lists; every division in it is exact by
 Sylvester's identity and is checked to be.  Integer determinants are the
 constant case of the same elimination.
 
-Branched covers are presented by integer matrices and reduced to Smith
-normal form with both transforms tracked: U A W = diag(d), with U^-1
-carried along as the inverse column operation of each row operation.
-Both identities are checked exactly before the form is used.  The
-linking form then needs no inverse: Y^-1 = W D^-1 U, so the pairing of
-generators u and v is u . W[:, v] / d_v.
+The verdict path and the ``signature`` command need only closed forms.
+The Alexander roots of T(p, q) are the points k/pq with p and q not
+dividing k, each simple.  The signature jumps are Litherland's count
+("Signatures of iterated torus knots", 1979): for 0 < i < p and
+0 < j < q with s = i/p + j/q, the signature jumps by +2 at s when s < 1
+and by -2 at s - 1 when s > 1.  The Levine-Tristram signature at a
+non-root point x is the sum of the jumps below x.
 
-The verdict path needs only closed forms.  The Alexander roots of T(p, q)
-are the points k/pq with p and q not dividing k, each simple.  The
-signature jumps are Litherland's count ("Signatures of iterated torus
-knots", 1979): for 0 < i < p and 0 < j < q with s = i/p + j/q, the
-signature jumps by +2 at s when s < 1 and by -2 at s - 1 when s > 1.
-
-Levine-Tristram signatures at a point serve the ``signature`` command and
-the tests' oracle for those jumps.  They are computed on exact Hermitian
-matrices over a cyclotomic field.  The working route is an LDL* sweep in
-complex interval arithmetic whose pivot signs must be certified, raising
-precision until they are; if certification keeps failing, an exact
-characteristic polynomial with certified coefficient signs settles the
-count (Descartes' rule is exact for polynomials with all-real roots).
+Seifert matrices and branched covers serve the ``alex`` and ``homology``
+commands and the tests' oracles.  Branched covers are presented by
+integer matrices and reduced to Smith normal form with both transforms
+tracked: U A W = diag(d), with U^-1 carried along as the inverse column
+operation of each row operation.  Both identities are checked exactly
+before the form is used.  The linking form then needs no inverse:
+Y^-1 = W D^-1 U, so the pairing of generators u and v is
+u . W[:, v] / d_v.
 """
 
 from __future__ import annotations
@@ -55,18 +51,13 @@ from functools import lru_cache
 from math import gcd
 from operator import mul
 
-from mpmath import iv
-
-from .cyclo import Cyclo, RootOfUnity, certified_sign
+from .cyclo import Cyclo, RootOfUnity
 from .knots import prime_power_exponent
 from .laurent import LaurentPoly
 
 
 class ConventionError(ArithmeticError):
     """A structural self-check failed; never guess past one of these."""
-
-
-DEFAULT_PRECISION_BITS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -254,122 +245,17 @@ def alexander_roots(p: int, q: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _interval_ldl_signature(V, k: int, n: int, prec: int):
-    """Signature of (1-w)V + (1-wbar)V^T at w = e^(2 pi i k/n), or None
-    when some pivot sign cannot be certified at this precision."""
-    size = len(V)
-    old = iv.prec
-    try:
-        iv.prec = prec
-        theta = 2 * iv.pi * k / n
-        w = iv.mpc(iv.cos(theta), iv.sin(theta))
-        wbar = iv.mpc(w.real, -w.imag)
-        a = (1 - w)
-        b = (1 - wbar)
-        # None marks an exact zero
-        H = [[a * V[i][j] + b * V[j][i] if V[i][j] or V[j][i] else None
-              for j in range(size)] for i in range(size)]
-        active = list(range(size))
-        signature = 0
-        while active:
-            pivot = None
-            best = None
-            for i in active:
-                d = H[i][i].real
-                if 0 in d:
-                    continue
-                margin = min(abs(d.a), abs(d.b))
-                if best is None or margin > best:
-                    best, pivot = margin, i
-            if pivot is None:
-                return None
-            d = H[pivot][pivot].real
-            signature += 1 if d.a > 0 else -1
-            active.remove(pivot)
-            dinv = 1 / H[pivot][pivot]
-            row_p = H[pivot]
-            # the Schur complement is Hermitian and changes only on the
-            # pivot row's nonzero columns: update their upper triangle and
-            # mirror it
-            support = [j for j in active if row_p[j] is not None]
-            for x, i in enumerate(support):
-                f = H[i][pivot] * dinv
-                row_i = H[i]
-                for j in support[x:]:
-                    g = f * row_p[j]
-                    row_i[j] = -g if row_i[j] is None else row_i[j] - g
-                    if j != i:
-                        H[j][i] = iv.mpc(row_i[j].real, -row_i[j].imag)
-        return signature
-    finally:
-        iv.prec = old
-
-
-def _exact_signature(V, x: Fraction) -> int:
-    """Exact route: characteristic polynomial over the cyclotomic field,
-    certified coefficient signs, Descartes count (exact for real spectra)."""
-    size = len(V)
-    w = RootOfUnity(x).as_cyclo()
-    wbar = RootOfUnity(x).inverse().as_cyclo()
-    one = Cyclo.one()
-    a = one - w
-    b = one - wbar
-    H = [[a * V[i][j] + b * V[j][i] for j in range(size)] for i in range(size)]
-    coeffs = [Cyclo.one()]
-    M = [row[:] for row in H]
-    for k in range(1, size + 1):
-        tr = Cyclo.zero()
-        for i in range(size):
-            tr = tr + M[i][i]
-        ck = tr * Fraction(-1, k)
-        coeffs.append(ck)
-        if k < size:
-            for i in range(size):
-                M[i][i] = M[i][i] + ck
-            M = _cyclo_mat_mul(H, M)
-    if coeffs[-1].is_zero():
-        raise ValueError("singular Hermitian matrix: evaluation point is a root")
-    signs = [certified_sign(c) for c in coeffs]
-    nonzero = [s for s in signs if s != 0]
-    positives = sum(1 for u, v in zip(nonzero, nonzero[1:]) if u != v)
-    return 2 * positives - size
-
-
-def _cyclo_mat_mul(A, B):
-    n = len(A)
-    out = [[Cyclo.zero()] * n for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            aik = A[i][k]
-            if aik.is_zero():
-                continue
-            for j in range(n):
-                if not B[k][j].is_zero():
-                    out[i][j] = out[i][j] + aik * B[k][j]
-    return out
-
-
-def lt_signature(p: int, q: int, x,
-                 precision_bits: int = DEFAULT_PRECISION_BITS) -> int:
-    """Levine-Tristram signature of T(p, q) at e^(2 pi i x), x in (0, 1).
-
-    Certification starts at ``precision_bits`` and doubles on failure; the
-    result does not depend on it.  Rejects evaluation at roots of the
-    Alexander polynomial, where the signature is undefined.
+def lt_signature(p: int, q: int, x) -> int:
+    """Levine-Tristram signature of T(p, q) at e^(2 pi i x), x in (0, 1):
+    the sum of the Litherland jumps below x.  Rejects evaluation at roots
+    of the Alexander polynomial, where the signature is undefined.
     """
     x = Fraction(x)
     if not 0 < x < 1:
         raise ValueError("evaluation point must be strictly between 0 and 1")
     if RootOfUnity(x) in alexander_roots(p, q):
         raise ValueError(f"{x} is a root of the Alexander polynomial of T({p},{q})")
-    V = seifert_matrix(p, q)
-    prec = max(precision_bits, 8)
-    for _ in range(4):
-        sig = _interval_ldl_signature(V, x.numerator, x.denominator, prec)
-        if sig is not None:
-            return sig
-        prec *= 2
-    return _exact_signature(V, x)
+    return sum(jump for point, jump in _jump_function_cached(p, q) if point < x)
 
 
 def jump_function(p: int, q: int) -> dict:

@@ -33,6 +33,8 @@ from sliceguard.modp import Subspace, enumerate_subspaces
 from sliceguard.pipeline import Options, index_sets, obstruct, verify_verdict
 from sliceguard.twisted import rep_images, twisted_alex_exterior, twisted_alex_surgery
 
+import oracles
+
 J2 = "T(2,3;2,5) # -T(2,5) # -T(2,3;2,7) # T(2,7)"
 J3 = "T(3,4;3,5) # -T(3,5) # -T(3,4;3,7) # T(3,7)"
 
@@ -142,10 +144,11 @@ def _numpy_signature(V, x: Fraction):
 
 
 def test_criterion_04_signature_oracle():
-    """Certified signatures agree with a floating eigenvalue oracle at 100
-    random points per knot; jumps are even, sum to zero, and are supported
-    exactly on the Alexander root set."""
-    with _Timer("4 (signature certification vs floating oracle)", budget=60):
+    """Closed-form signatures (sums of Litherland jumps) agree with the
+    interval-certified signature of the Seifert form and with a floating
+    eigenvalue oracle at 100 random points per knot; jumps are even, sum
+    to zero, and are supported exactly on the Alexander root set."""
+    with _Timer("4 (closed-form signatures vs interval and floating oracles)", budget=60):
         rng = random.Random(20240604)
         for (p, q) in [(2, 3), (2, 5), (2, 7), (3, 4), (3, 5)]:
             V = seifert.seifert_matrix(p, q)
@@ -155,7 +158,9 @@ def test_criterion_04_signature_oracle():
                 x = Fraction(rng.randrange(1, 2520), 2520)
                 if x in roots:
                     continue
-                assert seifert.lt_signature(p, q, x) == _numpy_signature(V, x)
+                expected = _numpy_signature(V, x)
+                assert seifert.lt_signature(p, q, x) == expected
+                assert oracles.interval_signature(p, q, x) == expected
                 checked += 1
             jumps = seifert.jump_function(p, q)
             assert sum(jumps.values()) == 0

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -134,6 +138,24 @@ def test_budget_refusal_exit_2(capsys):
     code, out, err = run(capsys, "metabolizers", "3", "5", "--copies", "2")
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "budget" in err
+
+
+@pytest.mark.parametrize("p,r", [("1", "3"), ("4", "2"), ("3", "3"), ("2", "4")])
+def test_metabolizers_rejects_bad_cover_parameters(capsys, p, r):
+    code, out, err = run(capsys, "metabolizers", p, r)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_p5_budget_refusal_does_not_hang():
+    # a child process, so that a regression to the hanging Smith form of
+    # the T(5, 7) cover fails instead of stalling the suite
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-m", "sliceguard.cli", "metabolizers", "5", "7"],
+                          capture_output=True, text=True, timeout=30,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.count("\n") == 1 and "budget" in done.stderr
 
 
 def test_internal_check_failure_exit_3(capsys, monkeypatch):

@@ -1,15 +1,54 @@
 import itertools
 
+import numpy as np
 import pytest
 
-from sliceguard import modp, seifert
+from sliceguard import covers, modp
 from sliceguard.covers import (
     Character,
+    CoverModule,
     character_from_functional,
     characters,
     evaluate_character,
     model_module,
 )
+from sliceguard.expr import parse
+from sliceguard.metabolizers import FormSpace, enumerate_invariant_metabolizers
+from sliceguard.pipeline import Options, obstruct
+
+import oracles
+
+# every shape whose Seifert import finishes within a few seconds; the Smith
+# forms of (5, 7), (5, 11), (6, r >= 5) and (7, 5) do not
+IMPORT_SHAPES = [
+    (2, 3), (2, 5), (2, 7), (2, 11), (2, 13), (3, 2), (3, 5), (3, 7), (3, 11),
+    (3, 13), (4, 3), (4, 5), (4, 7), (4, 11), (4, 13), (5, 2), (5, 3), (5, 13),
+    (7, 2), (7, 3), (8, 3), (9, 2), (10, 3), (11, 2), (11, 3),
+]
+# the shapes whose Seifert form is not a scalar multiple of the closed form,
+# so that only a non-scalar unit carries one to the other
+NEEDS_NON_SCALAR_UNIT = {(4, 5), (4, 13), (5, 13), (10, 3)}
+
+
+def _unit_isometries(m, imported):
+    """Every (u, s), u a coefficient vector on x_0, ..., x_{p-2} and s in
+    F_r^x, with lambda(u x_0, u x_j) = s * imported[0][j] for all j, found
+    by trying every u; both forms are deck equivariant, so this first row
+    decides the whole form."""
+    r = m.r
+    units = np.array(list(itertools.product(range(r), repeat=m.dim)), dtype=np.int64)
+    action = np.array(m.action, dtype=np.int64)
+    ug = units @ np.array(m.gram, dtype=np.int64) % r
+    first = np.empty_like(units)
+    rows = units
+    for j in range(m.dim):
+        first[:, j] = (ug * rows).sum(axis=1) % r
+        rows = rows @ action % r
+    hits = []
+    for s in range(1, r):
+        target = np.array(imported[0], dtype=np.int64) * s % r
+        hits += [(tuple(map(int, u)), s) for u in units[(first == target).all(axis=1)]]
+    return hits
 
 
 class TestModelModule:
@@ -37,21 +76,42 @@ class TestModelModule:
         assert all(x == 0 for row in acc for x in row)
         assert modp.mat_eq(power, modp.identity(m.dim))
 
-    @pytest.mark.parametrize("p,r", [(2, 3), (3, 2), (3, 5), (4, 3)])
+    @pytest.mark.parametrize("p,r", IMPORT_SHAPES)
     def test_gram_matches_seifert_presentation(self, p, r):
-        # the defining postcondition, re-tested: pulling the cover pairing
-        # through the recorded orbit reproduces the model gram
+        # the closed form against the Seifert-presented cover: some unit u
+        # of F_r[t]/(1 + ... + t^{p-1}) and scalar s have
+        # lambda(u x_i, u x_j) = s * lambda_Seifert(x_i, x_j), by brute force
         m = model_module(p, r)
-        cover = seifert.branched_cover(p, r, p).module
-        orbit = m.iso_from_seifert
-        for i in range(m.dim):
-            for j in range(m.dim):
-                val = sum(
-                    orbit[i][a] * cover.gram[a][b] * orbit[j][b]
-                    for a in range(m.dim)
-                    for b in range(m.dim)
-                ) % r
-                assert val == m.gram[i][j]
+        imported = oracles.seifert_import(p, r)
+        hits = _unit_isometries(m, imported)
+        assert hits
+        for u, s in hits:
+            rows = [u]
+            for _ in range(m.dim - 1):
+                rows.append(modp.vec_mat(rows[-1], m.action, r))
+            pulled = modp.mat_mul(modp.mat_mul(rows, m.gram, r), tuple(zip(*rows)), r)
+            assert modp.mat_eq(pulled, [[s * x % r for x in row] for row in imported])
+        scalar = any(not any(u[1:]) for u, _ in hits)
+        assert scalar == ((p, r) not in NEEDS_NON_SCALAR_UNIT)
+
+    def test_metabolizers_match_seifert_form(self, monkeypatch):
+        # the (4, 5) form needs a non-scalar unit, and the metabolizers of
+        # lambda + -lambda still come out the same, in the same order, and
+        # so does every certificate
+        closed = model_module(4, 5)
+        imported = CoverModule(p=4, r=5, action=closed.action,
+                               gram=oracles.seifert_import(4, 5))
+        found = [
+            [L.rows for L in enumerate_invariant_metabolizers(
+                FormSpace(module=module, m1=1), 3_000_000)]
+            for module in (closed, imported)
+        ]
+        assert len(found[0]) == 16 and found[0] == found[1]
+        text = "T(4,3;4,5) # -T(4,5) # -T(4,3;4,7) # T(4,7)"
+        options = Options(r=5, budget=3_000_000)
+        doc = obstruct(parse(text), options).to_json()
+        monkeypatch.setattr(covers, "model_module", lambda p, r: imported)
+        assert obstruct(parse(text), options).to_json() == doc
 
     @pytest.mark.parametrize("p,r", [(2, 3), (3, 2), (3, 5)])
     def test_equivariance(self, p, r):

@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from sliceguard import knots, laurent, modp, pipeline, seifert, twisted
+from sliceguard import covers, knots, laurent, modp, pipeline, seifert, twisted
 from sliceguard.covers import Character
 from sliceguard.cyclo import normalize_root
 from sliceguard.expr import parse
@@ -25,6 +28,8 @@ J3 = "T(3,4;3,5) # -T(3,5) # -T(3,4;3,7) # T(3,7)"
 # default budget of 2 000 000
 M3 = ("T(2,3;2,5) # -T(2,3;2,11) # -3*T(2,5) # T(2,11) # 2*T(2,11;2,5) "
       "# -2*T(2,11;2,13) # 2*T(2,13)")
+R13 = "T(3,4;3,13) # -T(3,13) # -T(3,4;3,17) # T(3,17)"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestIndexSets:
@@ -182,6 +187,23 @@ class TestBudgetSemantics:
         assert v.kind == "INCONCLUSIVE"
         assert v.reason == reason
 
+    def test_p5_refusal_does_not_hang(self):
+        # the cover form of T(5, 7) once went through a Smith form that did
+        # not finish; a child process turns a regression into a failure
+        code = ("from sliceguard import obstruct, parse\n"
+                "print(obstruct(parse('T(5,3;5,7) # -T(5,7) # -T(5,3;5,11) "
+                "# T(5,11)')).to_json())")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=30, env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert done.returncode == 0, done.stderr
+        doc = json.loads(done.stdout)
+        assert doc["verdict"] == "INCONCLUSIVE"
+        assert doc["reason"] == (
+            "r=7: 39709010932102 half-dimension subspaces exceed the budget of "
+            "2000000; r=11: 51007364468993670 half-dimension subspaces exceed "
+            "the budget of 2000000"
+        )
+
 
 class TestVerification:
     def test_roundtrip(self):
@@ -239,7 +261,7 @@ class TestVerification:
             raise AssertionError("Grassmannian filter called on the verdict path")
 
         monkeypatch.setattr(modp, "enumerate_subspaces", forbidden)
-        for expr in [J2, J3, "T(3,4;3,13) # -T(3,13) # -T(3,4;3,17) # T(3,17)"]:
+        for expr in [J2, J3, R13]:
             verdict = obstruct(parse(expr))
             assert verdict.kind == "NOT_SLICE"
             verify_verdict(json.loads(verdict.to_json()))
@@ -263,24 +285,31 @@ class TestVerification:
             verify_verdict(doc)
 
     def test_verdict_path_uses_no_numeric_route(self, monkeypatch):
-        # signatures, root isolation and the twisted polynomials serve only
-        # the inspection commands and the tests: patch every binding of
-        # them to raise, and the verdicts still come out and verify
+        # signatures, root isolation, the twisted polynomials and the
+        # Seifert-presented cover serve only the inspection commands and the
+        # tests: patch every binding of them to raise, and the verdicts
+        # still come out and verify
         def forbidden(*args, **kwargs):
             raise AssertionError("numeric route called on the verdict path")
 
-        numeric = (seifert.lt_signature, laurent.unit_circle_roots,
-                   twisted.twisted_alex_exterior, twisted.twisted_alex_surgery)
+        lt_signature = seifert.lt_signature
+        numeric = (lt_signature, laurent.unit_circle_roots,
+                   twisted.twisted_alex_exterior, twisted.twisted_alex_surgery,
+                   seifert.seifert_matrix, seifert.branched_cover,
+                   seifert.smith_normal_form)
         for name, module in list(sys.modules.items()):
             if name == "sliceguard" or name.startswith("sliceguard."):
                 for attr, value in list(vars(module).items()):
                     if any(value is fn for fn in numeric):
                         monkeypatch.setattr(module, attr, forbidden)
         seifert._jump_function_cached.cache_clear()
-        for expr in [J2, "T(3,4;3,5) # -T(3,5) # -T(3,4;3,7) # T(3,7)"]:
+        covers.model_module.cache_clear()
+        for expr in [J2, J3, R13]:
             verdict = obstruct(parse(expr))
             assert verdict.kind == "NOT_SLICE"
             verify_verdict(json.loads(verdict.to_json()))
+        # the signature command's closed form needs no Seifert matrix either
+        assert lt_signature(3, 4, Fraction(1, 2)) == -6
 
     def test_schema_fields(self):
         doc = json.loads(obstruct(parse(J2)).to_json())

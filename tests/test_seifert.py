@@ -13,6 +13,8 @@ from sliceguard import seifert
 from sliceguard.cyclo import normalize_root
 from sliceguard.laurent import LaurentPoly, unit_circle_roots
 
+import oracles
+
 # every coprime (p, q) with p <= 6 and q <= 11: the closed forms of the
 # verdict path are checked against the numeric routes on all of them
 CLOSED_FORM_PAIRS = [
@@ -108,16 +110,16 @@ class TestAlexander:
 
 
 def _midpoint_jumps(p, q):
-    """The signature route to the jumps: certified signatures at the
-    midpoints between consecutive Alexander roots, differenced.  The
-    signature is symmetric under x -> 1 - x, and so is the set of
-    midpoints, so each value is computed once."""
+    """The signature route to the jumps: interval-certified signatures of
+    the Seifert form at the midpoints between consecutive Alexander roots,
+    differenced.  The signature is symmetric under x -> 1 - x, and so is
+    the set of midpoints, so each value is computed once."""
     roots = sorted(root.frac for root in seifert.alexander_roots(p, q))
     edges = [Fraction(0)] + roots + [Fraction(1)]
     sigma = {}
     for a, b in zip(edges, edges[1:]):
         m = (a + b) / 2
-        sigma[m] = sigma[1 - m] if 1 - m in sigma else seifert.lt_signature(p, q, m, 128)
+        sigma[m] = sigma[1 - m] if 1 - m in sigma else oracles.interval_signature(p, q, m, 128)
     values = list(sigma.values())
     assert values[0] == values[-1] == 0, "signature does not vanish near 1"
     return {x: d for x, d in zip(roots, (b - a for a, b in zip(values, values[1:]))) if d}
@@ -148,13 +150,15 @@ class TestSignature:
             x = Fraction(rng.randrange(1, 840), 840)
             if x in roots or x == 0:
                 continue
-            assert seifert.lt_signature(p, q, x) == _numpy_signature_oracle(V, x)
+            expected = _numpy_signature_oracle(V, x)
+            assert seifert.lt_signature(p, q, x) == expected
+            assert oracles.interval_signature(p, q, x) == expected
             done += 1
 
     def test_exact_fallback_agrees(self):
         V = seifert.seifert_matrix(3, 4)
         for x in (Fraction(1, 2), Fraction(1, 5), Fraction(7, 8)):
-            assert seifert._exact_signature(V, x) == seifert.lt_signature(3, 4, x)
+            assert oracles.exact_signature(V, x) == seifert.lt_signature(3, 4, x)
 
     def test_constant_between_jumps(self):
         jumps = sorted(seifert.jump_function(2, 5))
