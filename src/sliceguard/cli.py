@@ -31,6 +31,17 @@ def _precision_default():
     return os.environ.get("SLICEGUARD_PRECISION_BITS") or 64
 
 
+def _count(text: str) -> int:
+    """A bound or a count: a negative one is a usage error, before any work."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _options(args) -> pipeline.Options:
     return pipeline.Options(
         r=args.r,
@@ -199,7 +210,10 @@ def _cmd_signature(args) -> int:
     if args.x is None:
         print("a rational point or --jumps is required", file=sys.stderr)
         return 1
-    x = Fraction(args.x)
+    try:
+        x = Fraction(args.x)
+    except ZeroDivisionError:
+        raise ValueError(f"{args.x!r} is not a rational point") from None
     sig = seifert.lt_signature(args.p, args.q, x)
     if args.json:
         print(json.dumps({"p": args.p, "q": args.q, "x": str(x), "signature": sig}))
@@ -258,10 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
     ob = sub.add_parser("obstruct", help="run the full obstruction pipeline")
     ob.add_argument("expression", nargs="?", help="knot combination, e.g. 'T(2,3;2,5) # -T(2,5)'")
     ob.add_argument("--r", type=int, default=None, help="force one obstruction prime")
-    ob.add_argument("--budget", type=int, default=2_000_000,
+    ob.add_argument("--budget", type=_count, default=2_000_000,
                     help="max subspaces to enumerate per form")
-    ob.add_argument("--max-r", type=int, default=13)
-    ob.add_argument("--max-dim", type=int, default=8)
+    ob.add_argument("--max-r", type=_count, default=13)
+    ob.add_argument("--max-dim", type=_count, default=8)
     ob.add_argument("--precision-bits", type=int, default=_precision_default(),
                     help="ignored: verdicts come from closed forms")
     ob.add_argument("--verify", metavar="FILE",
@@ -299,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="invariant metabolizers of lambda^m + -lambda^m")
     me.add_argument("p", type=int)
     me.add_argument("r", type=int)
-    me.add_argument("--copies", type=int, default=1, help="the exponent m")
-    me.add_argument("--budget", type=int, default=2_000_000)
+    me.add_argument("--copies", type=_count, default=1, help="the exponent m")
+    me.add_argument("--budget", type=_count, default=2_000_000)
     add_common(me)
     me.set_defaults(func=_cmd_metabolizers)
 

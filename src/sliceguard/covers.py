@@ -127,6 +127,10 @@ def _check_model(m: CoverModule):
 
 def characters(p: int, r: int) -> list[Character]:
     """All r^(p-1) zero-sum characters, trivial character first."""
+    if p < 2:
+        raise ValueError("cover degree must be at least 2")
+    if r < 2:
+        raise ValueError(f"character modulus must be at least 2, got {r}")
     out = []
     for head in itertools.product(range(r), repeat=p - 1):
         last = (-sum(head)) % r

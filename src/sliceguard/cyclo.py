@@ -18,9 +18,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-import mpmath
-from mpmath import iv
-
 
 def euler_phi(n: int) -> int:
     """Euler's totient.
@@ -394,6 +391,8 @@ class Cyclo:
 
     def interval(self):
         """Complex interval enclosure at the current ``mpmath.iv`` precision."""
+        from mpmath import iv  # loaded on use, so importing sliceguard does not load it
+
         re = iv.mpf(0)
         im = iv.mpf(0)
         for j, c in enumerate(self.num):
@@ -402,13 +401,6 @@ class Cyclo:
                 re += c * z[0]
                 im += c * z[1]
         return iv.mpc(re / self.den, im / self.den)
-
-    def complex(self) -> complex:
-        z = 0j
-        for j, c in enumerate(self.num):
-            if c:
-                z += c * mpmath.exp(2j * mpmath.pi * j / self.n)
-        return complex(z) / self.den
 
     # -- rendering ---------------------------------------------------------
 
@@ -450,6 +442,8 @@ def _trace_weights(n: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _root_interval(n: int, j: int, prec: int):
+    from mpmath import iv
+
     theta = 2 * iv.pi * j / n
     return (iv.cos(theta), iv.sin(theta))
 

@@ -14,10 +14,7 @@ instead of being ignored.
 
 from __future__ import annotations
 
-
 from math import gcd
-
-from mpmath import iv
 
 from .cyclo import Cyclo, RootOfUnity
 
@@ -470,6 +467,8 @@ def _certify_no_circle_roots(g: LaurentPoly, max_depth: int, prec: int):
     done, otherwise the arc splits.  An arc surviving to max_depth is
     reported as a possible residual root.
     """
+    from mpmath import iv  # loaded only when a residual factor is certified
+
     coeffs = [c for c in g.coeffs]  # the unit t^low does not move roots
     old = iv.prec
     try:

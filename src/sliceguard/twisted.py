@@ -16,10 +16,11 @@ the results are expanded into Laurent polynomial matrices.
 The twisted polynomial of the exterior is computed twice: once through
 Fox calculus on the relator (a determinant quotient) and once from the
 closed product formula.  The two numerators must agree up to units, and so
-must the two denominators, on every call.  The closed form is reduced by
-counting the roots of unity the two sides share and dividing each out
-exactly, with no polynomial gcd.  Dividing by the extra (-1)^(p-1) (t - 1)
-gives the polynomial of the 0-surgery.
+must the two denominators, for every character.  The closed form depends
+only on the multiset of the character's values, so it is reduced once per
+multiset: by counting the roots of unity the two sides share and dividing
+each out exactly, with no polynomial gcd.  Dividing by the extra
+(-1)^(p-1) (t - 1) gives the polynomial of the 0-surgery.
 """
 
 from __future__ import annotations
@@ -227,43 +228,59 @@ def _closed_numerator(p: int, q: int) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
+def _closed_form(p: int, q: int, values: tuple) -> tuple[LaurentPoly, TwistedPoly, TwistedPoly]:
+    """The closed denominator prod_i (t xi^(a_i) - 1) and the reduced
+    exterior and 0-surgery polynomials, for the sorted character values
+    ``values``: none of them depends on the order of the values.
+
+    The root xi^(-a) is common to (1 - t^q)^(p-1) and the denominator
+    min(#{i : a_i = a}, p - 1) times, and is divided out exactly.  The
+    reduced exterior fraction can then only cancel the new (t - 1) of the
+    surgery, and its numerator keeps the root 1 when fewer than p - 1
+    values are 0.
+    """
+    den = LaurentPoly.one()
+    for a in values:
+        den = den * LaurentPoly(0, [Cyclo.from_fraction(-1), RootOfUnity.normalized(a, q).as_cyclo()])
+    num, red = _closed_numerator(p, q), den
+    for a in sorted(set(values)):
+        root = RootOfUnity.normalized(-a, q)
+        for _ in range(min(values.count(a), p - 1)):
+            num, red = num.divide_linear(root), red.divide_linear(root)
+    ext = RationalFn.from_reduced(num, red)
+    num = ext.num.scale(1 if (p - 1) % 2 == 0 else -1)
+    if values.count(0) < p - 1:
+        surgery = RationalFn.from_reduced(num.divide_linear(RootOfUnity.one()), ext.den)
+    else:
+        surgery = RationalFn.from_reduced(num, ext.den * LaurentPoly.from_ints([-1, 1]))
+    return den, TwistedPoly(ext), TwistedPoly(surgery)
+
+
+@lru_cache(maxsize=None)
 def twisted_alex_exterior(p: int, q: int, chi: Character) -> TwistedPoly:
     """Twisted Alexander polynomial of the knot exterior, by both routes.
 
     Route one is the Fox calculus torsion quotient
     det(rep(d relator / d c1)) / det(rep(c2) - id); route two is the
     closed form (1 - t^q)^(p-1) / prod_i (t xi^(a_i) - 1).  Numerators and
-    denominators must agree up to units, each on its own.  The closed form
-    is then reduced by root bookkeeping: the root xi^(-a) is common to both
-    sides min(#{i : a_i = a}, p - 1) times, and is divided out exactly.
+    denominators must agree up to units, each on its own, and both checks
+    run for every character.  The closed form is reduced by root
+    bookkeeping once per multiset of values (``_closed_form``).
     """
+    _closed_numerator(p, q)  # the numerator check, whether or not _closed_form is cached
     c2 = _dense(TorusRep(p, q, chi).images[(2, 1)], q)
     for i in range(p):
         c2[i][i] = c2[i][i] - LaurentPoly.one()
-    closed_den = LaurentPoly.one()
-    for a in chi.values:
-        factor = LaurentPoly(0, [Cyclo.from_fraction(-1), RootOfUnity.normalized(a, q).as_cyclo()])
-        closed_den = closed_den * factor
-    if not _det(c2).eq_up_to_units(closed_den):
+    den, exterior, _ = _closed_form(p, q, tuple(sorted(chi.values)))
+    if not _det(c2).eq_up_to_units(den):
         raise _disagree(p, q, chi)
-    num, den = _closed_numerator(p, q), closed_den
-    for a in sorted(set(chi.values)):
-        root = RootOfUnity.normalized(-a, q)
-        for _ in range(min(chi.values.count(a), p - 1)):
-            num, den = num.divide_linear(root), den.divide_linear(root)
-    return TwistedPoly(RationalFn.from_reduced(num, den))
+    return exterior
 
 
 @lru_cache(maxsize=None)
 def twisted_alex_surgery(p: int, q: int, chi: Character) -> TwistedPoly:
     """Twisted polynomial of the 0-surgery: the exterior polynomial divided
-    by (-1)^(p-1) (t - 1)."""
-    ext = twisted_alex_exterior(p, q, chi).fraction
-    num = ext.num.scale(1 if (p - 1) % 2 == 0 else -1)
-    # the exterior fraction is reduced, so only the new (t - 1) can cancel;
-    # its numerator keeps the root 1 when fewer than p - 1 values are 0
-    if chi.values.count(0) < p - 1:
-        return TwistedPoly(RationalFn.from_reduced(num.divide_linear(RootOfUnity.one()), ext.den))
-    return TwistedPoly(
-        RationalFn.from_reduced(num, ext.den * LaurentPoly.from_ints([-1, 1]))
-    )
+    by (-1)^(p-1) (t - 1).  The exterior's checks run for ``chi`` first;
+    the reduced fraction is shared by every ordering of its values."""
+    twisted_alex_exterior(p, q, chi)
+    return _closed_form(p, q, tuple(sorted(chi.values)))[2]

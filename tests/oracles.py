@@ -16,6 +16,7 @@ they replaced live here, as independent oracles:
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from fractions import Fraction
 from functools import lru_cache
@@ -25,6 +26,13 @@ from mpmath import iv
 from sliceguard import modp, seifert
 from sliceguard.covers import MatchFailure
 from sliceguard.cyclo import Cyclo, RootOfUnity
+
+
+def numeric(c: Cyclo) -> complex:
+    """c in floating point: its power-basis coordinates summed over the
+    roots e^(2 pi i j / n)."""
+    z = sum(coeff * cmath.exp(2j * cmath.pi * j / c.n) for j, coeff in enumerate(c.num) if coeff)
+    return z / c.den
 
 
 # ---------------------------------------------------------------------------

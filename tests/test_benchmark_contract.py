@@ -34,10 +34,10 @@ def test_corpus_verdicts_are_byte_identical_to_expected():
 
 
 def test_twisted_grid_outputs_are_byte_identical_to_expected():
-    # the sampled (5, 7) part is left to perfbench/run.py
+    # every (5, 7) character too, not only the sample a benchmark run draws
     inputs = _load("inputs")
     expected = json.loads((PERFBENCH / "expected.json").read_text())["twisted-grid"]
-    for p, q in inputs.GRID_FULL:
+    for p, q in inputs.GRID_FULL + (inputs.GRID_SAMPLED,):
         digests = []
         for values in inputs.characters(p, q):
             chi = Character(q, values)

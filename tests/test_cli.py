@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sliceguard import seifert
+from sliceguard import metabolizers, pipeline, seifert
 from sliceguard.cli import main
 
 J2 = "T(2,3;2,5) # -T(2,5) # -T(2,3;2,7) # T(2,7)"
@@ -158,6 +158,28 @@ def test_p5_budget_refusal_does_not_hang():
     assert done.stderr.count("\n") == 1 and "budget" in done.stderr
 
 
+LEAVES_MPMATH_UNLOADED = """
+import json, sys
+import sliceguard, sliceguard.cli
+from sliceguard import expr, pipeline, twisted
+from sliceguard.covers import Character
+doc = json.loads(pipeline.obstruct(expr.parse(sys.argv[1])).to_json())
+assert doc["verdict"] == "NOT_SLICE"
+pipeline.verify_verdict(doc)
+twisted.twisted_alex_surgery(3, 5, Character(5, (1, 2, 2)))
+assert "mpmath" not in sys.modules, "mpmath was imported"
+"""
+
+
+def test_verdict_path_does_not_import_mpmath():
+    # only the interval routines that certify unit-circle roots load it
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", LEAVES_MPMATH_UNLOADED, J2],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 0, done.stderr
+
+
 def test_internal_check_failure_exit_3(capsys, monkeypatch):
     def failing(*args):
         raise seifert.ConventionError("U A W is not diagonal")
@@ -175,6 +197,35 @@ def test_usage_errors_exit_1_with_one_line(capsys, argv):
     captured = capsys.readouterr()
     assert exc.value.code == 1 and captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["characters", "2", "-3"], "modulus"),
+    (["characters", "0", "5"], "cover degree"),
+    (["metabolizers", "3", "5", "--copies", "-1"], "--copies"),
+    (["metabolizers", "3", "5", "--budget", "-1"], "--budget"),
+    (["obstruct", J2, "--budget", "-1"], "--budget"),
+    (["obstruct", J2, "--max-r", "-1"], "--max-r"),
+    (["obstruct", J2, "--max-dim", "-1"], "--max-dim"),
+    (["signature", "2", "3", "1/0"], "rational point"),
+])
+def test_bad_bounds_and_points_are_input_errors(capsys, monkeypatch, argv, needle):
+    # each is refused before any work, as one line with exit 1
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on a malformed input")
+
+    for name in ("obstruct", "verify_verdict"):
+        monkeypatch.setattr(pipeline, name, no_work)
+    monkeypatch.setattr(metabolizers, "enumerate_invariant_metabolizers", no_work)
+    monkeypatch.setattr(seifert, "lt_signature", no_work)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert needle in captured.err
 
 
 def test_malformed_precision_variable_is_a_usage_error(capsys, monkeypatch):

@@ -14,7 +14,7 @@ from sliceguard.cyclo import (
     normalize_root,
 )
 
-from oracles import certified_sign
+from oracles import certified_sign, numeric
 
 
 def test_normalize_root_examples():
@@ -41,16 +41,12 @@ def test_cyclotomic_polys():
     assert len(cyclotomic_poly(35)) == euler_phi(35) + 1
 
 
-def _numeric(c: Cyclo) -> complex:
-    return c.complex()
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 12, 30])
 def test_root_embedding_matches_numeric(n):
     for k in range(n):
         z = normalize_root(k, n).as_cyclo()
         expect = complex(mpmath.exp(2j * mpmath.pi * k / n))
-        assert abs(_numeric(z) - expect) < 1e-9
+        assert abs(numeric(z) - expect) < 1e-9
 
 
 def _random_cyclo(rng, n):

@@ -12,6 +12,8 @@ from sliceguard.laurent import (
     unit_circle_roots,
 )
 
+from oracles import numeric
+
 
 def P(*coeffs, low=0):
     return LaurentPoly.from_ints(list(coeffs), low)
@@ -19,7 +21,7 @@ def P(*coeffs, low=0):
 
 def _numeric_eval(f: LaurentPoly, z: complex) -> complex:
     return sum(
-        c.complex() * z ** (f.low + i) for i, c in enumerate(f.coeffs)
+        numeric(c) * z ** (f.low + i) for i, c in enumerate(f.coeffs)
     )
 
 

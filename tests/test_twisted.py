@@ -293,3 +293,43 @@ class TestReduction:
                 twisted_alex_exterior(3, 5, Character(5, (1, 2, 2)))
         finally:
             twisted_alex_exterior.cache_clear()
+
+    def test_permuted_character_is_checked(self, monkeypatch):
+        # the reduced closed form is shared by (1, 2, 2) and its
+        # permutations, but the Fox denominator check is not
+        twisted_alex_exterior(3, 5, Character(5, (1, 2, 2)))
+        monkeypatch.setattr(twisted, "_det", lambda rows: LaurentPoly.from_ints([1, 1]))
+        twisted_alex_exterior.cache_clear()
+        try:
+            with pytest.raises(ArithmeticError):
+                twisted_alex_exterior(3, 5, Character(5, (2, 1, 2)))
+            twisted_alex_surgery.cache_clear()
+            with pytest.raises(ArithmeticError):
+                twisted_alex_surgery(3, 5, Character(5, (2, 2, 1)))
+        finally:
+            twisted_alex_exterior.cache_clear()
+            twisted_alex_surgery.cache_clear()
+
+
+@st.composite
+def _permuted_case(draw):
+    p = draw(st.integers(2, 5))
+    q = draw(st.sampled_from([q for q in (2, 3, 5, 7) if gcd(p, q) == 1]))
+    head = draw(st.lists(st.integers(0, q - 1), min_size=p - 1, max_size=p - 1))
+    values = tuple(head) + ((-sum(head)) % q,)
+    return p, q, Character(q, values), Character(q, tuple(draw(st.permutations(values))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_permuted_case())
+def test_polynomials_depend_only_on_the_value_multiset(case):
+    p, q, chi, permuted = case
+
+    def both(c):
+        return str(twisted_alex_exterior(p, q, c)), str(twisted_alex_surgery(p, q, c))
+
+    first, second = both(chi), both(permuted)
+    for fn in (twisted_alex_exterior, twisted_alex_surgery, twisted._closed_form,
+               twisted._closed_numerator, twisted._fox_numerator):
+        fn.cache_clear()
+    assert first == second == both(permuted)
