@@ -2,17 +2,15 @@
 
 Exit codes: 0 report, 1 input or usage error, 2 INCONCLUSIVE or budget
 refused, 3 internal check failed.  JSON goes to stdout; diagnostics, and
-every error as one line, to stderr.  Verdicts and signatures come from
-closed forms and use no numerics, so ``--precision-bits`` and the
-environment variable SLICEGUARD_PRECISION_BITS (its default) are parsed
-by ``obstruct`` and ``signature`` and otherwise ignored.
+every error as one line, to stderr.  ``obstruct --verify FILE`` is the
+library's ``verify_verdict`` under ``--budget``: it rebuilds the document
+once and requires it byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from math import gcd
@@ -25,12 +23,6 @@ from .metabolizers import BudgetExceeded
 from .twisted import twisted_alex_exterior, twisted_alex_surgery
 
 
-def _precision_default():
-    # argparse converts a string default with the option's type at parse
-    # time, so a malformed variable is a one-line usage error
-    return os.environ.get("SLICEGUARD_PRECISION_BITS") or 64
-
-
 def _count(text: str) -> int:
     """A bound or a count: a negative one is a usage error, before any work."""
     try:
@@ -39,6 +31,19 @@ def _count(text: str) -> int:
         value = -1
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
+def _prime(text: str) -> int:
+    """A forced obstruction prime: anything else is a usage error, before any work.
+    The bound keeps the trial division instant; a larger prime's form would
+    have more subspaces than any budget that finishes."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if not value < 2**31 or prime_power_exponent(value) != 1:
+        raise argparse.ArgumentTypeError(f"expected a prime below 2**31, got {text!r}")
     return value
 
 
@@ -56,16 +61,6 @@ def _cmd_obstruct(args) -> int:
         with open(args.verify) as handle:
             doc = json.load(handle)
         pipeline.verify_verdict(doc, budget=args.budget)
-        options = pipeline.Options(
-            r=doc.get("r"), budget=args.budget, max_ambient_dim=args.max_dim,
-            max_r=args.max_r,
-        )
-        verdict = pipeline.obstruct(parse(doc["input"]), options, doc["input"])
-        fresh = json.dumps(verdict.to_json_dict(), sort_keys=True)
-        recorded = json.dumps(doc, sort_keys=True)
-        if fresh != recorded:
-            print("certificate mismatch: recomputation differs", file=sys.stderr)
-            return 1
         print("certificate verified: recomputation agrees bit-for-bit")
         return 0
     if args.expression is None:
@@ -271,15 +266,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     ob = sub.add_parser("obstruct", help="run the full obstruction pipeline")
     ob.add_argument("expression", nargs="?", help="knot combination, e.g. 'T(2,3;2,5) # -T(2,5)'")
-    ob.add_argument("--r", type=int, default=None, help="force one obstruction prime")
+    ob.add_argument("--r", type=_prime, default=None, help="force one obstruction prime")
     ob.add_argument("--budget", type=_count, default=2_000_000,
                     help="max subspaces to enumerate per form")
     ob.add_argument("--max-r", type=_count, default=13)
     ob.add_argument("--max-dim", type=_count, default=8)
-    ob.add_argument("--precision-bits", type=int, default=_precision_default(),
-                    help="ignored: verdicts come from closed forms")
     ob.add_argument("--verify", metavar="FILE",
-                    help="re-check a previously emitted JSON verdict bit-for-bit")
+                    help="re-derive a previously emitted JSON verdict and require it "
+                         "bit-for-bit (--max-r and --max-dim do not apply)")
     add_common(ob)
     ob.set_defaults(func=_cmd_obstruct)
 
@@ -323,8 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     si.add_argument("q", type=int)
     si.add_argument("x", nargs="?", help="rational point, e.g. '1/2'")
     si.add_argument("--jumps", action="store_true", help="print the jump function")
-    si.add_argument("--precision-bits", type=int, default=_precision_default(),
-                    help="ignored: signatures come from closed forms")
     add_common(si)
     si.set_defaults(func=_cmd_signature)
 

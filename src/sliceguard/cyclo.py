@@ -162,9 +162,6 @@ class RootOfUnity:
     def inverse(self) -> "RootOfUnity":
         return RootOfUnity((-self.frac) % 1)
 
-    def conjugate(self) -> "RootOfUnity":
-        return self.inverse()
-
     def as_cyclo(self) -> "Cyclo":
         n = self.order
         return Cyclo(n, _conductor(n).power[self.numer % n], 1)
@@ -211,10 +208,6 @@ class Cyclo:
     def from_fraction(x) -> "Cyclo":
         f = Fraction(x)
         return Cyclo(1, (f.numerator,), f.denominator)
-
-    @staticmethod
-    def from_root(root: RootOfUnity) -> "Cyclo":
-        return root.as_cyclo()
 
     @staticmethod
     def zero() -> "Cyclo":

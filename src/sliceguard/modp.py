@@ -9,14 +9,6 @@ from __future__ import annotations
 import itertools
 
 
-def vec_add(u, v, r):
-    return tuple((a + b) % r for a, b in zip(u, v))
-
-
-def vec_scale(u, c, r):
-    return tuple((a * c) % r for a in u)
-
-
 def mat_mul(a, b, r):
     bt = tuple(zip(*b))
     return tuple(
@@ -139,9 +131,6 @@ class Subspace:
             if c:
                 v = [(x - c * y) % self.r for x, y in zip(v, row)]
         return not any(x % self.r for x in v)
-
-    def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.rows)
 
     def __eq__(self, other):
         return (self.r, self.n, self.rows) == (other.r, other.n, other.rows)

@@ -12,9 +12,11 @@ signature jump.  One certificate per metabolizer yields NOT_SLICE; any
 gap yields INCONCLUSIVE, never an unproven verdict.
 
 Certificates record the metabolizer basis, the construction case, the
-character pair, the level (q, s), and the witness jump; everything is
-re-derivable, so a verify pass can recompute the whole chain from the
-input expression and compare exactly.
+character pair, the level (q, s), and the witness jump.  There is one
+certification path: ``verify_verdict`` re-derives a document through the
+same cheap-verdict and per-prime steps as ``obstruct``, re-checks the
+recorded characters from their values, and requires the regenerated JSON
+byte for byte.
 """
 
 from __future__ import annotations
@@ -23,13 +25,12 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import covers, knots, metabolizers, seifert, witt
+from . import covers, knots, metabolizers, modp, seifert, witt
 from .covers import Character
 from .cyclo import RootOfUnity
 from .knots import KnotCombination, NormalForm, prime_power_exponent
 from .metabolizers import (
     BudgetExceeded,
-    CharacterChoice,
     FormSpace,
     NotSimplifiedWitness,
     ObstructionContext,
@@ -79,47 +80,16 @@ class IndexSets:
 
 
 def index_sets(nf: NormalForm) -> IndexSets:
-    I1: dict = {}
-    I2: dict = {}
-    I3: dict = {}
-    I4: dict = {}
-    points = set()
-    max_len = nf.max_length()
-    for s in range(1, max_len):
-        for k, (qp, qm) in enumerate(nf.groups[0]):
-            if len(qp) > s:
-                points.add((qp[-(s + 1)], s))
-            if len(qm) > s:
-                points.add((qm[-(s + 1)], s))
-        for j in range(1, len(nf.groups)):
-            for i, (qp, qm) in enumerate(nf.groups[j]):
-                if len(qp) > s:
-                    points.add((qp[-(s + 1)], s))
-                if len(qm) > s:
-                    points.add((qm[-(s + 1)], s))
-    for (q, s) in points:
-        I1[(q, s)] = frozenset(
-            k for k, (qp, _) in enumerate(nf.groups[0])
-            if len(qp) > s and qp[-(s + 1)] == q
-        )
-        I2[(q, s)] = frozenset(
-            k for k, (_, qm) in enumerate(nf.groups[0])
-            if len(qm) > s and qm[-(s + 1)] == q
-        )
-        I3[(q, s)] = frozenset(
-            (j, i)
-            for j in range(1, len(nf.groups))
-            for i, (qp, _) in enumerate(nf.groups[j])
-            if len(qp) > s and qp[-(s + 1)] == q
-        )
-        I4[(q, s)] = frozenset(
-            (j, i)
-            for j in range(1, len(nf.groups))
-            for i, (_, qm) in enumerate(nf.groups[j])
-            if len(qm) > s and qm[-(s + 1)] == q
-        )
-    ordered = tuple(sorted(points, key=lambda qs: (qs[1], -qs[0])))
-    return IndexSets(points=ordered, I1=I1, I2=I2, I3=I3, I4=I4)
+    tables: dict = {}  # (q, s) -> the members of I1, I2, I3 and I4
+    for j, group in enumerate(nf.groups):
+        for i, pair in enumerate(group):
+            for side, seq in enumerate(pair):
+                for s in range(1, len(seq)):
+                    table = tables.setdefault((seq[-(s + 1)], s), ([], [], [], []))
+                    table[side if j == 0 else 2 + side].append(i if j == 0 else (j, i))
+    points = tuple(sorted(tables, key=lambda qs: (qs[1], -qs[0])))
+    I1, I2, I3, I4 = ({key: frozenset(tables[key][n]) for key in points} for n in range(4))
+    return IndexSets(points=points, I1=I1, I2=I2, I3=I3, I4=I4)
 
 
 @dataclass(frozen=True)
@@ -283,14 +253,18 @@ def _disjointness_ok(dec: Decomposition, q: int, s: int) -> bool:
     return not (chosen_support & other_support)
 
 
+class _Uncertified(Exception):
+    """The per-prime step gave no certificate set; the message says why."""
+
+
 def _certify_metabolizer(L: Subspace, F: FormSpace, nf: NormalForm,
-                         ctx: ObstructionContext, dec_cache: dict):
-    """One certificate for one metabolizer, or a failure reason string."""
+                         ctx: ObstructionContext, dec_cache: dict) -> Certificate:
+    """One certificate for one metabolizer; raises _Uncertified otherwise."""
     choice = metabolizers.construct_character(L, F, ctx)
     if choice is None:
-        return None, "no obstructing character found for a metabolizer"
+        raise _Uncertified("no obstructing character found for a metabolizer")
     if isinstance(choice, NotSimplifiedWitness):
-        return None, (
+        raise _Uncertified(
             "character construction reports a non-simplified combination "
             f"(pair {choice.k0}, X={sorted(choice.X)}, Y={sorted(choice.Y)}): caller bug"
         )
@@ -299,21 +273,21 @@ def _certify_metabolizer(L: Subspace, F: FormSpace, nf: NormalForm,
         dec_cache[key] = decompose(nf, choice.chi_a, choice.chi_b)
     dec = dec_cache[key]
     if not dec.B2.is_empty():
-        return None, "trivial-character block failed to cancel"
+        raise _Uncertified("trivial-character block failed to cancel")
     if not _disjointness_ok(dec, choice.q, choice.s):
-        return None, (
+        raise _Uncertified(
             f"root supports of the level ({choice.q},{choice.s}) block are "
             "not isolated; splitting hypothesis failed"
         )
     block = dec.B3[(choice.q, choice.s)] + dec.B4[(choice.q, choice.s)]
     metabolic, witness = witt.is_metabolic_classical(block)
     if metabolic:
-        return None, (
+        raise _Uncertified(
             f"level ({choice.q},{choice.s}) block is metabolic despite the "
             "character conditions"
         )
     omega, jump = witness
-    cert = Certificate(
+    return Certificate(
         basis=L.rows,
         case=choice.case,
         chi_a=choice.chi_a,
@@ -323,13 +297,40 @@ def _certify_metabolizer(L: Subspace, F: FormSpace, nf: NormalForm,
         witness_omega=omega,
         witness_jump=jump,
     )
-    return cert, None
 
 
-def obstruct(K: KnotCombination, options: Options = Options(),
-             input_str: str | None = None) -> Verdict:
-    """Full obstruction run; see the module docstring for the shape."""
-    source = input_str if input_str is not None else str(K)
+def _certify_prime(simplified: KnotCombination, r: int, budget: int,
+                   max_ambient_dim: int | None = None):
+    """The per-prime step shared by ``obstruct`` and ``verify_verdict``.
+
+    Builds the normal form at r and its index sets (every level sum must
+    cancel), the form space, and one certificate per invariant metabolizer,
+    in enumeration order.  Returns ``(F, sets, certificates)``.  Raises
+    BudgetExceeded from the enumeration, and _Uncertified when the ambient
+    dimension exceeds ``max_ambient_dim`` or a metabolizer has no certificate.
+    """
+    nf = knots.normal_form(simplified, r)
+    sets = index_sets(nf)
+    for (q, s) in sets.points:
+        if sets.alternating_sum(q, s) != 0:
+            raise seifert.ConventionError(
+                f"level multiplicity sum nonzero at (q={q}, s={s}) for an "
+                "algebraically slice combination"
+            )
+    F = FormSpace(module=covers.model_module(simplified.p, r), m1=nf.m1)
+    if max_ambient_dim is not None and F.ambient_dim > max_ambient_dim:
+        raise _Uncertified(
+            f"ambient dimension {F.ambient_dim} exceeds budget {max_ambient_dim}"
+        )
+    mets = metabolizers.enumerate_invariant_metabolizers(F, budget)
+    ctx = _obstruction_context(nf, sets)
+    dec_cache: dict = {}
+    return F, sets, tuple(_certify_metabolizer(L, F, nf, ctx, dec_cache) for L in mets)
+
+
+def _cheap_verdict(K: KnotCombination, source: str) -> Verdict | None:
+    """The verdicts that need no prime: a failed hypothesis, a combination
+    that cancels, and one that is not algebraically slice; None otherwise."""
     hypothesis_problem = _hypotheses_ok(K)
     if hypothesis_problem and K.terms:
         return Verdict(
@@ -348,6 +349,17 @@ def obstruct(K: KnotCombination, options: Options = Options(),
             kind="NOT_ALGEBRAICALLY_SLICE", p=K.p, input_str=source,
             algebraically_slice=False, witness=witness,
         )
+    return None
+
+
+def obstruct(K: KnotCombination, options: Options = Options(),
+             input_str: str | None = None) -> Verdict:
+    """Full obstruction run; see the module docstring for the shape."""
+    source = input_str if input_str is not None else str(K)
+    cheap = _cheap_verdict(K, source)
+    if cheap is not None:
+        return cheap
+    simplified = knots.simplify(K)
     candidates = [options.r] if options.r is not None else simplified.ending_primes()
     reasons = []
     for r in candidates:
@@ -357,42 +369,16 @@ def obstruct(K: KnotCombination, options: Options = Options(),
         if r > options.max_r:
             reasons.append(f"r={r}: exceeds the configured prime budget {options.max_r}")
             continue
-        nf = knots.normal_form(simplified, r)
-        sets = index_sets(nf)
-        for (q, s) in sets.points:
-            if sets.alternating_sum(q, s) != 0:
-                raise seifert.ConventionError(
-                    f"level multiplicity sum nonzero at (q={q}, s={s}) for an "
-                    "algebraically slice combination"
-                )
-        module = covers.model_module(K.p, r)
-        F = FormSpace(module=module, m1=nf.m1)
-        if F.ambient_dim > options.max_ambient_dim:
-            reasons.append(
-                f"r={r}: ambient dimension {F.ambient_dim} exceeds budget "
-                f"{options.max_ambient_dim}"
-            )
-            continue
         try:
-            mets = metabolizers.enumerate_invariant_metabolizers(F, options.budget)
-        except BudgetExceeded as exc:
+            _, _, certificates = _certify_prime(
+                simplified, r, options.budget, options.max_ambient_dim
+            )
+        except (BudgetExceeded, _Uncertified) as exc:
             reasons.append(f"r={r}: {exc}")
-            continue
-        ctx = _obstruction_context(nf, sets)
-        certificates = []
-        failure = None
-        dec_cache: dict = {}
-        for L in mets:
-            cert, failure = _certify_metabolizer(L, F, nf, ctx, dec_cache)
-            if failure:
-                break
-            certificates.append(cert)
-        if failure:
-            reasons.append(f"r={r}: {failure}")
             continue
         return Verdict(
             kind="NOT_SLICE", p=K.p, input_str=source,
-            algebraically_slice=True, r=r, certificates=tuple(certificates),
+            algebraically_slice=True, r=r, certificates=certificates,
         )
     return Verdict(
         kind="INCONCLUSIVE", p=K.p, input_str=source,
@@ -407,119 +393,78 @@ def obstruct(K: KnotCombination, options: Options = Options(),
 
 
 def verify_verdict(doc: dict, *, budget: int = Options.budget) -> None:
-    """Re-check a NOT_SLICE verdict document from scratch.
+    """Re-derive a verdict document and require it byte for byte.
 
-    Recomputes the metabolizer enumeration (in order, so a duplicated or
-    reordered entry fails), the construction case, characters and level of
-    each certificate, the characters' vanishing, the level conditions, and
-    every witness jump, raising VerificationError at the first
-    disagreement.  The recorded p must be the input's.  Non-NOT_SLICE
-    documents re-run the cheap verdicts only.  ``budget`` bounds the
-    enumeration as in ``obstruct``; a document produced under a larger
-    budget needs that budget here, or BudgetExceeded is raised.
+    The input is parsed again and the verdict rebuilt through ``obstruct``'s
+    own steps: the cheap verdict, or else the per-prime step at the recorded
+    r, with no ambient-dimension cap.  ``budget`` bounds the enumeration as
+    in ``obstruct``; a document produced under a larger budget needs that
+    budget here, or BudgetExceeded is raised.  Each certificate's characters
+    are then checked from their values alone (each is induced by a
+    functional, the functionals vanish on the basis, one level condition
+    holds).  Last, the document must equal the rebuilt one as sorted JSON,
+    so any changed, dropped, added, duplicated or reordered entry fails,
+    and so does ``1`` in place of ``true``.  The recorded p must be the
+    input's, and INCONCLUSIVE documents are refused.  Raises
+    VerificationError at the first disagreement.
     """
     from .expr import parse
 
-    if doc["input"].strip() == "0":
-        K = KnotCombination(doc["p"], {})
-    else:
-        K = parse(doc["input"])
+    source = doc["input"]
+    K = KnotCombination(int(doc["p"]), {}) if source.strip() == "0" else parse(source)
     if doc["p"] != K.p:
         raise VerificationError(f"recorded p={doc['p']} but the input has p={K.p}")
-    if doc["verdict"] == "TRIVIAL_COMBINATION":
-        if not knots.simplify(K).is_empty():
-            raise VerificationError("combination does not cancel to the unknot")
-        return
-    if doc["verdict"] == "NOT_ALGEBRAICALLY_SLICE":
-        ok, witness = knots.algebraically_slice(knots.simplify(K))
-        if ok:
-            raise VerificationError("combination is algebraically slice after all")
-        return
-    if doc["verdict"] != "NOT_SLICE":
-        raise VerificationError(f"nothing to verify in a {doc['verdict']} verdict")
-    r = doc["r"]
-    simplified = knots.simplify(K)
-    ok, _ = knots.algebraically_slice(simplified)
-    if not ok or not doc.get("algebraically_slice"):
-        raise VerificationError("NOT_SLICE verdict on a non-algebraically-slice input")
-    nf = knots.normal_form(simplified, r)
-    sets = index_sets(nf)
-    module = covers.model_module(K.p, r)
-    F = FormSpace(module=module, m1=nf.m1)
-    mets = metabolizers.enumerate_invariant_metabolizers(F, budget)
-    recorded = [
-        Subspace([tuple(row) for row in entry["basis"]], module.r, F.ambient_dim)
-        for entry in doc["metabolizers"]
-    ]
-    if [m.rows for m in mets] != [m.rows for m in recorded]:
-        raise VerificationError(
-            "recorded metabolizers do not match the enumeration "
-            f"({len(recorded)} recorded, {len(mets)} enumerated)"
+    if doc["verdict"] == "INCONCLUSIVE":
+        raise VerificationError("nothing to verify in an INCONCLUSIVE verdict")
+    fresh = _cheap_verdict(K, source)
+    if fresh is None:
+        simplified = knots.simplify(K)
+        primes = simplified.ending_primes()
+        if doc.get("r") not in primes:
+            raise VerificationError(f"recorded r={doc.get('r')} is not a final index")
+        # the combination's own int, so a recorded 5.0 cannot pass as 5
+        r = primes[primes.index(doc["r"])]
+        try:
+            F, sets, certificates = _certify_prime(simplified, r, budget)
+        except _Uncertified as exc:
+            raise VerificationError(f"r={r}: {exc}") from None
+        for cert in certificates:
+            _check_certificate(cert, F, sets)
+        fresh = Verdict(
+            kind="NOT_SLICE", p=K.p, input_str=source,
+            algebraically_slice=True, r=r, certificates=certificates,
         )
-    ctx = _obstruction_context(nf, sets)
-    for entry, L in zip(doc["metabolizers"], recorded):
-        if not metabolizers.is_invariant_metabolizer(L, F):
-            raise VerificationError(f"recorded basis {entry['basis']} is not a metabolizer")
-        chi_a = tuple(Character(r, tuple(v)) for v in entry["character"]["a"])
-        chi_b = tuple(Character(r, tuple(v)) for v in entry["character"]["b"])
-        q, s = entry["qs"]
-        choice = metabolizers.construct_character(L, F, ctx)
-        if not isinstance(choice, CharacterChoice) or (
-            choice.case, choice.chi_a, choice.chi_b, choice.q, choice.s
-        ) != (entry["case"], chi_a, chi_b, q, s):
-            raise VerificationError(
-                f"recorded case {entry['case']}, characters and level are not "
-                "what the character construction gives for this metabolizer"
-            )
-        _verify_entry(entry, L, F, nf, sets, chi_a, chi_b, q, s)
+    rebuilt = fresh.to_json_dict()
+    if json.dumps(rebuilt, sort_keys=True) != json.dumps(doc, sort_keys=True):
+        differing = [key for key in sorted(rebuilt.keys() | doc.keys())
+                     if _field(rebuilt, key) != _field(doc, key)]
+        raise VerificationError(
+            f"the document differs from its recomputation in {', '.join(differing)}"
+        )
 
 
-def _verify_entry(entry, L, F, nf, sets, chi_a, chi_b, q, s):
-    r = nf.r
-    dim = F.block_dim
-    # vanishing on the metabolizer, from the recorded characters alone
+def _field(doc: dict, key: str):
+    return key in doc and json.dumps(doc[key], sort_keys=True)
+
+
+def _check_certificate(cert: Certificate, F: FormSpace, sets: IndexSets) -> None:
+    """The construction's checks on its functionals, made again from the
+    characters alone."""
+    r, dim = F.r, F.block_dim
     orbit = F.module.orbit_rows()
-    functional_parts = []
-    for chi in (*chi_a, *chi_b):
-        rows = [list(orbit[i]) for i in range(dim)]
-        c = _solve_functional(rows, chi.values[:dim], r)
+    rows = [list(orbit[i]) for i in range(dim)]
+    functional = []
+    for chi in (*cert.chi_a, *cert.chi_b):
+        c = modp.solve(rows, list(chi.values[:dim]), r)
         if c is None or covers.character_from_functional(F.module, c).values != chi.values:
             raise VerificationError(f"character {chi} is not induced by any functional")
-        functional_parts.append(c)
-    for row in L.rows:
-        total = 0
-        for k, c in enumerate(functional_parts):
-            block = row[k * dim : (k + 1) * dim]
-            total += sum(a * b for a, b in zip(block, c))
-        if total % r:
-            raise VerificationError("recorded character does not vanish on the metabolizer")
-    # the level conditions
-    key = (q, s)
-    if key not in sets.I1:
-        raise VerificationError(f"level ({q},{s}) does not occur for this input")
-    nontrivial_a = {k for k, chi in enumerate(chi_a) if not chi.is_trivial()}
-    nontrivial_b = {k for k, chi in enumerate(chi_b) if not chi.is_trivial()}
+        functional.extend(c)
+    if any(sum(a * b for a, b in zip(row, functional)) % r for row in cert.basis):
+        raise VerificationError("the characters do not vanish on the metabolizer")
+    key = (cert.q, cert.s)
+    nontrivial_a = {k for k, chi in enumerate(cert.chi_a) if not chi.is_trivial()}
+    nontrivial_b = {k for k, chi in enumerate(cert.chi_b) if not chi.is_trivial()}
     cond1 = not (nontrivial_b & sets.I2[key]) and bool(nontrivial_a & sets.I1[key])
     cond2 = not (nontrivial_a & sets.I1[key]) and bool(nontrivial_b & sets.I2[key])
     if not (cond1 or cond2):
-        raise VerificationError("recorded characters satisfy neither level condition")
-    # the witness jump, recomputed from scratch
-    dec = decompose(nf, chi_a, chi_b)
-    if not _disjointness_ok(dec, q, s):
-        raise VerificationError("level block is not isolated")
-    block = dec.B3[key] + dec.B4[key]
-    omega_txt = entry["witness"]["omega"]
-    num, den = omega_txt.split("/")
-    omega = Fraction(int(num), int(den))
-    total = sum(witt.jump_of(a, omega) for a in block.atoms)
-    if total != entry["witness"]["total_jump"] or total == 0:
-        raise VerificationError(
-            f"witness jump mismatch at {omega_txt}: recomputed {total}, "
-            f"recorded {entry['witness']['total_jump']}"
-        )
-
-
-def _solve_functional(rows, values, r):
-    from . import modp
-
-    return modp.solve(rows, list(values), r)
+        raise VerificationError("the characters satisfy neither level condition")

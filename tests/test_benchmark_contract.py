@@ -49,13 +49,25 @@ def test_twisted_grid_outputs_are_byte_identical_to_expected():
 
 
 CONTRACT_CHECK = """
+import json
 import sys
 import spans, worker
 for dotted in worker.CACHED:
     module, attr = dotted.split(".")
     fn = getattr(sys.modules["sliceguard." + module], attr)
     assert hasattr(fn, "cache_info"), dotted
-spans.install(spans.Tracer())
+tracer = spans.Tracer()
+spans.install(tracer)
+# every layer's span must see calls, which it does only while the package
+# calls these functions through their module attributes
+from sliceguard import expr, pipeline
+doc = pipeline.obstruct(expr.parse("T(2,3;2,5) # -T(2,5) # -T(2,3;2,7) # T(2,7)")).to_json()
+pipeline.verify_verdict(json.loads(doc))
+metrics = tracer.metrics()
+for name in ("pipeline.verify_verdict.calls", "pipeline.decompose.calls",
+             "metabolizers.enumerate.calls", "metabolizers.construct_character.calls",
+             "modp.rref.calls"):
+    assert metrics.get(name), name
 """
 
 

@@ -208,6 +208,9 @@ def test_usage_errors_exit_1_with_one_line(capsys, argv):
     (["obstruct", J2, "--max-r", "-1"], "--max-r"),
     (["obstruct", J2, "--max-dim", "-1"], "--max-dim"),
     (["signature", "2", "3", "1/0"], "rational point"),
+    (["obstruct", J2, "--r", "-5"], "--r"),
+    (["obstruct", J2, "--r", "4"], "--r"),
+    (["obstruct", J2, "--r", "1000000000000000003"], "--r"),  # prime, but no trial division
 ])
 def test_bad_bounds_and_points_are_input_errors(capsys, monkeypatch, argv, needle):
     # each is refused before any work, as one line with exit 1
@@ -228,25 +231,38 @@ def test_bad_bounds_and_points_are_input_errors(capsys, monkeypatch, argv, needl
     assert needle in captured.err
 
 
-def test_malformed_precision_variable_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("SLICEGUARD_PRECISION_BITS", "abc")
+@pytest.mark.parametrize("argv", [["obstruct", J2], ["signature", "3", "4", "1/2"]],
+                         ids=["obstruct", "signature"])
+def test_precision_bits_is_gone(capsys, monkeypatch, argv):
+    # verdicts and signatures are exact: the option is a usage error, and
+    # the environment variable it once read changes nothing
     with pytest.raises(SystemExit) as exc:
-        main(["signature", "2", "3", "1/2"])
+        main([*argv, "--json", "--precision-bits", "9"])
     err = capsys.readouterr().err
-    assert exc.value.code == 1 and err.count("\n") == 1 and "precision-bits" in err
-    assert run(capsys, "alex", "2", "3")[0] == 0
+    assert exc.value.code == 1 and err.count("\n") == 1 and "--precision-bits" in err
+    _, plain, _ = run(capsys, *argv, "--json")
+    monkeypatch.setenv("SLICEGUARD_PRECISION_BITS", "abc")
+    assert run(capsys, *argv, "--json") == (0, plain, "")
 
 
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["obstruct", "--help"])
-    assert exc.value.code == 0 and "--precision-bits" in capsys.readouterr().out
+    assert exc.value.code == 0 and "--verify" in capsys.readouterr().out
 
 
-def test_precision_bits_parse_and_touch_only_signature(capsys, monkeypatch):
-    _, plain, _ = run(capsys, "obstruct", J2, "--json")
-    code, out, _ = run(capsys, "obstruct", J2, "--json", "--precision-bits", "9")
-    assert code == 0 and out == plain
-    monkeypatch.setenv("SLICEGUARD_PRECISION_BITS", "9")
-    code, out, _ = run(capsys, "signature", "3", "4", "1/2", "--json")
-    assert code == 0 and json.loads(out)["signature"] == -6
+def test_obstruct_verify_enumerates_once(tmp_path, capsys, monkeypatch):
+    code, out, _ = run(capsys, "obstruct", J2, "--json")
+    path = tmp_path / "cert.json"
+    path.write_text(out)
+    calls = []
+    enumerate_invariant_metabolizers = metabolizers.enumerate_invariant_metabolizers
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_invariant_metabolizers(*args, **kwargs)
+
+    monkeypatch.setattr(metabolizers, "enumerate_invariant_metabolizers", counted)
+    code, out, _ = run(capsys, "obstruct", "--verify", str(path))
+    assert code == 0 and "bit-for-bit" in out
+    assert len(calls) == 1

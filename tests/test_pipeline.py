@@ -284,6 +284,20 @@ class TestVerification:
         with pytest.raises(VerificationError):
             verify_verdict(doc)
 
+    @pytest.mark.parametrize("alter", [
+        lambda doc: doc["axioms"].pop(),
+        lambda doc: doc.update(extra=None),
+        lambda doc: doc.update(algebraically_slice=1),
+        lambda doc: doc.update(p=2.0),
+    ], ids=["axiom-dropped", "extra-key", "one-for-true", "float-p"])
+    def test_document_must_be_the_recomputation(self, alter):
+        # 1 == True and 2 == 2.0, so only the serialized documents tell
+        # these apart
+        doc = json.loads(obstruct(parse(J2)).to_json())
+        alter(doc)
+        with pytest.raises(VerificationError):
+            verify_verdict(doc)
+
     def test_verdict_path_uses_no_numeric_route(self, monkeypatch):
         # signatures, root isolation, the twisted polynomials and the
         # Seifert-presented cover serve only the inspection commands and the
