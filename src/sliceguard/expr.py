@@ -9,7 +9,9 @@ Grammar (whitespace-insensitive)::
 '#' is connected sum, a leading '-' mirrors the knot, and an integer
 multiplier repeats it.  All cabling pairs inside one knot and across the
 whole expression must share the same first parameter, and every pair must
-be coprime; violations are reported with the offending position.
+be coprime; every integer must be below 2**31, the bound of ``--r``, so
+that the primality tests stay instant.  Violations are reported with the
+offending position.
 """
 
 from __future__ import annotations
@@ -49,7 +51,10 @@ class _Scanner:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", start)
-        return int(self.text[start : self.pos])
+        digits = self.text[start : self.pos].lstrip("0") or "0"
+        if len(digits) > 10 or int(digits) >= 2**31:
+            raise ParseError("integer too large: it must be below 2**31", start)
+        return int(digits)
 
     def at_end(self) -> bool:
         self.skip_ws()

@@ -102,6 +102,23 @@ def is_invariant_metabolizer(L: Subspace, F: FormSpace) -> bool:
     return all(L.contains(modp.vec_mat(v, A, r)) for v in rows)
 
 
+def check_budget(n: int, k: int, r: int, budget: int) -> None:
+    """Refuse when the k-dimensional subspaces of F_r^n exceed the budget.
+    The count is at least r^(k(n-k)); a shape whose bound alone has more
+    than 4096 bits is refused from the bound, without the costly count."""
+    exponent = k * (n - k)
+    if exponent * (r.bit_length() - 1) > max(4096, budget.bit_length()):
+        raise BudgetExceeded(
+            f"at least {r}^{exponent} half-dimension subspaces exceed the "
+            f"budget of {budget}"
+        )
+    total = modp.subspace_count(n, k, r)
+    if total > budget:
+        raise BudgetExceeded(
+            f"{total} half-dimension subspaces exceed the budget of {budget}"
+        )
+
+
 def enumerate_invariant_metabolizers(F: FormSpace, budget: int = 2_000_000) -> list[Subspace]:
     """All invariant metabolizers, in the order of ``modp.enumerate_subspaces``,
     by the isotropic echelon walk: rows are filled first to last, pivots in
@@ -110,11 +127,7 @@ def enumerate_invariant_metabolizers(F: FormSpace, budget: int = 2_000_000) -> l
     ``is_invariant_metabolizer`` also tests).  The budget counts every
     half-dimension subspace, walked or not; refuses loudly over budget."""
     n, k, r = F.ambient_dim, F.half_dim, F.r
-    total = modp.subspace_count(n, k, r)
-    if total > budget:
-        raise BudgetExceeded(
-            f"{total} half-dimension subspaces exceed the budget of {budget}"
-        )
+    check_budget(n, k, r, budget)
     G = F.gram()
     found = []
 

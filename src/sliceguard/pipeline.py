@@ -305,8 +305,9 @@ def _certify_prime(simplified: KnotCombination, r: int, budget: int,
 
     Builds the normal form at r and its index sets (every level sum must
     cancel), the form space, and one certificate per invariant metabolizer,
-    in enumeration order.  Returns ``(F, sets, certificates)``.  Raises
-    BudgetExceeded from the enumeration, and _Uncertified when the ambient
+    in enumeration order.  Returns ``(F, sets, certificates)``.  The ambient
+    dimension and then the budget are checked before the module is built.
+    Raises BudgetExceeded over budget, and _Uncertified when the ambient
     dimension exceeds ``max_ambient_dim`` or a metabolizer has no certificate.
     """
     nf = knots.normal_form(simplified, r)
@@ -317,11 +318,14 @@ def _certify_prime(simplified: KnotCombination, r: int, budget: int,
                 f"level multiplicity sum nonzero at (q={q}, s={s}) for an "
                 "algebraically slice combination"
             )
-    F = FormSpace(module=covers.model_module(simplified.p, r), m1=nf.m1)
-    if max_ambient_dim is not None and F.ambient_dim > max_ambient_dim:
+    # both refusals come before the module is built, which costs O(p^3)
+    half_dim = nf.m1 * (simplified.p - 1)
+    if max_ambient_dim is not None and 2 * half_dim > max_ambient_dim:
         raise _Uncertified(
-            f"ambient dimension {F.ambient_dim} exceeds budget {max_ambient_dim}"
+            f"ambient dimension {2 * half_dim} exceeds budget {max_ambient_dim}"
         )
+    metabolizers.check_budget(2 * half_dim, half_dim, r, budget)
+    F = FormSpace(module=covers.model_module(simplified.p, r), m1=nf.m1)
     mets = metabolizers.enumerate_invariant_metabolizers(F, budget)
     ctx = _obstruction_context(nf, sets)
     dec_cache: dict = {}
@@ -406,12 +410,19 @@ def verify_verdict(doc: dict, *, budget: int = Options.budget) -> None:
     so any changed, dropped, added, duplicated or reordered entry fails,
     and so does ``1`` in place of ``true``.  The recorded p must be the
     input's, and INCONCLUSIVE documents are refused.  Raises
-    VerificationError at the first disagreement.
+    VerificationError at the first disagreement, and for a document that
+    is not an object with a string input, an integer p and a string verdict.
     """
     from .expr import parse
 
+    if not (isinstance(doc, dict) and isinstance(doc.get("input"), str)
+            and type(doc.get("p")) is int and isinstance(doc.get("verdict"), str)):
+        raise VerificationError(
+            "not a verdict document: expected an object with a string input, "
+            "an integer p and a string verdict"
+        )
     source = doc["input"]
-    K = KnotCombination(int(doc["p"]), {}) if source.strip() == "0" else parse(source)
+    K = KnotCombination(doc["p"], {}) if source.strip() == "0" else parse(source)
     if doc["p"] != K.p:
         raise VerificationError(f"recorded p={doc['p']} but the input has p={K.p}")
     if doc["verdict"] == "INCONCLUSIVE":

@@ -33,13 +33,19 @@ and by -2 at s - 1 when s > 1.  The Levine-Tristram signature at a
 non-root point x is the sum of the jumps below x.
 
 Seifert matrices and branched covers serve the ``alex`` and ``homology``
-commands and the tests' oracles.  Branched covers are presented by
-integer matrices and reduced to Smith normal form with both transforms
-tracked: U A W = diag(d), with U^-1 carried along as the inverse column
-operation of each row operation.  Both identities are checked exactly
-before the form is used.  The linking form then needs no inverse:
-Y^-1 = W D^-1 U, so the pairing of generators u and v is
-u . W[:, v] / d_v.
+commands and the tests' oracles.  The Alexander module of a torus knot is
+cyclic, so H_1 of the n-fold branched cover is Z[t]/(Delta, 1 + t + ... +
+t^(n-1)): its divisors are the elementary divisors of the d x d matrix of
+multiplication by 1 + t + ... + t^(n-1) on Z[t]/Delta, d = deg Delta.
+When every divisor is the prime r = q, the module comes from the
+symmetric presentation Y of the cover, with T^T Y T = Y for the block
+shift T.  x -> Yx/r maps ker(Y mod r) onto the r-torsion of coker Y, so
+on a basis of that kernel the linking form is lambda(x, z) = x^T Y z / r^2
+mod 1, and the deck action a -> T^T a pulls back to x -> T^-1 x.  The
+kernel's dimension must equal the number of divisors, which ties the
+Alexander route to the Seifert presentation, and the module is checked to
+be symmetric, nonsingular and deck invariant, with the action of order
+dividing n and annihilated by 1 + t + ... + t^(n-1).
 """
 
 from __future__ import annotations
@@ -48,9 +54,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
+from . import modp
 from .cyclo import Cyclo, RootOfUnity
 from .knots import prime_power_exponent
 from .laurent import LaurentPoly
@@ -283,16 +290,6 @@ def _jump_function_cached(p: int, q: int) -> tuple:
 
 
 @dataclass(frozen=True)
-class CoverPresentation:
-    """Block-circulant record of H_1 of the n-fold cover: the matrix of
-    t*V - V^T with t acting as the n-cycle block shift."""
-
-    n: int
-    matrix: tuple
-    deck: tuple
-
-
-@dataclass(frozen=True)
 class PrimeModule:
     """H_1 of the cover as an F_r vector space with deck action and linking
     form.  ``gram[i][j]`` means the fraction gram[i][j] / r in Q/Z.
@@ -309,46 +306,21 @@ class CoverHomology:
     p: int
     q: int
     n: int
-    presentation: CoverPresentation
     divisors: tuple
     order: int
     module: PrimeModule | None
 
 
-def smith_normal_form(rows):
-    """Integer Smith normal form.  Returns (divisors, U, Uinv, W) with
-    U @ A @ W = diag(divisors) for unimodular U and W, and Uinv the
-    inverse of U, all tracked alongside the elimination and checked
-    exactly at the end.  coker(A) = ⊕ Z/d_i via x -> U x.
-    """
+def elementary_divisors(rows) -> tuple:
+    """The diagonal d_1 | d_2 | ... of the integer Smith normal form, one
+    entry per row or column, whichever is fewer (zeros last)."""
     A = [list(map(int, r)) for r in rows]
     nrows, ncols = len(A), len(A[0])
-    U = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    # the columns of Uinv and of W, kept as rows so that the column
-    # operation matching each step is a row update
-    Uinv_cols = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    W_cols = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    rank = min(nrows, ncols)
 
-    def row_swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-        Uinv_cols[i], Uinv_cols[j] = Uinv_cols[j], Uinv_cols[i]
-
-    def row_sub(i, j, c):
-        if c:
-            A[i] = [x - c * y for x, y in zip(A[i], A[j])]
-            U[i] = [x - c * y for x, y in zip(U[i], U[j])]
-            Uinv_cols[j] = [x + c * y for x, y in zip(Uinv_cols[j], Uinv_cols[i])]
-
-    def col_swap(i, j):
+    def swap_cols(i, j):
         for row in A:
             row[i], row[j] = row[j], row[i]
-        W_cols[i], W_cols[j] = W_cols[j], W_cols[i]
-
-    def col_sub(j, i, c):
-        for row in A:
-            row[j] -= c * row[i]
-        W_cols[j] = [x - c * y for x, y in zip(W_cols[j], W_cols[i])]
 
     def smallest_entry(t):
         # first entry of least absolute value in row-major order
@@ -363,73 +335,72 @@ def smith_normal_form(rows):
         return best
 
     def reduce_from(t):
-        while t < min(nrows, ncols):
+        while t < rank:
             best = smallest_entry(t)
             if best is None:
                 return
             _, i0, j0 = best
-            row_swap(t, i0)
-            col_swap(t, j0)
-            while True:
+            A[t], A[i0] = A[i0], A[t]
+            swap_cols(t, j0)
+            dirty = True
+            while dirty:
                 dirty = False
                 for i in range(t + 1, nrows):
                     if A[i][t]:
-                        row_sub(i, t, A[i][t] // A[t][t])
+                        c = A[i][t] // A[t][t]
+                        A[i] = [x - c * y for x, y in zip(A[i], A[t])]
                         if A[i][t]:
-                            row_swap(t, i)
+                            A[t], A[i] = A[i], A[t]
                             dirty = True
                 for j in range(t + 1, ncols):
                     if A[t][j]:
-                        col_sub(j, t, A[t][j] // A[t][t])
+                        c = A[t][j] // A[t][t]
+                        for row in A:
+                            row[j] -= c * row[t]
                         if A[t][j]:
-                            col_swap(t, j)
+                            swap_cols(t, j)
                             dirty = True
-                if not dirty:
-                    break
             t += 1
 
     reduce_from(0)
-    rank = min(nrows, ncols)
     # sign normalization and the divisibility chain
     while True:
         for i in range(rank):
-            if A[i][i] < 0:
-                A[i] = [-x for x in A[i]]
-                U[i] = [-x for x in U[i]]
-                Uinv_cols[i] = [-x for x in Uinv_cols[i]]
-        broken = next(
-            (
-                i
-                for i in range(rank - 1)
-                if A[i][i] and A[i + 1][i + 1] % A[i][i] != 0
-            ),
-            None,
-        )
+            A[i][i] = abs(A[i][i])
+        broken = next((i for i in range(rank - 1)
+                       if A[i][i] and A[i + 1][i + 1] % A[i][i]), None)
         if broken is None:
-            break
-        row_sub(broken, broken + 1, -1)
+            return tuple(A[i][i] for i in range(rank))
+        A[broken] = [x + y for x, y in zip(A[broken], A[broken + 1])]
         reduce_from(broken)
-    divisors = tuple(A[i][i] for i in range(rank))
-    if any(_dot(U[i], col) != int(i == j)
-           for i in range(nrows) for j, col in enumerate(Uinv_cols)):
-        raise ConventionError("tracked inverse does not invert U")
-    UA = [[_dot(u, col) for col in zip(*rows)] for u in U]
-    if any(_dot(UA[i], col) != (divisors[i] if i == j else 0)
-           for i in range(nrows) for j, col in enumerate(W_cols)):
-        raise ConventionError("U A W is not the diagonal of elementary divisors")
-    return (divisors, tuple(map(tuple, U)), tuple(zip(*Uinv_cols)),
-            tuple(zip(*W_cols)))
 
 
-def _dot(u, v) -> int:
-    return sum(map(mul, u, v))
+def _norm_multiplication(p: int, q: int, n: int) -> list:
+    """Multiplication by 1 + t + ... + t^(n-1) on Z[t]/Delta in the basis
+    1, t, ..., t^(d-1): row j holds t^j (1 + ... + t^(n-1)) mod Delta."""
+    delta = _torus_alexander_reference(p, q)
+    d = len(delta) - 1
+    if delta[-1] != 1:
+        raise ConventionError("the Alexander polynomial is not monic")
+
+    def times_t(v):
+        return [(v[i - 1] if i else 0) - v[-1] * delta[i] for i in range(d)]
+
+    power, norm = [1] + [0] * (d - 1), [0] * d
+    for _ in range(n):
+        norm = [a + b for a, b in zip(norm, power)]
+        power = times_t(power)
+    rows = [norm]
+    for _ in range(d - 1):
+        rows.append(times_t(rows[-1]))
+    return rows
 
 
 def _symmetric_cover_presentation(V, n: int):
     """The (n-1) x (n-1) block matrix with V + V^T on the diagonal, -V^T
     above, -V below: the intersection form of the pushed-in Seifert
     surface's n-fold cyclic cover, whose boundary linking form is the one
-    we want.  Its inverse mod Z presents the linking form directly."""
+    we want.  T is the block shift, with T^T Y T = Y."""
     g2 = len(V)
     N = (n - 1) * g2
     Y = [[0] * N for _ in range(N)]
@@ -450,96 +421,71 @@ def _symmetric_cover_presentation(V, n: int):
     return Y, T
 
 
-def _circulant_presentation(V, n: int) -> CoverPresentation:
-    g2 = len(V)
-    N = n * g2
-    M = [[0] * N for _ in range(N)]
-    P = [[0] * N for _ in range(N)]
-    for i in range(n):
-        for a in range(g2):
-            P[((i + 1) % n) * g2 + a][i * g2 + a] = 1
-            for b in range(g2):
-                # t*V - V^T with t the cyclic shift
-                M[((i + 1) % n) * g2 + a][i * g2 + b] += V[a][b]
-                M[i * g2 + a][i * g2 + b] -= V[b][a]
-    return CoverPresentation(n, tuple(map(tuple, M)), tuple(map(tuple, P)))
-
-
 @lru_cache(maxsize=None)
 def branched_cover(p: int, q: int, n: int) -> CoverHomology:
-    """Homology of the n-fold cyclic branched cover of T(p, q) with its
-    deck action and linking form.
+    """Homology of the n-fold cyclic branched cover of T(p, q), with its
+    deck action and linking form when every divisor is the prime q.
 
-    The block-circulant presentation is recorded and its cokernel is
-    cross-checked against the symmetric presentation that carries the
-    linking form; a zero elementary divisor (infinite homology) is
-    rejected, which catches non-prime-power n.
+    The divisors come from the cyclic Alexander module; a zero divisor
+    (infinite homology) is rejected, which catches non-prime-power n.
+    See the module docstring.
     """
     if n < 2:
         raise ValueError("cover degree must be at least 2")
-    V = seifert_matrix(p, q)
-    circ = _circulant_presentation(V, n)
-    circ_div = smith_normal_form(circ.matrix)[0]
-    Y, T = _symmetric_cover_presentation(V, n)
-    divisors, U, Uinv, W = smith_normal_form(Y)
-    if any(d == 0 for d in divisors) or any(d == 0 for d in circ_div):
+    _check_torus(p, q)
+    divisors = elementary_divisors(_norm_multiplication(p, q, n))
+    if 0 in divisors:
         raise ConventionError(
             f"singular cover presentation for n={n}"
             + ("" if prime_power_exponent(n) else " (n is not a prime power)")
         )
     torsion = tuple(d for d in divisors if d != 1)
-    circ_torsion = tuple(sorted(d for d in circ_div if d != 1))
-    if tuple(sorted(torsion)) != circ_torsion:
-        raise ConventionError(
-            "block-circulant and symmetric presentations disagree: "
-            f"{circ_torsion} vs {torsion}"
-        )
-    order = 1
-    for d in torsion:
-        order *= d
     module = None
     if prime_power_exponent(q) == 1 and torsion and all(d == q for d in torsion):
-        module = _prime_module(T, divisors, U, Uinv, W, q, n)
-    return CoverHomology(
-        p=p, q=q, n=n, presentation=circ,
-        divisors=torsion, order=order, module=module,
-    )
+        module = _prime_module(seifert_matrix(p, q), n, q, len(torsion))
+    return CoverHomology(p=p, q=q, n=n, divisors=torsion, order=prod(torsion),
+                         module=module)
 
 
-def _prime_module(T, divisors, U, Uinv, W, r: int, n: int) -> PrimeModule:
-    N = len(U)
-    gen_idx = [i for i, d in enumerate(divisors) if d != 1]
-    dim = len(gen_idx)
-    gens = [[Uinv[i][g] for i in range(N)] for g in gen_idx]
-    # U Y W = D gives Y^-1 = W D^-1 U, and U maps the generator g_v to the
-    # unit vector e_v, so g_u . Y^-1 g_v = g_u . W[:, v] / d_v.
+def _prime_module(V, n: int, r: int, dim: int) -> PrimeModule:
+    """The r-torsion of coker Y on a basis of ker(Y mod r), x -> Yx/r."""
+    Y, T = _symmetric_cover_presentation(V, n)
+    basis, pivots = modp.rref(modp.nullspace(Y, r), r)
+    if len(basis) != dim:
+        raise ConventionError(
+            f"ker(Y mod {r}) has dimension {len(basis)}, but the Alexander "
+            f"module has {dim} divisors"
+        )
+
+    def dot(u, v):
+        return sum(map(mul, u, v))
+
+    # lambda(x, z) = x^T Y z / r^2 mod 1, stored times r
+    Yx = [[dot(row, x) for row in Y] for x in basis]
     gram = []
-    for gu in gens:
+    for x in basis:
         row = []
-        for v in gen_idx:
-            val = Fraction(_dot(gu, [W[i][v] for i in range(N)]), divisors[v]) % 1 * r
-            if val.denominator != 1:
-                raise ConventionError(
-                    f"linking value with denominator {val.denominator} != {r}"
-                )
-            row.append(int(val) % r)
+        for y in Yx:
+            value, rem = divmod(dot(x, y), r)
+            if rem:
+                raise ConventionError(f"linking value x^T Y z is not divisible by {r}")
+            row.append(value % r)
         gram.append(tuple(row))
-    # The block-shift matrix satisfies T^tr Y T = Y, so the linking form is
-    # invariant under x -> T^tr x; that transpose is the deck action in the
-    # generator coordinates (row convention: v -> v @ action).
-    action = []
-    for g in gens:
-        tg = [sum(T[j][i] * g[j] for j in range(N)) for i in range(N)]
-        coords = [sum(U[k][i] * tg[i] for i in range(N)) % r for k in gen_idx]
-        action.append(tuple(coords))
-    module = PrimeModule(r=r, dim=dim, action=tuple(action), gram=tuple(gram))
+    # T^T (Yx / r) = Y (T^-1 x) / r: the deck action is the inverse of the
+    # block shift on the kernel, whose coordinates sit at the pivots
+    shift = []
+    for x in basis:
+        y = [dot(row, x) % r for row in T]
+        coords = [y[c] for c in pivots]
+        if list(modp.vec_mat(coords, basis, r)) != y:
+            raise ConventionError(f"the block shift leaves ker(Y mod {r})")
+        shift.append(coords)
+    module = PrimeModule(r=r, dim=dim, action=modp.mat_inv(shift, r), gram=tuple(gram))
     _validate_module(module, n)
     return module
 
 
 def _validate_module(m: PrimeModule, n: int):
-    from . import modp
-
     r, dim = m.r, m.dim
     if any(m.gram[i][j] != m.gram[j][i] for i in range(dim) for j in range(dim)):
         raise ConventionError("linking form is not symmetric")

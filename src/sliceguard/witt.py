@@ -153,31 +153,6 @@ def support_points(W: WittClass) -> list[Fraction]:
     return sorted(points)
 
 
-def split_components(W: WittClass) -> list[WittClass]:
-    """Partition into groups whose order root-supports are pairwise
-    disjoint across groups (supports may interleave within one group)."""
-    atoms = list(W.atoms)
-    supports = [support_of(a) for a in atoms]
-    parent = list(range(len(atoms)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(atoms)):
-        for j in range(i + 1, len(atoms)):
-            if supports[i] & supports[j]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict = {}
-    for i, atom in enumerate(atoms):
-        groups.setdefault(find(i), []).append(atom)
-    return [WittClass(g) for g in groups.values()]
-
-
 def is_metabolic_classical(W: WittClass):
     """Decide metabolicity of a sum of classical atoms through total
     signature jumps; returns (True, None) or (False, (point, total))."""

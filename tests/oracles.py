@@ -1,12 +1,18 @@
 """General routes that the tests hold the package's closed forms against.
 
 The package reads the linking form of the p-fold cover of T(p, r) and the
-Levine-Tristram signature of T(p, q) off closed forms.  The general routes
-they replaced live here, as independent oracles:
+Levine-Tristram signature of T(p, q) off closed forms, and the homology of
+a branched cover off the cyclic Alexander module.  The general routes they
+replaced live here, as independent oracles:
 
-* ``seifert_import`` pulls the linking form of the Seifert-presented
-  cover (``seifert.branched_cover``: Smith form with tracked transforms)
-  back to the model basis x_i = t^i x_0 along a matched cyclic generator.
+* ``seifert_cover`` is the branched cover from integer Smith forms with
+  tracked transforms: U Y W = diag(d) for the symmetric presentation Y,
+  with U^-1 carried along and both identities checked exactly, whose
+  cokernel is cross-checked against the block-circulant presentation.
+  The linking form needs no inverse there: Y^-1 = W D^-1 U, so the pairing
+  of generators u and v is u . W[:, v] / d_v.
+* ``seifert_import`` pulls the linking form of that cover back to the
+  model basis x_i = t^i x_0 along a matched cyclic generator.
 * ``interval_signature`` is the signature of the Hermitian Seifert form:
   an LDL* sweep in complex interval arithmetic whose pivot signs must be
   certified, raising the precision until they are, and otherwise an exact
@@ -18,14 +24,19 @@ from __future__ import annotations
 
 import cmath
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
+from operator import mul
 
 from mpmath import iv
 
 from sliceguard import modp, seifert
 from sliceguard.covers import MatchFailure
 from sliceguard.cyclo import Cyclo, RootOfUnity
+from sliceguard.knots import prime_power_exponent
+from sliceguard.seifert import ConventionError, PrimeModule
 
 
 def numeric(c: Cyclo) -> complex:
@@ -36,21 +47,211 @@ def numeric(c: Cyclo) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# The cover form through the Seifert-presented branched cover
+# The branched cover through Smith forms with tracked transforms
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def seifert_import(p: int, r: int) -> tuple:
-    """The linking form of the Seifert-presented p-fold cover of T(p, r)
-    on x_0, ..., x_{p-2}, for the lexicographically first x_0 whose deck
-    orbit spans, as gram[i][j] with the value gram[i][j] / r."""
-    cover = seifert.branched_cover(p, r, p)
-    mod = cover.module
-    if mod is None or mod.dim != p - 1:
-        raise MatchFailure(
-            f"cover of T({p},{r}) is not F_{r}^{p-1}: divisors {cover.divisors}"
+@dataclass(frozen=True)
+class CoverPresentation:
+    """Block-circulant record of H_1 of the n-fold cover: the matrix of
+    t*V - V^T with t acting as the n-cycle block shift."""
+
+    n: int
+    matrix: tuple
+    deck: tuple
+
+
+@dataclass(frozen=True)
+class SeifertCover:
+    p: int
+    q: int
+    n: int
+    presentation: CoverPresentation
+    divisors: tuple
+    order: int
+    module: PrimeModule | None
+
+
+def smith_normal_form(rows):
+    """Integer Smith normal form.  Returns (divisors, U, Uinv, W) with
+    U @ A @ W = diag(divisors) for unimodular U and W, and Uinv the
+    inverse of U, all tracked alongside the elimination and checked
+    exactly at the end.  coker(A) = ⊕ Z/d_i via x -> U x.
+    """
+    A = [list(map(int, r)) for r in rows]
+    nrows, ncols = len(A), len(A[0])
+    U = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    # the columns of Uinv and of W, kept as rows so that the column
+    # operation matching each step is a row update
+    Uinv_cols = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    W_cols = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+
+    def row_swap(i, j):
+        A[i], A[j] = A[j], A[i]
+        U[i], U[j] = U[j], U[i]
+        Uinv_cols[i], Uinv_cols[j] = Uinv_cols[j], Uinv_cols[i]
+
+    def row_sub(i, j, c):
+        if c:
+            A[i] = [x - c * y for x, y in zip(A[i], A[j])]
+            U[i] = [x - c * y for x, y in zip(U[i], U[j])]
+            Uinv_cols[j] = [x + c * y for x, y in zip(Uinv_cols[j], Uinv_cols[i])]
+
+    def col_swap(i, j):
+        for row in A:
+            row[i], row[j] = row[j], row[i]
+        W_cols[i], W_cols[j] = W_cols[j], W_cols[i]
+
+    def col_sub(j, i, c):
+        for row in A:
+            row[j] -= c * row[i]
+        W_cols[j] = [x - c * y for x, y in zip(W_cols[j], W_cols[i])]
+
+    def smallest_entry(t):
+        best = None
+        for i in range(t, nrows):
+            row = A[i]
+            for j in range(t, ncols):
+                if row[j] and (best is None or abs(row[j]) < best[0]):
+                    best = (abs(row[j]), i, j)
+                    if best[0] == 1:
+                        return best
+        return best
+
+    def reduce_from(t):
+        while t < min(nrows, ncols):
+            best = smallest_entry(t)
+            if best is None:
+                return
+            _, i0, j0 = best
+            row_swap(t, i0)
+            col_swap(t, j0)
+            while True:
+                dirty = False
+                for i in range(t + 1, nrows):
+                    if A[i][t]:
+                        row_sub(i, t, A[i][t] // A[t][t])
+                        if A[i][t]:
+                            row_swap(t, i)
+                            dirty = True
+                for j in range(t + 1, ncols):
+                    if A[t][j]:
+                        col_sub(j, t, A[t][j] // A[t][t])
+                        if A[t][j]:
+                            col_swap(t, j)
+                            dirty = True
+                if not dirty:
+                    break
+            t += 1
+
+    reduce_from(0)
+    rank = min(nrows, ncols)
+    while True:
+        for i in range(rank):
+            if A[i][i] < 0:
+                A[i] = [-x for x in A[i]]
+                U[i] = [-x for x in U[i]]
+                Uinv_cols[i] = [-x for x in Uinv_cols[i]]
+        broken = next(
+            (i for i in range(rank - 1) if A[i][i] and A[i + 1][i + 1] % A[i][i] != 0),
+            None,
         )
+        if broken is None:
+            break
+        row_sub(broken, broken + 1, -1)
+        reduce_from(broken)
+    divisors = tuple(A[i][i] for i in range(rank))
+    if any(_dot(U[i], col) != int(i == j)
+           for i in range(nrows) for j, col in enumerate(Uinv_cols)):
+        raise ConventionError("tracked inverse does not invert U")
+    UA = [[_dot(u, col) for col in zip(*rows)] for u in U]
+    if any(_dot(UA[i], col) != (divisors[i] if i == j else 0)
+           for i in range(nrows) for j, col in enumerate(W_cols)):
+        raise ConventionError("U A W is not the diagonal of elementary divisors")
+    return (divisors, tuple(map(tuple, U)), tuple(zip(*Uinv_cols)),
+            tuple(zip(*W_cols)))
+
+
+def _dot(u, v) -> int:
+    return sum(map(mul, u, v))
+
+
+def _circulant_presentation(V, n: int) -> CoverPresentation:
+    g2 = len(V)
+    N = n * g2
+    M = [[0] * N for _ in range(N)]
+    P = [[0] * N for _ in range(N)]
+    for i in range(n):
+        for a in range(g2):
+            P[((i + 1) % n) * g2 + a][i * g2 + a] = 1
+            for b in range(g2):
+                # t*V - V^T with t the cyclic shift
+                M[((i + 1) % n) * g2 + a][i * g2 + b] += V[a][b]
+                M[i * g2 + a][i * g2 + b] -= V[b][a]
+    return CoverPresentation(n, tuple(map(tuple, M)), tuple(map(tuple, P)))
+
+
+@lru_cache(maxsize=None)
+def seifert_cover(p: int, q: int, n: int) -> SeifertCover:
+    """The n-fold branched cover of T(p, q) from its Seifert presentations:
+    the symmetric presentation's Smith form, cross-checked against the
+    block-circulant one, with the q-torsion module read off the tracked
+    transforms when every divisor is the prime q."""
+    if n < 2:
+        raise ValueError("cover degree must be at least 2")
+    V = seifert.seifert_matrix(p, q)
+    circ = _circulant_presentation(V, n)
+    circ_div = smith_normal_form(circ.matrix)[0]
+    Y, T = seifert._symmetric_cover_presentation(V, n)
+    divisors, U, Uinv, W = smith_normal_form(Y)
+    if 0 in divisors or 0 in circ_div:
+        raise ConventionError(f"singular cover presentation for n={n}")
+    torsion = tuple(d for d in divisors if d != 1)
+    if sorted(torsion) != sorted(d for d in circ_div if d != 1):
+        raise ConventionError("block-circulant and symmetric presentations disagree")
+    module = None
+    if prime_power_exponent(q) == 1 and torsion and all(d == q for d in torsion):
+        module = _transform_module(T, divisors, U, Uinv, W, q, n)
+    return SeifertCover(p=p, q=q, n=n, presentation=circ, divisors=torsion,
+                        order=prod(torsion), module=module)
+
+
+def _transform_module(T, divisors, U, Uinv, W, r: int, n: int) -> PrimeModule:
+    N = len(U)
+    gen_idx = [i for i, d in enumerate(divisors) if d != 1]
+    gens = [[Uinv[i][g] for i in range(N)] for g in gen_idx]
+    # U Y W = D gives Y^-1 = W D^-1 U, and U maps the generator g_v to the
+    # unit vector e_v, so g_u . Y^-1 g_v = g_u . W[:, v] / d_v.
+    gram = []
+    for gu in gens:
+        row = []
+        for v in gen_idx:
+            val = Fraction(_dot(gu, [W[i][v] for i in range(N)]), divisors[v]) % 1 * r
+            if val.denominator != 1:
+                raise ConventionError(f"linking value with denominator {val.denominator} != {r}")
+            row.append(int(val) % r)
+        gram.append(tuple(row))
+    # T^tr Y T = Y, so x -> T^tr x is the deck action in the generator
+    # coordinates (row convention: v -> v @ action)
+    action = []
+    for g in gens:
+        tg = [sum(T[j][i] * g[j] for j in range(N)) for i in range(N)]
+        action.append(tuple(sum(U[k][i] * tg[i] for i in range(N)) % r for k in gen_idx))
+    module = PrimeModule(r=r, dim=len(gen_idx), action=tuple(action), gram=tuple(gram))
+    seifert._validate_module(module, n)
+    return module
+
+
+# ---------------------------------------------------------------------------
+# The cover form in the model basis
+# ---------------------------------------------------------------------------
+
+
+def orbit_form(mod: PrimeModule, p: int) -> tuple:
+    """The linking form of a p-fold cover module of dimension p - 1 on
+    x_0, ..., x_{p-2}, for the lexicographically first x_0 whose deck orbit
+    spans, as gram[i][j] with the value gram[i][j] / r."""
+    r = mod.r
     dim = p - 1
     for cand in itertools.product(range(r), repeat=dim):
         if not any(cand):
@@ -83,6 +284,17 @@ def seifert_import(p: int, r: int) -> tuple:
             if full[i][j] != full[(i + 1) % p][(j + 1) % p]:
                 raise MatchFailure("imported form is not deck equivariant")
     return tuple(tuple(row[:dim]) for row in full[:dim])
+
+
+@lru_cache(maxsize=None)
+def seifert_import(p: int, r: int) -> tuple:
+    """``orbit_form`` of the p-fold cover of T(p, r) through ``seifert_cover``."""
+    cover = seifert_cover(p, r, p)
+    if cover.module is None or cover.module.dim != p - 1:
+        raise MatchFailure(
+            f"cover of T({p},{r}) is not F_{r}^{p-1}: divisors {cover.divisors}"
+        )
+    return orbit_form(cover.module, p)
 
 
 # ---------------------------------------------------------------------------

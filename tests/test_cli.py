@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sliceguard import metabolizers, pipeline, seifert
+from sliceguard import covers, metabolizers, pipeline, seifert
 from sliceguard.cli import main
 
 J2 = "T(2,3;2,5) # -T(2,5) # -T(2,3;2,7) # T(2,7)"
@@ -107,10 +107,55 @@ def test_signature(capsys):
 
 
 def test_homology(capsys):
+    # the module is printed on the basis of ker(Y mod 2)
     code, out, _ = run(capsys, "homology", "3", "2", "3", "--json")
     doc = json.loads(out)
     assert doc["divisors"] == [2, 2]
-    assert doc["module"]["deck_action"] == [[1, 1], [1, 0]]
+    assert doc["module"]["deck_action"] == [[0, 1], [1, 1]]
+    assert doc["module"]["gram_times_r"] == [[0, 1], [1, 0]]
+
+
+def _legendre_det(gram, r):
+    return pow(seifert._int_det(gram) % r, (r - 1) // 2, r)
+
+
+def test_homology_5_7_5_finishes():
+    # once two tracked-transform Smith forms on 96 and 120 rows, which did
+    # not finish; a child process turns a regression into a failure
+    done = _child("homology", "5", "7", "5", "--json", timeout=10)
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout)
+    assert doc["divisors"] == [7, 7, 7, 7] and doc["order"] == 7**4
+    module = doc["module"]
+    assert module["r"] == 7 and module["dim"] == 4
+    model = covers.model_module(5, 7)
+    assert _legendre_det(module["gram_times_r"], 7) == _legendre_det(model.gram, 7)
+
+
+def test_large_index_refused_in_one_line():
+    # the index once reached a trial division up to its square root
+    done = _child("obstruct", "T(2,3;2,1000000000000000003) # -T(2,1000000000000000003)",
+                  timeout=10)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.count("\n") == 1 and "below 2**31" in done.stderr
+
+
+def test_large_p_refused_before_the_module():
+    # the dimension cap is checked before the O(p^3) module build
+    done = _child("obstruct", "T(2003,3;2003,5) # -T(2003,5) # -T(2003,3;2003,7) # T(2003,7)",
+                  timeout=5)
+    assert done.returncode == 2, done.stderr
+    assert "r=5: ambient dimension 4004 exceeds budget 8" in done.stdout
+
+
+@pytest.mark.parametrize("text", ["[1]", '{"p": 2}', '"NOT_SLICE"', "null",
+                                  '{"input": "T(2,3)", "p": 2.0, "verdict": "NOT_SLICE"}'])
+def test_obstruct_verify_malformed_document_one_line(tmp_path, capsys, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "obstruct", "--verify", str(path))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("verification failed: not a verdict document")
 
 
 def test_input_errors_exit_1(capsys):
@@ -147,13 +192,18 @@ def test_metabolizers_rejects_bad_cover_parameters(capsys, p, r):
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
-def test_p5_budget_refusal_does_not_hang():
-    # a child process, so that a regression to the hanging Smith form of
-    # the T(5, 7) cover fails instead of stalling the suite
+def _child(*argv, timeout):
+    """The CLI in a child process, so that a hang fails instead of stalling
+    the suite."""
     src = Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run([sys.executable, "-m", "sliceguard.cli", "metabolizers", "5", "7"],
-                          capture_output=True, text=True, timeout=30,
+    return subprocess.run([sys.executable, "-m", "sliceguard.cli", *argv],
+                          capture_output=True, text=True, timeout=timeout,
                           env=dict(os.environ, PYTHONPATH=str(src)))
+
+
+def test_p5_budget_refusal_does_not_hang():
+    # a regression to the hanging Smith form of the T(5, 7) cover fails
+    done = _child("metabolizers", "5", "7", timeout=30)
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.count("\n") == 1 and "budget" in done.stderr
 

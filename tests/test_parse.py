@@ -43,6 +43,21 @@ class TestRejects:
         with pytest.raises(ParseError):
             parse(text)
 
+    @pytest.mark.parametrize("text", [
+        "T(2,2147483648)",
+        "T(2147483648,3)",
+        "2147483648*T(2,3)",
+        "T(2,3;2,1000000000000000003) # -T(2,1000000000000000003)",
+        pytest.param("T(2," + "9" * 5000 + ")", id="5000-digits"),
+    ])
+    def test_integers_must_be_below_2_31(self, text):
+        # a larger index would reach the trial-division primality test
+        with pytest.raises(ParseError, match=r"below 2\*\*31"):
+            parse(text)
+
+    def test_largest_index_accepted(self):
+        assert parse("T(2,3;2,2147483647)").p == 2
+
     def test_position_reported(self):
         try:
             parse("T(2,3) # T(2,6)")

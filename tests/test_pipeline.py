@@ -29,6 +29,7 @@ J3 = "T(3,4;3,5) # -T(3,5) # -T(3,4;3,7) # T(3,7)"
 M3 = ("T(2,3;2,5) # -T(2,3;2,11) # -3*T(2,5) # T(2,11) # 2*T(2,11;2,5) "
       "# -2*T(2,11;2,13) # 2*T(2,13)")
 R13 = "T(3,4;3,13) # -T(3,13) # -T(3,4;3,17) # T(3,17)"
+P2003 = "T(2003,3;2003,5) # -T(2003,5) # -T(2003,3;2003,7) # T(2003,7)"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -204,8 +205,42 @@ class TestBudgetSemantics:
             "the budget of 2000000"
         )
 
+    def test_large_p_verify_refused_before_the_module(self):
+        # a NOT_SLICE document at p = 2003 has 5^4008004 or more subspaces:
+        # refused from the bound, before the O(p^3) module build and the
+        # count itself, either of which would not finish
+        code = ("import json, sys\n"
+                "from sliceguard import pipeline\n"
+                "from sliceguard.metabolizers import BudgetExceeded\n"
+                "try:\n"
+                "    pipeline.verify_verdict(json.loads(sys.argv[1]))\n"
+                "except BudgetExceeded as exc:\n"
+                "    print(exc)\n")
+        doc = {"input": P2003, "p": 2003, "r": 5, "verdict": "NOT_SLICE",
+               "algebraically_slice": True, "metabolizers": [],
+               "axioms": list(pipeline.AXIOMS)}
+        done = subprocess.run([sys.executable, "-c", code, json.dumps(doc)],
+                              capture_output=True, text=True, timeout=5,
+                              env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == (
+            "at least 5^4008004 half-dimension subspaces exceed the budget of 2000000\n"
+        )
+
 
 class TestVerification:
+    @pytest.mark.parametrize("doc", [
+        [1], {"p": 2}, "NOT_SLICE", None, 3,
+        {"input": 3, "p": 2, "verdict": "NOT_SLICE"},
+        {"input": J2, "p": "2", "verdict": "NOT_SLICE"},
+        {"input": J2, "p": True, "verdict": "NOT_SLICE"},
+        {"input": J2, "p": 2, "verdict": ["NOT_SLICE"]},
+        {"input": J2, "p": 2},
+    ])
+    def test_malformed_document_rejected(self, doc):
+        with pytest.raises(VerificationError, match="not a verdict document"):
+            verify_verdict(doc)
+
     def test_roundtrip(self):
         for expr in [J2, "T(3,4;3,5) # -T(3,5) # -T(3,4;3,7) # T(3,7)"]:
             doc = json.loads(obstruct(parse(expr)).to_json())
@@ -310,7 +345,7 @@ class TestVerification:
         numeric = (lt_signature, laurent.unit_circle_roots,
                    twisted.twisted_alex_exterior, twisted.twisted_alex_surgery,
                    seifert.seifert_matrix, seifert.branched_cover,
-                   seifert.smith_normal_form)
+                   seifert.elementary_divisors)
         for name, module in list(sys.modules.items()):
             if name == "sliceguard" or name.startswith("sliceguard."):
                 for attr, value in list(vars(module).items()):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from sliceguard import seifert
+from sliceguard import covers, modp, seifert
 from sliceguard.cyclo import normalize_root
 from sliceguard.laurent import LaurentPoly, unit_circle_roots
 
@@ -241,7 +242,7 @@ class TestBranchedCovers:
         assert cover.order == seifert.cover_order_from_alexander(p, q, n)
 
     def test_presentation_record(self):
-        cover = seifert.branched_cover(2, 3, 2)
+        cover = oracles.seifert_cover(2, 3, 2)
         size = 2 * len(seifert.seifert_matrix(2, 3))
         assert len(cover.presentation.matrix) == size
         deck = cover.presentation.deck
@@ -295,7 +296,7 @@ def _int_matrices(max_rows=5, max_cols=5, bound=6):
 @given(_int_matrices())
 @settings(max_examples=150, deadline=None)
 def test_smith_transforms_diagonalize_and_invert(A):
-    divisors, U, Uinv, W = seifert.smith_normal_form(A)
+    divisors, U, Uinv, W = oracles.smith_normal_form(A)
     nrows, ncols = len(A), len(A[0])
     assert len(divisors) == min(nrows, ncols)
     diag = [[divisors[i] if i == j else 0 for j in range(ncols)] for i in range(nrows)]
@@ -336,11 +337,11 @@ ACCEPTANCE_COVERS = [
 
 @pytest.mark.parametrize("p,q,n", ACCEPTANCE_COVERS)
 def test_linking_form_matches_fraction_inverse_route(p, q, n):
-    # the gram read off W D^-1 equals u^T Y^-1 v with Y inverted over Q,
-    # and the tracked Uinv equals the rational inverse of U
-    cover = seifert.branched_cover(p, q, n)
+    # the oracle's gram read off W D^-1 equals u^T Y^-1 v with Y inverted
+    # over Q, and the tracked Uinv equals the rational inverse of U
+    cover = oracles.seifert_cover(p, q, n)
     Y, _ = seifert._symmetric_cover_presentation(seifert.seifert_matrix(p, q), n)
-    divisors, U, Uinv, _ = seifert.smith_normal_form(Y)
+    divisors, U, Uinv, _ = oracles.smith_normal_form(Y)
     assert [list(map(Fraction, row)) for row in Uinv] == _fraction_inverse(U)
     if cover.module is None:
         return
@@ -355,3 +356,105 @@ def test_linking_form_matches_fraction_inverse_route(p, q, n):
         for u in gens
     )
     assert cover.module.gram == gram
+
+
+# ---------------------------------------------------------------------------
+# The cyclic Alexander route against the tracked-transform Smith route
+# ---------------------------------------------------------------------------
+
+
+@given(_int_matrices())
+@settings(max_examples=150, deadline=None)
+def test_elementary_divisors_match_the_tracked_route(A):
+    assert seifert.elementary_divisors(A) == oracles.smith_normal_form(A)[0]
+
+
+# every (p, q, n) with p <= 5, q <= 13 and n <= 5 whose Smith route takes
+# well under 0.2 s: d * n <= 72 for d = (p - 1)(q - 1)
+QUICK_COVERS = [
+    (p, q, n)
+    for p in range(2, 6) for q in range(2, 14) for n in range(2, 6)
+    if gcd(p, q) == 1 and (p - 1) * (q - 1) * n <= 72
+]
+# the module shapes among them, and the p-fold covers of the model imports
+MODULE_COVERS = sorted(
+    {(p, q, n) for (p, q, n) in QUICK_COVERS if seifert.branched_cover(p, q, n).module}
+    | {(p, r, p) for (p, r) in [(3, 13), (4, 13), (5, 13), (7, 2), (7, 3), (8, 3),
+                                 (9, 2), (10, 3), (11, 2), (11, 3)]}
+)
+
+
+@pytest.mark.parametrize("p,q,n", QUICK_COVERS)
+def test_cover_divisors_match_the_smith_route(p, q, n):
+    cover = seifert.branched_cover(p, q, n)
+    reference = oracles.seifert_cover(p, q, n)
+    assert cover.divisors == reference.divisors
+    assert cover.order == reference.order == seifert.cover_order_from_alexander(p, q, n)
+    assert (cover.module is None) == (reference.module is None)
+
+
+def _equivariant_isometries(a, b):
+    """Every row-convention matrix M with A M = M B and M G_b M^T = G_a,
+    found by trying every image of a cyclic generator of ``a`` (both
+    modules are cyclic over the deck action)."""
+    r, dim = a.r, a.dim
+
+    def orbit(v, action):
+        rows = [tuple(v)]
+        for _ in range(dim - 1):
+            rows.append(modp.vec_mat(rows[-1], action, r))
+        return rows
+
+    cyclic = next(G for v in itertools.product(range(r), repeat=dim)
+                  if modp.rank(G := orbit(v, a.action), r) == dim)
+    hits = []
+    for v in itertools.product(range(r), repeat=dim):
+        M = modp.mat_mul(modp.mat_inv(cyclic, r), orbit(v, b.action), r)
+        if (modp.rank(M, r) == dim
+                and modp.mat_eq(modp.mat_mul(a.action, M, r), modp.mat_mul(M, b.action, r))
+                and modp.mat_eq(modp.mat_mul(modp.mat_mul(M, b.gram, r),
+                                             tuple(zip(*M)), r), a.gram)):
+            hits.append(M)
+    return hits
+
+
+def _discriminant_class(gram, r):
+    """det(gram) mod r up to squares: the Legendre symbol (1 for r = 2)."""
+    det = seifert._int_det(gram) % r
+    assert det
+    return 1 if r == 2 else pow(det, (r - 1) // 2, r)
+
+
+@pytest.mark.parametrize("p,q,n", MODULE_COVERS)
+def test_cover_module_matches_the_smith_route(p, q, n):
+    # the kernel basis and the Smith generators differ, but the modules
+    # are the same: equivariantly isometric (by brute force where the
+    # module is small) and of one discriminant class everywhere
+    new = seifert.branched_cover(p, q, n).module
+    old = oracles.seifert_cover(p, q, n).module
+    assert (new.r, new.dim) == (old.r, old.dim)
+    assert _discriminant_class(new.gram, q) == _discriminant_class(old.gram, q)
+    if q ** new.dim <= 3000:
+        assert _equivariant_isometries(old, new)
+
+
+@pytest.mark.parametrize("p,r", [(5, 7), (5, 11), (7, 5)])
+def test_closed_form_matches_the_kernel_route(p, r):
+    # the shapes the Smith route never finished: the closed-form model
+    # agrees with the cover's form up to an equivariant unit and a scalar,
+    # and so has its discriminant class
+    from test_covers import _unit_isometries
+
+    m = covers.model_module(p, r)
+    cover = seifert.branched_cover(p, r, p)
+    assert cover.divisors == (r,) * (p - 1)
+    imported = oracles.orbit_form(cover.module, p)
+    hits = _unit_isometries(m, imported)
+    assert hits
+    for u, s in hits:
+        rows = [u]
+        for _ in range(m.dim - 1):
+            rows.append(modp.vec_mat(rows[-1], m.action, r))
+        pulled = modp.mat_mul(modp.mat_mul(rows, m.gram, r), tuple(zip(*rows)), r)
+        assert modp.mat_eq(pulled, [[s * x % r for x in row] for row in imported])
+    assert _discriminant_class(cover.module.gram, r) == _discriminant_class(m.gram, r)

@@ -15,7 +15,6 @@ from sliceguard.witt import (
     WittClass,
     is_metabolic_classical,
     jump_of,
-    split_components,
     support_of,
 )
 
@@ -117,32 +116,15 @@ class TestJumps:
             jump_of(Twisted(2, 3, Character(3, (0, 0))), Fraction(1, 2))
 
 
-class TestSplit:
-    def test_distinct_torus_knots_split(self):
-        W = WittClass([C(2, 3), C(2, 5)])
-        parts = split_components(W)
-        assert len(parts) == 2
-
-    def test_distinct_twists_split(self):
-        W = WittClass([C(2, 3, 1, 5), C(2, 3, 2, 5)])
-        assert len(split_components(W)) == 2
-
-    def test_identical_supports_merge_coefficients(self):
-        W = WittClass([C(2, 3), C(2, 3)])
-        assert len(W.atoms) == 1 and W.atoms[0].coefficient == 2
-        assert len(split_components(W)) == 1
-
-    def test_mixed_twisted_classical(self):
-        W = WittClass([Twisted(2, 3, Character(3, (0, 0))), C(2, 5)])
-        parts = split_components(W)
-        assert len(parts) == 2
-
-
 class TestMetabolic:
     def test_cancelling_pair(self):
         W = WittClass([C(2, 3), C(2, 3, coeff=-1)])
         assert W.is_empty()
         assert is_metabolic_classical(W) == (True, None)
+
+    def test_identical_atoms_merge_coefficients(self):
+        W = WittClass([C(2, 3), C(2, 3)])
+        assert len(W.atoms) == 1 and W.atoms[0].coefficient == 2
 
     def test_single_atom_witness(self):
         ok, witness = is_metabolic_classical(WittClass([C(2, 3)]))
@@ -166,12 +148,6 @@ class TestMetabolic:
             ]
             W = WittClass(atoms)
             assert is_metabolic_classical(W + (-W))[0]
-
-    def test_split_consistency(self):
-        W = WittClass([C(2, 3), C(2, 5), C(2, 3, coeff=-1)])
-        parts = split_components(W)
-        total_ok = is_metabolic_classical(W)[0]
-        assert total_ok == all(is_metabolic_classical(part)[0] for part in parts)
 
     def test_witness_even_nonzero(self):
         W = WittClass([C(3, 4, 1, 5), C(3, 4, coeff=-3)])
