@@ -48,12 +48,7 @@ def _prime(text: str) -> int:
 
 
 def _options(args) -> pipeline.Options:
-    return pipeline.Options(
-        r=args.r,
-        budget=args.budget,
-        max_ambient_dim=args.max_dim,
-        max_r=args.max_r,
-    )
+    return pipeline.Options(r=args.r, budget=args.budget, max_r=args.max_r)
 
 
 def _cmd_obstruct(args) -> int:
@@ -170,8 +165,11 @@ def _cmd_characters(args) -> int:
 
 
 def _cmd_metabolizers(args) -> int:
-    module = covers.model_module(args.p, args.r)
-    F = metabolizers.FormSpace(module=module, m1=args.copies)
+    # input errors, then the budget, before the module costs O(p^4)
+    covers.check_model_shape(args.p, args.r)
+    half_dim = args.copies * (args.p - 1)
+    metabolizers.check_budget(2 * half_dim, half_dim, args.r, args.budget)
+    F = metabolizers.FormSpace(module=covers.model_module(args.p, args.r), m1=args.copies)
     found = metabolizers.enumerate_invariant_metabolizers(F, args.budget)
     if args.json:
         print(json.dumps({
@@ -270,10 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
     ob.add_argument("--budget", type=_count, default=2_000_000,
                     help="max subspaces to enumerate per form")
     ob.add_argument("--max-r", type=_count, default=13)
-    ob.add_argument("--max-dim", type=_count, default=8)
     ob.add_argument("--verify", metavar="FILE",
                     help="re-derive a previously emitted JSON verdict and require it "
-                         "bit-for-bit (--max-r and --max-dim do not apply)")
+                         "bit-for-bit (--max-r does not apply)")
     add_common(ob)
     ob.set_defaults(func=_cmd_obstruct)
 
@@ -344,7 +341,7 @@ def main(argv=None) -> int:
         print(f"budget refused: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
-        # ConventionError, MatchFailure and every other failed self-check
+        # ConventionError and every other failed self-check
         print(f"internal check failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -1,4 +1,11 @@
-"""The explicit model of H_1 of the p-fold cover of T(p, r) and its characters.
+"""Cover modules, the explicit model of H_1 of the p-fold cover of T(p, r),
+and its characters.
+
+A ``CoverModule`` is the r-torsion of H_1 of a branched cover with its
+deck action and linking form; the model below and the Seifert-side covers
+of ``seifert.branched_cover`` are both this record, and both must pass
+``validate_module`` at their cover degree.  Every failed self-check in
+the package raises the one ``ConventionError``.
 
 The model module is F_r^(p-1) with the deck action given by the companion
 matrix of 1 + t + ... + t^(p-1); abstractly the homology is the cyclic
@@ -26,35 +33,59 @@ from . import modp
 from .knots import prime_power_exponent
 
 
-class MatchFailure(ArithmeticError):
-    """A self-check of the model module, or of a metabolizer or character
-    built on it, failed; conventions must be wrong somewhere, so stop
-    rather than guess."""
+class ConventionError(ArithmeticError):
+    """A self-check of a cover module, a Seifert construction, or a
+    metabolizer or character built on them failed; conventions must be
+    wrong somewhere, so stop rather than guess."""
 
 
 @dataclass(frozen=True)
 class CoverModule:
-    """F_r^(p-1) with deck action (rows act on row vectors, v -> v @ action)
-    and the closed-form linking form gram[i][j] / r in Q/Z on the basis
-    x_0, ..., x_{p-2}."""
+    """The r-torsion of H_1 of a branched cover as an F_r vector space:
+    deck action (rows act on row vectors, v -> v @ action) and linking
+    form gram[i][j] / r in Q/Z.  The model module of the p-fold cover of
+    T(p, r) has dimension p - 1, on the basis x_0, ..., x_{p-2}."""
 
-    p: int
     r: int
     action: tuple
     gram: tuple
 
     @property
     def dim(self) -> int:
-        return self.p - 1
+        return len(self.gram)
 
     def orbit_rows(self) -> tuple:
-        """The rows of x_0, x_1, ..., x_{p-1} in the model basis."""
+        """The rows of x_0, x_1, ..., x_{dim} in the model basis."""
         rows = []
         v = tuple([1] + [0] * (self.dim - 1))
-        for _ in range(self.p):
+        for _ in range(self.dim + 1):
             rows.append(v)
             v = modp.vec_mat(v, self.action, self.r)
         return tuple(rows)
+
+
+def validate_module(m: CoverModule, n: int):
+    """The checks every cover module passes: the form is symmetric and
+    nonsingular, the deck action is an isometry of order dividing the
+    cover degree n, and 1 + t + ... + t^(n-1) annihilates the module."""
+    r, dim = m.r, m.dim
+    if any(m.gram[i][j] != m.gram[j][i] for i in range(dim) for j in range(i)):
+        raise ConventionError("linking form is not symmetric")
+    if modp.rank(m.gram, r) < dim:
+        raise ConventionError("linking form is singular mod r")
+    A = m.action
+    AGA = modp.mat_mul(modp.mat_mul(A, m.gram, r), tuple(zip(*A)), r)
+    if not modp.mat_eq(AGA, m.gram):
+        raise ConventionError("deck action is not an isometry of the form")
+    power = modp.identity(dim)
+    total = [[0] * dim for _ in range(dim)]
+    for _ in range(n):
+        total = [[(x + y) % r for x, y in zip(row, prow)] for row, prow in zip(total, power)]
+        power = modp.mat_mul(power, A, r)
+    if not modp.mat_eq(power, modp.identity(dim)):
+        raise ConventionError("deck action does not have order dividing n")
+    if any(x for row in total for x in row):
+        raise ConventionError("deck action not annihilated by 1 + t + ... + t^{n-1}")
 
 
 @dataclass(frozen=True)
@@ -97,32 +128,27 @@ def companion_action(p: int, r: int) -> tuple:
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
-def model_module(p: int, r: int) -> CoverModule:
-    """The model F_r-module of the p-fold cover of T(p, r) with the
-    closed-form linking form; see the module docstring."""
+def check_model_shape(p: int, r: int):
+    """Reject a (p, r) with no model module: r must be prime, p at least 2
+    and coprime to r."""
     if prime_power_exponent(r) != 1:
         raise ValueError(f"{r} is not prime")
     if p < 2:
         raise ValueError("cover degree must be at least 2")
     if gcd(p, r) != 1:
         raise ValueError(f"gcd({p}, {r}) != 1")
+
+
+@lru_cache(maxsize=None)
+def model_module(p: int, r: int) -> CoverModule:
+    """The model F_r-module of the p-fold cover of T(p, r) with the
+    closed-form linking form; see the module docstring."""
+    check_model_shape(p, r)
     c = (1, -1) if p == 2 else (-2, 1) + (0,) * (p - 3) + (1,)
     gram = tuple(tuple(c[(j - i) % p] % r for j in range(p - 1)) for i in range(p - 1))
-    module = CoverModule(p=p, r=r, action=companion_action(p, r), gram=gram)
-    _check_model(module)
+    module = CoverModule(r=r, action=companion_action(p, r), gram=gram)
+    validate_module(module, p)
     return module
-
-
-def _check_model(m: CoverModule):
-    r, dim = m.r, m.dim
-    A = m.action
-    AG = modp.mat_mul(A, m.gram, r)
-    AGA = modp.mat_mul(AG, tuple(zip(*A)), r)
-    if not modp.mat_eq(AGA, m.gram):
-        raise MatchFailure("model form lost equivariance")
-    if modp.rank(m.gram, r) < dim:
-        raise MatchFailure("model form is singular")
 
 
 def characters(p: int, r: int) -> list[Character]:

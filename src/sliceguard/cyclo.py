@@ -8,7 +8,12 @@ may freely mix, say, fifth and twelfth roots of unity.
 
 Keeping the coordinates as plain integers (rather than Fractions) makes
 the inner products cheap; the denominator is re-reduced after every
-operation, so representations are canonical per conductor.
+operation, so representations are canonical per conductor.  An inverse is
+the product of the other Galois conjugates over the rational norm, read
+off the conductor's table of powers of zeta, so no polynomial arithmetic
+over Q is needed.  ``int_poly_div_exact`` is the package's one exact
+division in Z[t]; it builds the cyclotomic polynomials here and checks the
+Bareiss elimination in ``seifert``.
 """
 
 from __future__ import annotations
@@ -39,25 +44,27 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _int_poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    # Long division of integer polynomials; only used where division is exact
-    # (the quotient of x^N - 1 by cyclotomic factors).
-    num = list(num)
-    dd = len(den) - 1
-    if len(num) - 1 < dd:
-        return [0], num
-    quot = [0] * (len(num) - dd)
-    for k in range(len(num) - 1 - dd, -1, -1):
-        c, rem = divmod(num[k + dd], den[dd])
-        if rem != 0:
-            raise ArithmeticError("non-exact integer polynomial division")
-        quot[k] = c
+def int_poly_div_exact(a: list, b: list) -> list:
+    """a / b in Z[t], on coefficient lists lowest degree first with no
+    trailing zeros (the zero polynomial is the empty list).  A remainder
+    or a fractional coefficient raises ArithmeticError: every caller
+    divides where the quotient is exact."""
+    if not a:
+        return []
+    shift, lead = len(b) - 1, b[-1]
+    a = list(a)
+    out = [0] * max(len(a) - shift, 0)
+    for k in range(len(out) - 1, -1, -1):
+        c, rem = divmod(a[k + shift], lead)
+        if rem:
+            raise ArithmeticError("inexact integer polynomial division")
+        out[k] = c
         if c:
-            for j in range(dd + 1):
-                num[k + j] -= c * den[j]
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
+            for j, y in enumerate(b, k):
+                a[j] -= c * y
+    if any(a[:shift]) or not out:
+        raise ArithmeticError("inexact integer polynomial division")
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -72,9 +79,7 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            poly, rem = _int_poly_divmod(poly, list(cyclotomic_poly(d)))
-            if rem != [0]:
-                raise ArithmeticError("cyclotomic recursion failed")
+            poly = int_poly_div_exact(poly, cyclotomic_poly(d))
     return tuple(poly)
 
 
@@ -312,35 +317,28 @@ class Cyclo:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclo":
-        """Multiplicative inverse, via the extended Euclidean algorithm
-        against the conductor's cyclotomic polynomial."""
+        """Multiplicative inverse: the product of the other Galois
+        conjugates zeta -> zeta^k, k coprime to the conductor, divided by
+        the norm, which is the (rational) product of all of them."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        if self.is_rational():
-            f = 1 / self.to_fraction()
-            return Cyclo.from_fraction(f)._lift(self.n)
-        mod = [Fraction(c) for c in cyclotomic_poly(self.n)]
-        a = [Fraction(c, self.den) for c in self.num]
-        # invariants: old = s_old * self mod Phi, cur = s_cur * self mod Phi
-        old, s_old = mod, [Fraction(0)]
-        cur, s_cur = a, [Fraction(1)]
-        while True:
-            cur = _trimmed(cur)
-            if len(cur) == 1:
-                break
-            q, rem = _frac_poly_divmod(old, cur)
-            s_new = _frac_poly_sub(s_old, _frac_poly_mul(q, s_cur))
-            old, s_old = cur, s_cur
-            cur, s_cur = rem, s_new
-        if cur[0] == 0:
-            raise ZeroDivisionError("not invertible (zero divisor?)")
-        inv = _frac_poly_scale(s_cur, 1 / cur[0])
-        phi = euler_phi(self.n)
-        inv = inv + [Fraction(0)] * (phi - len(inv))
-        den = 1
-        for f in inv:
-            den = den * f.denominator // gcd(den, f.denominator)
-        return Cyclo(self.n, [int(f * den) for f in inv[:phi]], den)
+        n, phi = self.n, len(self.num)
+        if self.is_rational():  # every inverse the twisted polynomials take
+            return Cyclo(n, [self.den] + [0] * (phi - 1), self.num[0])
+        power = _conductor(n).power
+        others = Cyclo(n, power[0])
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                conjugate = [0] * phi
+                for j, c in enumerate(self.num):
+                    if c:
+                        row = power[j * k % n]
+                        for i in range(phi):
+                            conjugate[i] += c * row[i]
+                others = others * Cyclo(n, conjugate, self.den)
+        norm = (self * others).to_fraction()
+        return Cyclo(n, [c * norm.denominator for c in others.num],
+                     others.den * norm.numerator)
 
     def __truediv__(self, other):
         other = Cyclo._coerce(other)
@@ -443,53 +441,3 @@ def _root_interval(n: int, j: int, prec: int):
 
 def _frac_str(f: Fraction) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-# -- small Fraction-polynomial helpers used only by Cyclo.inverse ----------
-
-
-def _trimmed(p):
-    p = list(p)
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _frac_poly_divmod(num, den):
-    num = list(num)
-    den = _trimmed(den)
-    d = len(den) - 1
-    if len(num) - 1 < d:
-        return [Fraction(0)], num
-    quot = [Fraction(0)] * (len(num) - d)
-    inv_lead = 1 / den[-1]
-    for k in range(len(num) - 1 - d, -1, -1):
-        c = num[k + d] * inv_lead
-        quot[k] = c
-        if c:
-            for j in range(d + 1):
-                num[k + j] -= c * den[j]
-    return quot, _trimmed(num)
-
-
-def _frac_poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _frac_poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return out
-
-
-def _frac_poly_scale(a, c):
-    return [x * c for x in a]
-

@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import modp
-from .covers import Character, CoverModule, MatchFailure, character_from_functional
+from .covers import Character, ConventionError, CoverModule, character_from_functional
 from .modp import Subspace
 
 
@@ -187,10 +187,10 @@ def graph_detect(L: Subspace, F: FormSpace):
     gG = modp.mat_mul(g, Gh, r)
     gGg = modp.mat_mul(gG, tuple(zip(*g)), r)
     if not modp.mat_eq(gGg, Gh):
-        raise MatchFailure("graph metabolizer whose map is not an isometry")
+        raise ConventionError("graph metabolizer whose map is not an isometry")
     A = F.half_action()
     if not modp.mat_eq(modp.mat_mul(A, g, r), modp.mat_mul(g, A, r)):
-        raise MatchFailure("graph isometry is not deck equivariant")
+        raise ConventionError("graph isometry is not deck equivariant")
     return Isometry(matrix=g)
 
 
@@ -251,7 +251,7 @@ def _functional_killing(space_rows, pin_vector, r, n):
     rhs = [0] * len(space_rows) + [1]
     c = modp.solve(rows, rhs, r)
     if c is None:
-        raise MatchFailure("pin vector unexpectedly inside the kernel space")
+        raise ConventionError("pin vector unexpectedly inside the kernel space")
     return c
 
 
@@ -341,13 +341,13 @@ def _finish(L, F, ctx, case, fa, fb, q, s):
         x, y = row[:D], row[D:]
         val = sum(a * b for a, b in zip(x, fa)) + sum(a * b for a, b in zip(y, fb))
         if val % r:
-            raise MatchFailure("constructed character does not vanish on L")
+            raise ConventionError("constructed character does not vanish on L")
     sup_a = _blocks_support(fa, d)
     sup_b = _blocks_support(fb, d)
     cond1 = not (sup_b & ctx.I2[(q, s)]) and bool(sup_a & ctx.I1[(q, s)])
     cond2 = not (sup_a & ctx.I1[(q, s)]) and bool(sup_b & ctx.I2[(q, s)])
     if not (cond1 or cond2):
-        raise MatchFailure("constructed character misses both level conditions")
+        raise ConventionError("constructed character misses both level conditions")
     chi_a = tuple(
         character_from_functional(F.module, fa[k * d : (k + 1) * d])
         for k in range(F.m1)
@@ -364,7 +364,7 @@ def _finish(L, F, ctx, case, fa, fb, q, s):
 
 def _not_simplified(ctx) -> NotSimplifiedWitness:
     if not ctx.pairs:
-        raise MatchFailure("no signed pairs supplied with the index context")
+        raise ConventionError("no signed pairs supplied with the index context")
     best = None
     for k, (qplus, _) in enumerate(ctx.pairs):
         key = (len(qplus), tuple(-x for x in qplus))

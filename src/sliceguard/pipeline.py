@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import covers, knots, metabolizers, modp, seifert, witt
+from . import covers, knots, metabolizers, modp, witt
 from .covers import Character
 from .cyclo import RootOfUnity
 from .knots import KnotCombination, NormalForm, prime_power_exponent
@@ -54,7 +54,6 @@ class VerificationError(AssertionError):
 class Options:
     r: int | None = None
     budget: int = 2_000_000
-    max_ambient_dim: int = 8
     max_r: int = 13
 
 
@@ -299,31 +298,25 @@ def _certify_metabolizer(L: Subspace, F: FormSpace, nf: NormalForm,
     )
 
 
-def _certify_prime(simplified: KnotCombination, r: int, budget: int,
-                   max_ambient_dim: int | None = None):
+def _certify_prime(simplified: KnotCombination, r: int, budget: int):
     """The per-prime step shared by ``obstruct`` and ``verify_verdict``.
 
     Builds the normal form at r and its index sets (every level sum must
     cancel), the form space, and one certificate per invariant metabolizer,
-    in enumeration order.  Returns ``(F, sets, certificates)``.  The ambient
-    dimension and then the budget are checked before the module is built.
-    Raises BudgetExceeded over budget, and _Uncertified when the ambient
-    dimension exceeds ``max_ambient_dim`` or a metabolizer has no certificate.
+    in enumeration order.  Returns ``(F, sets, certificates)``.  The budget
+    is checked before the module is built.  Raises BudgetExceeded over
+    budget, and _Uncertified when a metabolizer has no certificate.
     """
     nf = knots.normal_form(simplified, r)
     sets = index_sets(nf)
     for (q, s) in sets.points:
         if sets.alternating_sum(q, s) != 0:
-            raise seifert.ConventionError(
+            raise covers.ConventionError(
                 f"level multiplicity sum nonzero at (q={q}, s={s}) for an "
                 "algebraically slice combination"
             )
-    # both refusals come before the module is built, which costs O(p^3)
+    # the refusal comes before the module is built, which costs O(p^4)
     half_dim = nf.m1 * (simplified.p - 1)
-    if max_ambient_dim is not None and 2 * half_dim > max_ambient_dim:
-        raise _Uncertified(
-            f"ambient dimension {2 * half_dim} exceeds budget {max_ambient_dim}"
-        )
     metabolizers.check_budget(2 * half_dim, half_dim, r, budget)
     F = FormSpace(module=covers.model_module(simplified.p, r), m1=nf.m1)
     mets = metabolizers.enumerate_invariant_metabolizers(F, budget)
@@ -374,9 +367,7 @@ def obstruct(K: KnotCombination, options: Options = Options(),
             reasons.append(f"r={r}: exceeds the configured prime budget {options.max_r}")
             continue
         try:
-            _, _, certificates = _certify_prime(
-                simplified, r, options.budget, options.max_ambient_dim
-            )
+            _, _, certificates = _certify_prime(simplified, r, options.budget)
         except (BudgetExceeded, _Uncertified) as exc:
             reasons.append(f"r={r}: {exc}")
             continue
@@ -401,12 +392,12 @@ def verify_verdict(doc: dict, *, budget: int = Options.budget) -> None:
 
     The input is parsed again and the verdict rebuilt through ``obstruct``'s
     own steps: the cheap verdict, or else the per-prime step at the recorded
-    r, with no ambient-dimension cap.  ``budget`` bounds the enumeration as
-    in ``obstruct``; a document produced under a larger budget needs that
-    budget here, or BudgetExceeded is raised.  Each certificate's characters
-    are then checked from their values alone (each is induced by a
-    functional, the functionals vanish on the basis, one level condition
-    holds).  Last, the document must equal the rebuilt one as sorted JSON,
+    r.  ``budget`` bounds the enumeration as in ``obstruct``, the one
+    refusal rule for a form's size; a document produced under a larger
+    budget needs that budget here, or BudgetExceeded is raised.  Each
+    certificate's characters are then checked from their values alone
+    (each is induced by a functional, the functionals vanish on the basis,
+    one level condition holds).  Last, the document must equal the rebuilt one as sorted JSON,
     so any changed, dropped, added, duplicated or reordered entry fails,
     and so does ``1`` in place of ``true``.  The recorded p must be the
     input's, and INCONCLUSIVE documents are refused.  Raises

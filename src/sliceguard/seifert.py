@@ -21,8 +21,9 @@ the torus-knot Alexander polynomial, and its value at t = 1, which is
 det(V - V^T), must be a unit, so a convention slip cannot propagate
 silently.  The determinant is one fraction-free Bareiss elimination over
 Z[t] on integer coefficient lists; every division in it is exact by
-Sylvester's identity and is checked to be.  Integer determinants are the
-constant case of the same elimination.
+Sylvester's identity and is checked to be, by ``cyclo.int_poly_div_exact``.
+``alexander_poly`` and the ``alex`` command read the closed form
+(t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)) that this check compares against.
 
 The verdict path and the ``signature`` command need only closed forms.
 The Alexander roots of T(p, q) are the points k/pq with p and q not
@@ -32,20 +33,20 @@ dividing k, each simple.  The signature jumps are Litherland's count
 and by -2 at s - 1 when s > 1.  The Levine-Tristram signature at a
 non-root point x is the sum of the jumps below x.
 
-Seifert matrices and branched covers serve the ``alex`` and ``homology``
-commands and the tests' oracles.  The Alexander module of a torus knot is
-cyclic, so H_1 of the n-fold branched cover is Z[t]/(Delta, 1 + t + ... +
-t^(n-1)): its divisors are the elementary divisors of the d x d matrix of
-multiplication by 1 + t + ... + t^(n-1) on Z[t]/Delta, d = deg Delta.
-When every divisor is the prime r = q, the module comes from the
-symmetric presentation Y of the cover, with T^T Y T = Y for the block
-shift T.  x -> Yx/r maps ker(Y mod r) onto the r-torsion of coker Y, so
-on a basis of that kernel the linking form is lambda(x, z) = x^T Y z / r^2
-mod 1, and the deck action a -> T^T a pulls back to x -> T^-1 x.  The
-kernel's dimension must equal the number of divisors, which ties the
-Alexander route to the Seifert presentation, and the module is checked to
-be symmetric, nonsingular and deck invariant, with the action of order
-dividing n and annihilated by 1 + t + ... + t^(n-1).
+Branched covers serve the ``homology`` command and the tests' oracles,
+and Seifert matrices their linking forms.  The Alexander module of a
+torus knot is cyclic, so H_1 of the n-fold branched cover is
+Z[t]/(Delta, 1 + t + ... + t^(n-1)): its divisors are the elementary
+divisors of the d x d matrix of multiplication by 1 + t + ... + t^(n-1)
+on Z[t]/Delta, d = deg Delta.  When every divisor is the prime r = q,
+the module comes from the symmetric presentation Y of the cover, with
+T^T Y T = Y for the block shift T.  x -> Yx/r maps ker(Y mod r) onto the
+r-torsion of coker Y, so on a basis of that kernel the linking form is
+lambda(x, z) = x^T Y z / r^2 mod 1, and the deck action a -> T^T a pulls
+back to x -> T^-1 x.  The kernel's dimension must equal the number of
+divisors, which ties the Alexander route to the Seifert presentation,
+and the module must pass ``covers.validate_module`` at n, as the model
+modules do at n = p.
 """
 
 from __future__ import annotations
@@ -58,13 +59,10 @@ from math import gcd, prod
 from operator import mul
 
 from . import modp
-from .cyclo import Cyclo, RootOfUnity
+from .covers import ConventionError, CoverModule, validate_module
+from .cyclo import Cyclo, RootOfUnity, int_poly_div_exact
 from .knots import prime_power_exponent
 from .laurent import LaurentPoly
-
-
-class ConventionError(ArithmeticError):
-    """A structural self-check failed; never guess past one of these."""
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +116,11 @@ def seifert_matrix(p: int, q: int) -> tuple[tuple[int, ...], ...]:
     """Validated Seifert matrix of T(p, q), size (p-1)(q-1)."""
     _check_torus(p, q)
     V = _seifert_matrix_raw(p, q)
-    if len(V) != (p - 1) * (q - 1):
+    n = len(V)
+    if n != (p - 1) * (q - 1):
         raise ConventionError("unexpected cycle count in the band basis")
-    delta = _seifert_alexander(V)
+    delta = _poly_det([[_poly_trim([V[i][j], -V[j][i]]) for j in range(n)]
+                       for i in range(n)])
     # det(V - V^T) is det(V - t V^T) at t = 1
     if abs(sum(delta)) != 1:
         raise ConventionError("det(V - V^T) is not a unit")
@@ -133,15 +133,6 @@ def seifert_matrix(p: int, q: int) -> tuple[tuple[int, ...], ...]:
     ):
         raise ConventionError("det(V - t V^T) does not match the Alexander polynomial")
     return V
-
-
-@lru_cache(maxsize=None)
-def _seifert_alexander(V) -> tuple[int, ...]:
-    """det(V - t V^T) as integer coefficients, lowest degree first; cached
-    so that validation and alexander_poly share one elimination."""
-    n = len(V)
-    return tuple(_poly_det([[_poly_trim([V[i][j], -V[j][i]]) for j in range(n)]
-                            for i in range(n)]))
 
 
 # Integer polynomials are coefficient lists, lowest degree first, with no
@@ -169,27 +160,6 @@ def _poly_sub(a: list, b: list) -> list:
     return _poly_trim([x - y for x, y in itertools.zip_longest(a, b, fillvalue=0)])
 
 
-def _poly_div_exact(a: list, b: list) -> list:
-    """a / b in Z[t]; a remainder or a fractional coefficient is a
-    ConventionError, since every division made here must be exact."""
-    if not a:
-        return []
-    shift, lead = len(b) - 1, b[-1]
-    a = list(a)
-    out = [0] * max(len(a) - shift, 0)
-    for k in range(len(out) - 1, -1, -1):
-        c, rem = divmod(a[k + shift], lead)
-        if rem:
-            raise ConventionError("inexact division in the Bareiss elimination")
-        out[k] = c
-        if c:
-            for j, y in enumerate(b, k):
-                a[j] -= c * y
-    if any(a[:shift]) or not out:
-        raise ConventionError("inexact division in the Bareiss elimination")
-    return out
-
-
 def _poly_det(rows) -> list:
     """Determinant over Z[t] by Bareiss's fraction-free elimination: every
     division is exact by the Sylvester identity, which doubles as a
@@ -211,16 +181,10 @@ def _poly_det(rows) -> list:
             a_ik = row_i[k]
             for j in range(k + 1, n):
                 num = _poly_sub(_poly_mul(row_i[j], pivot), _poly_mul(a_ik, row_k[j]))
-                row_i[j] = _poly_div_exact(num, prev)
+                row_i[j] = int_poly_div_exact(num, prev)
         prev = pivot
     out = M[n - 1][n - 1]
     return out if sign == 1 else [-c for c in out]
-
-
-def _int_det(rows) -> int:
-    """Integer determinant: the constant case of the Z[t] Bareiss."""
-    det = _poly_det([[[x] if x else [] for x in row] for row in rows])
-    return det[0] if det else 0
 
 
 @lru_cache(maxsize=None)
@@ -230,13 +194,14 @@ def _torus_alexander_reference(p: int, q: int) -> list:
         return [-1] + [0] * (k - 1) + [1]
 
     num = _poly_mul(cyc(p * q), cyc(1))
-    return _poly_div_exact(_poly_div_exact(num, cyc(p)), cyc(q))
+    return int_poly_div_exact(int_poly_div_exact(num, cyc(p)), cyc(q))
 
 
-@lru_cache(maxsize=None)
 def alexander_poly(p: int, q: int) -> LaurentPoly:
-    """det(V - t V^T) in monic low-0 normal form."""
-    return LaurentPoly.from_ints(_seifert_alexander(seifert_matrix(p, q))).unit_normal()
+    """The Alexander polynomial of T(p, q) from its closed form, in monic
+    low-0 normal form; ``seifert_matrix`` checks det(V - t V^T) against it."""
+    _check_torus(p, q)
+    return LaurentPoly.from_ints(_torus_alexander_reference(p, q)).unit_normal()
 
 
 def alexander_roots(p: int, q: int) -> dict:
@@ -290,25 +255,13 @@ def _jump_function_cached(p: int, q: int) -> tuple:
 
 
 @dataclass(frozen=True)
-class PrimeModule:
-    """H_1 of the cover as an F_r vector space with deck action and linking
-    form.  ``gram[i][j]`` means the fraction gram[i][j] / r in Q/Z.
-    Vectors are rows; the action is v -> v @ action."""
-
-    r: int
-    dim: int
-    action: tuple
-    gram: tuple
-
-
-@dataclass(frozen=True)
 class CoverHomology:
     p: int
     q: int
     n: int
     divisors: tuple
     order: int
-    module: PrimeModule | None
+    module: CoverModule | None
 
 
 def elementary_divisors(rows) -> tuple:
@@ -447,7 +400,7 @@ def branched_cover(p: int, q: int, n: int) -> CoverHomology:
                          module=module)
 
 
-def _prime_module(V, n: int, r: int, dim: int) -> PrimeModule:
+def _prime_module(V, n: int, r: int, dim: int) -> CoverModule:
     """The r-torsion of coker Y on a basis of ker(Y mod r), x -> Yx/r."""
     Y, T = _symmetric_cover_presentation(V, n)
     basis, pivots = modp.rref(modp.nullspace(Y, r), r)
@@ -480,34 +433,9 @@ def _prime_module(V, n: int, r: int, dim: int) -> PrimeModule:
         if list(modp.vec_mat(coords, basis, r)) != y:
             raise ConventionError(f"the block shift leaves ker(Y mod {r})")
         shift.append(coords)
-    module = PrimeModule(r=r, dim=dim, action=modp.mat_inv(shift, r), gram=tuple(gram))
-    _validate_module(module, n)
+    module = CoverModule(r=r, action=modp.mat_inv(shift, r), gram=tuple(gram))
+    validate_module(module, n)
     return module
-
-
-def _validate_module(m: PrimeModule, n: int):
-    r, dim = m.r, m.dim
-    if any(m.gram[i][j] != m.gram[j][i] for i in range(dim) for j in range(dim)):
-        raise ConventionError("linking form is not symmetric")
-    det = _int_det([list(row) for row in m.gram]) % r
-    if det == 0:
-        raise ConventionError("linking form is singular mod r")
-    A = m.action
-    AG = modp.mat_mul(A, m.gram, r)
-    AGA = modp.mat_mul(AG, tuple(zip(*A)), r)
-    if not modp.mat_eq(AGA, m.gram):
-        raise ConventionError("deck action is not an isometry of the form")
-    power = modp.identity(dim)
-    total = [[0] * dim for _ in range(dim)]
-    for _ in range(n):
-        for i in range(dim):
-            for j in range(dim):
-                total[i][j] = (total[i][j] + power[i][j]) % r
-        power = modp.mat_mul(power, A, r)
-    if not modp.mat_eq(power, modp.identity(dim)):
-        raise ConventionError("deck action does not have order dividing n")
-    if any(x for row in total for x in row):
-        raise ConventionError("deck action not annihilated by 1 + t + ... + t^{n-1}")
 
 
 def cover_order_from_alexander(p: int, q: int, n: int) -> int:

@@ -33,10 +33,9 @@ from operator import mul
 from mpmath import iv
 
 from sliceguard import modp, seifert
-from sliceguard.covers import MatchFailure
+from sliceguard.covers import ConventionError, CoverModule, validate_module
 from sliceguard.cyclo import Cyclo, RootOfUnity
 from sliceguard.knots import prime_power_exponent
-from sliceguard.seifert import ConventionError, PrimeModule
 
 
 def numeric(c: Cyclo) -> complex:
@@ -69,7 +68,7 @@ class SeifertCover:
     presentation: CoverPresentation
     divisors: tuple
     order: int
-    module: PrimeModule | None
+    module: CoverModule | None
 
 
 def smith_normal_form(rows):
@@ -216,7 +215,7 @@ def seifert_cover(p: int, q: int, n: int) -> SeifertCover:
                         order=prod(torsion), module=module)
 
 
-def _transform_module(T, divisors, U, Uinv, W, r: int, n: int) -> PrimeModule:
+def _transform_module(T, divisors, U, Uinv, W, r: int, n: int) -> CoverModule:
     N = len(U)
     gen_idx = [i for i, d in enumerate(divisors) if d != 1]
     gens = [[Uinv[i][g] for i in range(N)] for g in gen_idx]
@@ -237,8 +236,8 @@ def _transform_module(T, divisors, U, Uinv, W, r: int, n: int) -> PrimeModule:
     for g in gens:
         tg = [sum(T[j][i] * g[j] for j in range(N)) for i in range(N)]
         action.append(tuple(sum(U[k][i] * tg[i] for i in range(N)) % r for k in gen_idx))
-    module = PrimeModule(r=r, dim=len(gen_idx), action=tuple(action), gram=tuple(gram))
-    seifert._validate_module(module, n)
+    module = CoverModule(r=r, action=tuple(action), gram=tuple(gram))
+    validate_module(module, n)
     return module
 
 
@@ -247,7 +246,7 @@ def _transform_module(T, divisors, U, Uinv, W, r: int, n: int) -> PrimeModule:
 # ---------------------------------------------------------------------------
 
 
-def orbit_form(mod: PrimeModule, p: int) -> tuple:
+def orbit_form(mod: CoverModule, p: int) -> tuple:
     """The linking form of a p-fold cover module of dimension p - 1 on
     x_0, ..., x_{p-2}, for the lexicographically first x_0 whose deck orbit
     spans, as gram[i][j] with the value gram[i][j] / r."""
@@ -264,14 +263,14 @@ def orbit_form(mod: PrimeModule, p: int) -> tuple:
         if modp.rank(orbit, r) == dim:
             break
     else:
-        raise MatchFailure("no deck orbit spans the cover module")
+        raise ConventionError("no deck orbit spans the cover module")
     full_orbit = []
     v = cand
     for _ in range(p):
         full_orbit.append(v)
         v = modp.vec_mat(v, mod.action, r)
     if any(sum(col) % r for col in zip(*full_orbit)):
-        raise MatchFailure("orbit does not satisfy x_0 + ... + x_{p-1} = 0")
+        raise ConventionError("orbit does not satisfy x_0 + ... + x_{p-1} = 0")
 
     def pair(u, w):
         return sum(
@@ -282,7 +281,7 @@ def orbit_form(mod: PrimeModule, p: int) -> tuple:
     for i in range(p):
         for j in range(p):
             if full[i][j] != full[(i + 1) % p][(j + 1) % p]:
-                raise MatchFailure("imported form is not deck equivariant")
+                raise ConventionError("imported form is not deck equivariant")
     return tuple(tuple(row[:dim]) for row in full[:dim])
 
 
@@ -291,7 +290,7 @@ def seifert_import(p: int, r: int) -> tuple:
     """``orbit_form`` of the p-fold cover of T(p, r) through ``seifert_cover``."""
     cover = seifert_cover(p, r, p)
     if cover.module is None or cover.module.dim != p - 1:
-        raise MatchFailure(
+        raise ConventionError(
             f"cover of T({p},{r}) is not F_{r}^{p-1}: divisors {cover.divisors}"
         )
     return orbit_form(cover.module, p)

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import sympy
 
 from sliceguard import covers, metabolizers, pipeline, seifert
 from sliceguard.cli import main
@@ -34,8 +35,8 @@ def test_obstruct_human(capsys):
 
 
 def test_obstruct_inconclusive_exit_code(capsys):
-    code, out, _ = run(capsys, "obstruct", J2, "--max-dim", "1")
-    assert code == 2
+    code, out, _ = run(capsys, "obstruct", J2, "--budget", "1")
+    assert code == 2 and "exceed the budget of 1" in out
 
 
 def test_obstruct_verify_roundtrip(tmp_path, capsys):
@@ -116,7 +117,7 @@ def test_homology(capsys):
 
 
 def _legendre_det(gram, r):
-    return pow(seifert._int_det(gram) % r, (r - 1) // 2, r)
+    return pow(int(sympy.Matrix(gram).det()) % r, (r - 1) // 2, r)
 
 
 def test_homology_5_7_5_finishes():
@@ -141,11 +142,26 @@ def test_large_index_refused_in_one_line():
 
 
 def test_large_p_refused_before_the_module():
-    # the dimension cap is checked before the O(p^3) module build
+    # the budget is checked from its bound, before the O(p^4) module build
     done = _child("obstruct", "T(2003,3;2003,5) # -T(2003,5) # -T(2003,3;2003,7) # T(2003,7)",
                   timeout=5)
     assert done.returncode == 2, done.stderr
-    assert "r=5: ambient dimension 4004 exceeds budget 8" in done.stdout
+    assert ("r=5: at least 5^4008004 half-dimension subspaces exceed the budget "
+            "of 2000000") in done.stdout
+
+
+def test_metabolizers_large_p_refused_before_the_module():
+    # the inputs are checked, then the budget, and only then is the module built
+    done = _child("metabolizers", "2003", "5", timeout=10)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == ("budget refused: at least 5^4008004 half-dimension "
+                           "subspaces exceed the budget of 2000000\n")
+
+
+def test_metabolizers_input_error_before_the_budget():
+    done = _child("metabolizers", "10", "5", timeout=10)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == "error: gcd(10, 5) != 1\n"
 
 
 @pytest.mark.parametrize("text", ["[1]", '{"p": 2}', '"NOT_SLICE"', "null",
@@ -232,7 +248,7 @@ def test_verdict_path_does_not_import_mpmath():
 
 def test_internal_check_failure_exit_3(capsys, monkeypatch):
     def failing(*args):
-        raise seifert.ConventionError("U A W is not diagonal")
+        raise covers.ConventionError("U A W is not diagonal")
 
     monkeypatch.setattr(seifert, "branched_cover", failing)
     code, out, err = run(capsys, "homology", "3", "2", "3")
@@ -256,7 +272,7 @@ def test_usage_errors_exit_1_with_one_line(capsys, argv):
     (["metabolizers", "3", "5", "--budget", "-1"], "--budget"),
     (["obstruct", J2, "--budget", "-1"], "--budget"),
     (["obstruct", J2, "--max-r", "-1"], "--max-r"),
-    (["obstruct", J2, "--max-dim", "-1"], "--max-dim"),
+    (["obstruct", J2, "--max-dim", "-1"], "--max-dim"),  # the option is gone
     (["signature", "2", "3", "1/0"], "rational point"),
     (["obstruct", J2, "--r", "-5"], "--r"),
     (["obstruct", J2, "--r", "4"], "--r"),

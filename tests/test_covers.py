@@ -3,14 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
-from sliceguard import covers, modp
+from sliceguard import covers, modp, seifert
 from sliceguard.covers import (
     Character,
+    ConventionError,
     CoverModule,
     character_from_functional,
     characters,
     evaluate_character,
     model_module,
+    validate_module,
 )
 from sliceguard.expr import parse
 from sliceguard.metabolizers import FormSpace, enumerate_invariant_metabolizers
@@ -99,7 +101,7 @@ class TestModelModule:
         # lambda + -lambda still come out the same, in the same order, and
         # so does every certificate
         closed = model_module(4, 5)
-        imported = CoverModule(p=4, r=5, action=closed.action,
+        imported = CoverModule(r=5, action=closed.action,
                                gram=oracles.seifert_import(4, 5))
         found = [
             [L.rows for L in enumerate_invariant_metabolizers(
@@ -119,6 +121,42 @@ class TestModelModule:
         A = m.action
         lhs = modp.mat_mul(modp.mat_mul(A, m.gram, r), tuple(zip(*A)), r)
         assert modp.mat_eq(lhs, m.gram)
+
+
+def _asymmetric(m):
+    gram = [list(row) for row in m.gram]
+    gram[0][1] = (gram[0][1] + 1) % m.r
+    return CoverModule(m.r, m.action, tuple(map(tuple, gram)))
+
+
+def _singular(m):
+    return CoverModule(m.r, m.action, tuple((0,) * m.dim for _ in range(m.dim)))
+
+
+def _wrong_order(m):
+    # -A is still an isometry, but (-A)^3 = -1 for an odd r
+    return CoverModule(m.r, tuple(tuple(-x % m.r for x in row) for row in m.action), m.gram)
+
+
+class TestValidator:
+    """The one validator of cover modules, on the model module and on the
+    Seifert-side cover module of the 3-fold cover of T(3, 5)."""
+
+    SOURCES = {"model": lambda: model_module(3, 5),
+               "cover": lambda: seifert.branched_cover(3, 5, 3).module}
+
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    @pytest.mark.parametrize("tamper,message", [
+        (_asymmetric, "not symmetric"),
+        (_singular, "singular"),
+        (_wrong_order, "order dividing n"),
+    ])
+    def test_tampered_module_rejected(self, source, tamper, message):
+        m = self.SOURCES[source]()
+        assert m.dim == 2
+        validate_module(m, 3)
+        with pytest.raises(ConventionError, match=message):
+            validate_module(tamper(m), 3)
 
 
 class TestCharacters:

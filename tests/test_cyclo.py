@@ -41,6 +41,24 @@ def test_cyclotomic_polys():
     assert len(cyclotomic_poly(35)) == euler_phi(35) + 1
 
 
+def _int_poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_product_is_t_n_minus_1():
+    # multiplication only, so the division that builds them is not its own check
+    for n in range(1, 61):
+        product = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                product = _int_poly_mul(product, cyclotomic_poly(d))
+        assert product == [-1] + [0] * (n - 1) + [1], n
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 12, 30])
 def test_root_embedding_matches_numeric(n):
     for k in range(n):
@@ -81,12 +99,22 @@ def test_rational_subfield(a, b, n):
     assert (x + y).to_fraction() == Fraction(a, 3) + Fraction(b, 7)
 
 
-def test_inverse():
-    z = normalize_root(1, 7).as_cyclo()
-    x = z * 3 + z * z - Cyclo.from_fraction(Fraction(5, 2))
-    assert x * x.inverse() == Cyclo.one()
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 60).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(-6, 6), min_size=euler_phi(n), max_size=euler_phi(n)),
+    st.integers(1, 6))))
+def test_inverse(case):
+    n, num, den = case
     with pytest.raises(ZeroDivisionError):
-        Cyclo.zero().inverse()
+        Cyclo(n, [0] * euler_phi(n)).inverse()
+    # the element and its rational part, which takes the shortcut
+    for x in (Cyclo(n, num, den), Cyclo(n, [num[0]] + [0] * (len(num) - 1), den)):
+        if x.is_zero():
+            continue
+        inv = x.inverse()
+        assert inv.n == n
+        assert x * inv == Cyclo.one()
 
 
 def test_cross_conductor_equality():

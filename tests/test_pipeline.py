@@ -159,10 +159,11 @@ class TestObstruct:
         assert v2.kind == "INCONCLUSIVE"
 
     def test_budget_paths(self):
-        v = obstruct(parse(J2), Options(max_ambient_dim=1))
-        assert v.kind == "INCONCLUSIVE" and "exceeds budget" in v.reason
-        v2 = obstruct(parse(J2), Options(budget=1))
-        assert v2.kind == "INCONCLUSIVE"
+        # J2 at r = 5 needs a budget of 6 subspaces
+        v = obstruct(parse(J2), Options(budget=1))
+        assert v.kind == "INCONCLUSIVE" and "exceed the budget of 1" in v.reason
+        v2 = obstruct(parse(J2), Options(budget=6))
+        assert v2.kind == "NOT_SLICE"
 
 
 class TestBudgetSemantics:
