@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 report, 1 input or usage error, 2 INCONCLUSIVE or budget
-refused, 3 internal check failed.  JSON goes to stdout; diagnostics, and
-every error as one line, to stderr.  ``obstruct --verify FILE`` is the
+refused, 3 internal check failed, 141 stdout closed by its reader (as in
+``sliceguard alex 13 17 | head -c 100``; nothing is printed).  JSON goes
+to stdout; diagnostics, and every error as one line, to stderr.  ``obstruct --verify FILE`` is the
 library's ``verify_verdict`` under ``--budget``: it rebuilds the document
 once and requires it byte for byte.
 """
@@ -11,14 +12,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
-from math import gcd
 
 from . import covers, metabolizers, pipeline, seifert
 from .covers import Character
 from .expr import ParseError, parse
-from .knots import prime_power_exponent
+from .knots import check_torus, prime_power_exponent
 from .metabolizers import BudgetExceeded
 from .twisted import twisted_alex_exterior, twisted_alex_surgery
 
@@ -130,11 +131,7 @@ def _parse_character(text: str, r: int) -> Character:
 
 
 def _cmd_talex(args) -> int:
-    if args.p < 2 or args.q < 2 or gcd(args.p, args.q) != 1:
-        raise ValueError(
-            f"T({args.p},{args.q}) is not a torus knot: p and q must be "
-            "at least 2 and coprime"
-        )
+    check_torus(args.p, args.q)
     chi = _parse_character(args.character, args.q)
     if chi.p != args.p:
         print(f"character needs {args.p} entries", file=sys.stderr)
@@ -330,7 +327,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: say nothing, and let the exit flush of the
+        # unwritten output go to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -174,8 +174,3 @@ def character_from_functional(module: CoverModule, functional) -> Character:
     )
     return Character(module.r, values)
 
-
-def evaluate_character(module: CoverModule, chi: Character, v) -> int:
-    """chi extended linearly to a model element v (row vector)."""
-    # v = sum v_i x_i over the basis x_0..x_{p-2}
-    return sum(a * b for a, b in zip(v, chi.values[: module.dim])) % module.r

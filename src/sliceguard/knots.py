@@ -32,6 +32,15 @@ def prime_power_exponent(n: int) -> int:
     return 1 if n >= 2 else 0
 
 
+def check_torus(p: int, q: int) -> None:
+    """Reject (p, q) unless T(p, q) is a torus knot: both parameters at
+    least 2 and coprime."""
+    if p < 2 or q < 2 or gcd(p, q) != 1:
+        raise ValueError(
+            f"T({p},{q}) is not a torus knot: p and q must be at least 2 and coprime"
+        )
+
+
 @dataclass(frozen=True, order=True, repr=False)
 class IteratedTorusKnot:
     p: int
@@ -232,10 +241,41 @@ class NormalForm:
     def m1(self) -> int:
         return len(self.groups[0])
 
-    def max_length(self) -> int:
-        return max(
-            max(len(a), len(b)) for g in self.groups for a, b in g
+
+@dataclass(frozen=True)
+class IndexSets:
+    """The level bookkeeping of a normal form: the chosen prime's signed
+    ``pairs``, and for each companion level (q, s) in ``points``, which
+    indices of those pairs appear positively (I1) and negatively (I2), and
+    which pairs (j, i) of the remaining groups appear positively (I3) and
+    negatively (I4)."""
+
+    pairs: tuple
+    points: tuple
+    I1: dict
+    I2: dict
+    I3: dict
+    I4: dict
+
+    def alternating_sum(self, q: int, s: int) -> int:
+        key = (q, s)
+        return (
+            len(self.I1[key]) - len(self.I2[key])
+            + len(self.I3[key]) - len(self.I4[key])
         )
+
+
+def index_sets(nf: NormalForm) -> IndexSets:
+    tables: dict = {}  # (q, s) -> the members of I1, I2, I3 and I4
+    for j, group in enumerate(nf.groups):
+        for i, pair in enumerate(group):
+            for side, seq in enumerate(pair):
+                for s in range(1, len(seq)):
+                    table = tables.setdefault((seq[-(s + 1)], s), ([], [], [], []))
+                    table[side if j == 0 else 2 + side].append(i if j == 0 else (j, i))
+    points = tuple(sorted(tables, key=lambda qs: (qs[1], -qs[0])))
+    I1, I2, I3, I4 = ({key: frozenset(tables[key][n]) for key in points} for n in range(4))
+    return IndexSets(pairs=nf.groups[0], points=points, I1=I1, I2=I2, I3=I3, I4=I4)
 
 
 def normal_form(K: KnotCombination, r: int) -> NormalForm:

@@ -3,7 +3,9 @@
 The coefficient type is :class:`sliceguard.cyclo.Cyclo`; exponents may be
 negative.  Equality "up to units" means up to multiplication by c * t^k
 with c a nonzero scalar, decided by comparing monic normal forms with the
-lowest exponent shifted to zero.
+lowest exponent shifted to zero.  There is no polynomial gcd:
+``RationalFn`` does not reduce, and its callers pass coprime pairs (the
+twisted polynomials cancel common roots by counting them).
 
 Root extraction on the unit circle is exact: the caller supplies the set
 of admissible root-of-unity orders (closed under divisors), each candidate
@@ -115,11 +117,6 @@ class LaurentPoly:
         """Degree of the polynomial after shifting the low exponent to 0."""
         return len(self.coeffs) - 1 if self.coeffs else -1
 
-    def coeff(self, e: int) -> Cyclo:
-        if self.coeffs and self.low <= e <= self.high:
-            return self.coeffs[e - self.low]
-        return Cyclo.zero()
-
     def lead(self) -> Cyclo:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
@@ -210,7 +207,7 @@ class LaurentPoly:
 
     __hash__ = None
 
-    # -- evaluation and substitution ----------------------------------------
+    # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, x: Cyclo) -> Cyclo:
         """Horner evaluation; negative low exponents require x invertible."""
@@ -224,54 +221,7 @@ class LaurentPoly:
     def evaluate_root(self, root: RootOfUnity) -> Cyclo:
         return self.evaluate(root.as_cyclo())
 
-    def substitute(self, c: RootOfUnity, m: int) -> "LaurentPoly":
-        """The polynomial f(xi^c * t^m) for a root of unity xi^c and m >= 1.
-
-        Each term a_k t^k becomes a_k xi^(c*k) t^(m*k), so the conductor of
-        the coefficients grows as needed while exponents dilate by m.
-        """
-        if m < 1:
-            raise ValueError("substitution power must be a positive integer")
-        if self.is_zero():
-            return self
-        out = [Cyclo.zero()] * (m * (len(self.coeffs) - 1) + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero():
-                k = self.low + i
-                out[m * i] = a * (c**k).as_cyclo()
-        return LaurentPoly(m * self.low, out)
-
     # -- division ----------------------------------------------------------
-
-    def divmod_poly(self, other: "LaurentPoly"):
-        """Quotient and remainder with both operands shifted to low = 0.
-
-        Works in the ordinary polynomial ring; the Laurent unit t^k of each
-        operand is discarded (callers that care track it themselves).
-        """
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        self, other = LaurentPoly._aligned(self, other)
-        num = list(self.coeffs)
-        den = list(other.coeffs)
-        d = len(den) - 1
-        if len(num) - 1 < d:
-            return LaurentPoly.zero(), LaurentPoly(0, num)
-        inv_lead = den[-1].inverse()
-        quot = [Cyclo.zero()] * (len(num) - d)
-        for k in range(len(num) - 1 - d, -1, -1):
-            c = num[k + d] * inv_lead
-            quot[k] = c
-            if not c.is_zero():
-                for j in range(d + 1):
-                    num[k + j] = num[k + j] - c * den[j]
-        return LaurentPoly(0, quot), LaurentPoly(0, num)
-
-    def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
-        q, r = self.divmod_poly(other)
-        if not r.is_zero():
-            raise ArithmeticError("non-exact polynomial division")
-        return q.shift(self.low - other.low)
 
     def divide_linear(self, root: RootOfUnity) -> "LaurentPoly":
         """Exact division by (t - root); raises if root is not a root."""
@@ -288,16 +238,6 @@ class LaurentPoly:
         if not rem.is_zero():
             raise ArithmeticError(f"{root} is not a root")
         return LaurentPoly(self.low, out)
-
-    def gcd(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Monic gcd (Euclidean algorithm over the cyclotomic field)."""
-        a, b = self, other
-        while not b.is_zero():
-            _, r = a.divmod_poly(b)
-            a, b = b, r
-        if a.is_zero():
-            return a
-        return a.unit_normal()
 
     # -- normal form -------------------------------------------------------
 
@@ -346,11 +286,11 @@ class LaurentPoly:
 
 
 class RationalFn:
-    """A reduced fraction of Laurent polynomials.
+    """A fraction of Laurent polynomials whose caller owns coprimality.
 
-    The gcd of numerator and denominator is removed on construction and the
-    denominator is put in monic low-0 form, so the representation is
-    canonical up to the unit carried by the numerator.
+    Nothing is cancelled here: the denominator is put in monic low-0 form
+    and its unit moves into the numerator, so a coprime pair has one
+    representation up to the unit carried by the numerator.
     """
 
     __slots__ = ("num", "den")
@@ -358,38 +298,15 @@ class RationalFn:
     def __init__(self, num: LaurentPoly, den: LaurentPoly):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if not num.is_zero() and den.span() > 0:
-            g = num.gcd(den)
-            if g.span() > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-        # push the denominator's unit into the numerator
         lead_inv = den.lead().inverse()
-        num = num.scale(lead_inv).shift(-den.low)
-        den = den.unit_normal()
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    @staticmethod
-    def from_reduced(num: LaurentPoly, den: LaurentPoly) -> "RationalFn":
-        """Wrap an already-coprime pair, skipping the gcd; the unit
-        normalization still runs.  Callers are responsible for coprimality."""
-        out = RationalFn.__new__(RationalFn)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        lead_inv = den.lead().inverse()
-        object.__setattr__(out, "num", num.scale(lead_inv).shift(-den.low))
-        object.__setattr__(out, "den", den.unit_normal())
-        return out
+        object.__setattr__(self, "num", num.scale(lead_inv).shift(-den.low))
+        object.__setattr__(self, "den", den.unit_normal())
 
     def is_unit(self) -> bool:
         return self.num.is_unit() and self.den.is_unit()
 
     def is_polynomial(self) -> bool:
         return self.den.is_unit()
-
-    def __mul__(self, other: "RationalFn") -> "RationalFn":
-        return RationalFn(self.num * other.num, self.den * other.den)
 
     def __eq__(self, other):
         if not isinstance(other, RationalFn):
@@ -403,10 +320,6 @@ class RationalFn:
 
     def eq_up_to_units(self, other: "RationalFn") -> bool:
         return (self.num * other.den).eq_up_to_units(other.num * self.den)
-
-    def unit_normal(self) -> "RationalFn":
-        out = RationalFn(self.num.unit_normal(), self.den)
-        return out
 
     def __repr__(self):
         return f"RationalFn(({self.num}) / ({self.den}))"

@@ -8,7 +8,8 @@ isotropy plus half dimension suffices.
 
 ``enumerate_invariant_metabolizers`` builds echelon bases row by row and
 drops a prefix at its first non-isotropic row, so only isotropic bases
-reach the metabolizer test; the Grassmannian filter is the tests' oracle.
+reach the metabolizer test; the Grassmannian filter is the tests' oracle,
+in ``tests/oracles.py``.
 
 ``construct_character`` realizes the three-case character construction:
 when one projection of the metabolizer is proper, a functional killing it
@@ -17,7 +18,13 @@ compared against the coordinate subspaces indexed by where each torus
 knot appears in a companion level, and a vector moved off the matching
 subspace by g produces the character pair.  If g preserves every such
 subspace the input combination was not simplified, which the caller
-treats as a bug, not a verdict.
+treats as a bug, not a verdict.  The level data is ``knots.IndexSets``.
+
+Every character pair passes ``check_characters`` as it is built, the one
+certificate check: from the values alone, each character is induced by a
+functional, the functionals vanish on the metabolizer, and one level
+condition holds.  A failure is a ``ConventionError``, since the data is
+the package's own.
 """
 
 from __future__ import annotations
@@ -26,7 +33,8 @@ import itertools
 from dataclasses import dataclass
 
 from . import modp
-from .covers import Character, ConventionError, CoverModule, character_from_functional
+from .covers import ConventionError, CoverModule, character_from_functional
+from .knots import IndexSets
 from .modp import Subspace
 
 
@@ -120,7 +128,7 @@ def check_budget(n: int, k: int, r: int, budget: int) -> None:
 
 
 def enumerate_invariant_metabolizers(F: FormSpace, budget: int = 2_000_000) -> list[Subspace]:
-    """All invariant metabolizers, in the order of ``modp.enumerate_subspaces``,
+    """All invariant metabolizers, in the order of the Grassmannian oracle,
     by the isotropic echelon walk: rows are filled first to last, pivots in
     combinations order and free slots in product order, and a row is kept
     only if it pairs to zero with itself and the rows above it (pairings
@@ -195,18 +203,6 @@ def graph_detect(L: Subspace, F: FormSpace):
 
 
 @dataclass(frozen=True)
-class ObstructionContext:
-    """Index data the character construction needs: the signed pairs of the
-    chosen-prime group and, per companion level (q, s), which pair indices
-    contribute positively (I1) and negatively (I2)."""
-
-    pairs: tuple
-    qs_points: tuple
-    I1: dict
-    I2: dict
-
-
-@dataclass(frozen=True)
 class CharacterChoice:
     case: int
     chi_a: tuple
@@ -225,13 +221,6 @@ class NotSimplifiedWitness:
     k0: int
     X: frozenset
     Y: frozenset
-
-
-def _blocks_support(functional, block_dim: int):
-    return frozenset(
-        b for b in range(len(functional) // block_dim)
-        if any(functional[b * block_dim : (b + 1) * block_dim])
-    )
 
 
 def _coordinate_subspace(indices, m1: int, block_dim: int, r: int) -> Subspace:
@@ -255,7 +244,7 @@ def _functional_killing(space_rows, pin_vector, r, n):
     return c
 
 
-def construct_character(L: Subspace, F: FormSpace, ctx: ObstructionContext):
+def construct_character(L: Subspace, F: FormSpace, sets: IndexSets):
     """Characters (chi_a, chi_b) vanishing on L and violating metabolicity
     at some level (q, s), per the three-case construction.
 
@@ -272,11 +261,11 @@ def construct_character(L: Subspace, F: FormSpace, ctx: ObstructionContext):
     rank_y = modp.rank(Y, r) if Y else 0
 
     if rank_x < D:
-        choice = _proper_projection_case(L, F, ctx, X, case=1)
+        choice = _proper_projection_case(L, F, sets, X, case=1)
         if choice is not None:
             return choice
     if rank_y < D:
-        choice = _proper_projection_case(L, F, ctx, Y, case=2)
+        choice = _proper_projection_case(L, F, sets, Y, case=2)
         if choice is not None:
             return choice
     if rank_x < D or rank_y < D:
@@ -285,24 +274,24 @@ def construct_character(L: Subspace, F: FormSpace, ctx: ObstructionContext):
     g = graph_detect(L, F)
     assert isinstance(g, Isometry)
     ginv = modp.mat_inv(g.matrix, r)
-    for (q, s) in ctx.qs_points:
-        S1 = _coordinate_subspace(ctx.I1[(q, s)], F.m1, d, r)
-        S2 = _coordinate_subspace(ctx.I2[(q, s)], F.m1, d, r)
+    for (q, s) in sets.points:
+        S1 = _coordinate_subspace(sets.I1[(q, s)], F.m1, d, r)
+        S2 = _coordinate_subspace(sets.I2[(q, s)], F.m1, d, r)
         gS1 = S1.image(g.matrix)
         if gS1 == S2:
             continue
-        choice = _graph_case(L, F, ctx, g.matrix, ginv, q, s, S1, S2, gS1)
+        choice = _graph_case(L, F, sets, g.matrix, ginv, q, s, S1, S2, gS1)
         if choice is not None:
             return choice
-    return _not_simplified(ctx)
+    return _not_simplified(sets)
 
 
-def _proper_projection_case(L, F, ctx, side_rows, case):
+def _proper_projection_case(L, F, sets, side_rows, case):
     r, D, d = F.r, F.half_dim, F.block_dim
     kernel = modp.nullspace(side_rows, r, ncols=D) if side_rows else modp.identity(D)
-    index_sets = ctx.I1 if case == 1 else ctx.I2
-    for (q, s) in ctx.qs_points:
-        blocks = index_sets[(q, s)]
+    side = sets.I1 if case == 1 else sets.I2
+    for (q, s) in sets.points:
+        blocks = side[(q, s)]
         if not blocks:
             continue
         coords = [k * d + i for k in sorted(blocks) for i in range(d)]
@@ -313,11 +302,11 @@ def _proper_projection_case(L, F, ctx, side_rows, case):
             continue
         theta = tuple([0] * D)
         fa, fb = (pick, theta) if case == 1 else (theta, pick)
-        return _finish(L, F, ctx, case, fa, fb, q, s)
+        return _finish(L, F, sets, case, fa, fb, q, s)
     return None
 
 
-def _graph_case(L, F, ctx, g, ginv, q, s, S1, S2, gS1):
+def _graph_case(L, F, sets, g, ginv, q, s, S1, S2, gS1):
     r, D, d = F.r, F.half_dim, F.block_dim
     v = next((row for row in S1.rows if not S2.contains(modp.vec_mat(row, g, r))), None)
     if v is not None:
@@ -325,53 +314,68 @@ def _graph_case(L, F, ctx, g, ginv, q, s, S1, S2, gS1):
         pre = S2.image(ginv)
         ca = _functional_killing(pre.rows, v, r, D)
         cb = tuple((-x) % r for x in modp.mat_vec(ginv, ca, r))
-        return _finish(L, F, ctx, 3, ca, cb, q, s)
+        return _finish(L, F, sets, 3, ca, cb, q, s)
     # g(S1) properly contained in S2: pick v in S2 away from it
     v = next((w for w in S2.vectors() if any(w) and not gS1.contains(w)), None)
     if v is None:
         return None
     cb = _functional_killing(gS1.rows, v, r, D)
     ca = tuple((-x) % r for x in modp.mat_vec(g, cb, r))
-    return _finish(L, F, ctx, 3, ca, cb, q, s)
+    return _finish(L, F, sets, 3, ca, cb, q, s)
 
 
-def _finish(L, F, ctx, case, fa, fb, q, s):
-    r, D, d = F.r, F.half_dim, F.block_dim
-    for row in L.rows:
-        x, y = row[:D], row[D:]
-        val = sum(a * b for a, b in zip(x, fa)) + sum(a * b for a, b in zip(y, fb))
-        if val % r:
-            raise ConventionError("constructed character does not vanish on L")
-    sup_a = _blocks_support(fa, d)
-    sup_b = _blocks_support(fb, d)
-    cond1 = not (sup_b & ctx.I2[(q, s)]) and bool(sup_a & ctx.I1[(q, s)])
-    cond2 = not (sup_a & ctx.I1[(q, s)]) and bool(sup_b & ctx.I2[(q, s)])
-    if not (cond1 or cond2):
-        raise ConventionError("constructed character misses both level conditions")
-    chi_a = tuple(
-        character_from_functional(F.module, fa[k * d : (k + 1) * d])
-        for k in range(F.m1)
+def _finish(L, F, sets, case, fa, fb, q, s):
+    d = F.block_dim
+    chi_a, chi_b = (
+        tuple(character_from_functional(F.module, f[k * d : (k + 1) * d])
+              for k in range(F.m1))
+        for f in (fa, fb)
     )
-    chi_b = tuple(
-        character_from_functional(F.module, fb[k * d : (k + 1) * d])
-        for k in range(F.m1)
-    )
+    check_characters(F, L.rows, chi_a, chi_b, q, s, sets)
     return CharacterChoice(
         case=case, chi_a=chi_a, chi_b=chi_b, q=q, s=s,
         functional_a=tuple(fa), functional_b=tuple(fb),
     )
 
 
-def _not_simplified(ctx) -> NotSimplifiedWitness:
-    if not ctx.pairs:
-        raise ConventionError("no signed pairs supplied with the index context")
+def check_characters(F: FormSpace, basis, chi_a, chi_b, q: int, s: int,
+                     sets: IndexSets) -> None:
+    """The certificate check, made from the characters' values alone: each
+    character is induced by a functional on its block, those functionals
+    vanish on every basis row, and one level condition holds at (q, s):
+    the characters nontrivial on one side meet that side's index set
+    while the other side's nontrivial characters avoid theirs.  Raises
+    ConventionError otherwise."""
+    r, dim = F.r, F.block_dim
+    orbit = F.module.orbit_rows()
+    functional = []
+    for chi in (*chi_a, *chi_b):
+        c = modp.solve(orbit[:dim], chi.values[:dim], r)
+        if c is None or modp.mat_vec(orbit, c, r) != chi.values:
+            raise ConventionError(f"character {chi} is not induced by any functional")
+        functional.extend(c)
+    if any(sum(a * b for a, b in zip(row, functional)) % r for row in basis):
+        raise ConventionError("the characters do not vanish on the metabolizer")
+    key = (q, s)
+    I1, I2 = sets.I1.get(key, frozenset()), sets.I2.get(key, frozenset())
+    nontrivial_a = {k for k, chi in enumerate(chi_a) if not chi.is_trivial()}
+    nontrivial_b = {k for k, chi in enumerate(chi_b) if not chi.is_trivial()}
+    cond1 = not (nontrivial_b & I2) and bool(nontrivial_a & I1)
+    cond2 = not (nontrivial_a & I1) and bool(nontrivial_b & I2)
+    if not (cond1 or cond2):
+        raise ConventionError("the characters satisfy neither level condition")
+
+
+def _not_simplified(sets) -> NotSimplifiedWitness:
+    if not sets.pairs:
+        raise ConventionError("no signed pairs supplied with the index sets")
     best = None
-    for k, (qplus, _) in enumerate(ctx.pairs):
+    for k, (qplus, _) in enumerate(sets.pairs):
         key = (len(qplus), tuple(-x for x in qplus))
         if best is None or key > best[0]:
             best = (key, k)
     k0 = best[1]
-    q0 = ctx.pairs[k0][0]
-    X = frozenset(k for k, (qp, _) in enumerate(ctx.pairs) if qp == q0)
-    Y = frozenset(k for k, (_, qm) in enumerate(ctx.pairs) if qm == q0)
+    q0 = sets.pairs[k0][0]
+    X = frozenset(k for k, (qp, _) in enumerate(sets.pairs) if qp == q0)
+    Y = frozenset(k for k, (_, qm) in enumerate(sets.pairs) if qm == q0)
     return NotSimplifiedWitness(k0=k0, X=X, Y=Y)

@@ -170,20 +170,3 @@ def subspace_count(n: int, k: int, r: int) -> int:
         den *= r ** (k - i) - 1
     return num // den
 
-
-def enumerate_subspaces(n: int, k: int, r: int):
-    """All k-dimensional subspaces of F_r^n, one echelon basis each."""
-    for pivots in itertools.combinations(range(n), k):
-        free_slots = [
-            (i, c)
-            for i in range(k)
-            for c in range(pivots[i] + 1, n)
-            if c not in pivots
-        ]
-        for values in itertools.product(range(r), repeat=len(free_slots)):
-            rows = [[0] * n for _ in range(k)]
-            for i, pc in enumerate(pivots):
-                rows[i][pc] = 1
-            for (i, c), v in zip(free_slots, values):
-                rows[i][c] = v
-            yield Subspace(rows, r, n)

@@ -14,9 +14,11 @@ gap yields INCONCLUSIVE, never an unproven verdict.
 Certificates record the metabolizer basis, the construction case, the
 character pair, the level (q, s), and the witness jump.  There is one
 certification path: ``verify_verdict`` re-derives a document through the
-same cheap-verdict and per-prime steps as ``obstruct``, re-checks the
-recorded characters from their values, and requires the regenerated JSON
-byte for byte.
+same cheap-verdict and per-prime steps as ``obstruct`` and requires the
+regenerated JSON byte for byte.  The characters of every certificate are
+checked from their values when the certificate is built
+(``metabolizers.check_characters``), under ``obstruct`` and
+``verify_verdict`` alike; a failure there is a ``ConventionError``.
 """
 
 from __future__ import annotations
@@ -25,16 +27,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import covers, knots, metabolizers, modp, witt
+from . import covers, knots, metabolizers, witt
 from .covers import Character
 from .cyclo import RootOfUnity
-from .knots import KnotCombination, NormalForm, prime_power_exponent
-from .metabolizers import (
-    BudgetExceeded,
-    FormSpace,
-    NotSimplifiedWitness,
-    ObstructionContext,
-)
+from .knots import IndexSets, KnotCombination, NormalForm, index_sets, prime_power_exponent
+from .metabolizers import BudgetExceeded, FormSpace, NotSimplifiedWitness
 from .modp import Subspace
 from .witt import Classical, Twisted, WittClass
 
@@ -55,40 +52,6 @@ class Options:
     r: int | None = None
     budget: int = 2_000_000
     max_r: int = 13
-
-
-@dataclass(frozen=True)
-class IndexSets:
-    """For each companion level (q, s), which pair indices of the chosen
-    prime's group appear positively (I1) and negatively (I2), and which
-    pairs of the remaining groups appear positively (I3) and negatively
-    (I4)."""
-
-    points: tuple
-    I1: dict
-    I2: dict
-    I3: dict
-    I4: dict
-
-    def alternating_sum(self, q: int, s: int) -> int:
-        key = (q, s)
-        return (
-            len(self.I1[key]) - len(self.I2[key])
-            + len(self.I3[key]) - len(self.I4[key])
-        )
-
-
-def index_sets(nf: NormalForm) -> IndexSets:
-    tables: dict = {}  # (q, s) -> the members of I1, I2, I3 and I4
-    for j, group in enumerate(nf.groups):
-        for i, pair in enumerate(group):
-            for side, seq in enumerate(pair):
-                for s in range(1, len(seq)):
-                    table = tables.setdefault((seq[-(s + 1)], s), ([], [], [], []))
-                    table[side if j == 0 else 2 + side].append(i if j == 0 else (j, i))
-    points = tuple(sorted(tables, key=lambda qs: (qs[1], -qs[0])))
-    I1, I2, I3, I4 = ({key: frozenset(tables[key][n]) for key in points} for n in range(4))
-    return IndexSets(points=points, I1=I1, I2=I2, I3=I3, I4=I4)
 
 
 @dataclass(frozen=True)
@@ -227,15 +190,6 @@ def _hypotheses_ok(K: KnotCombination):
     return None
 
 
-def _obstruction_context(nf: NormalForm, sets: IndexSets) -> ObstructionContext:
-    qs_points = tuple(
-        (q, s) for (q, s) in sets.points if sets.I1[(q, s)] or sets.I2[(q, s)]
-    )
-    return ObstructionContext(
-        pairs=nf.groups[0], qs_points=qs_points, I1=sets.I1, I2=sets.I2
-    )
-
-
 def _disjointness_ok(dec: Decomposition, q: int, s: int) -> bool:
     chosen = dec.B3[(q, s)] + dec.B4[(q, s)]
     chosen_support = set()
@@ -257,9 +211,9 @@ class _Uncertified(Exception):
 
 
 def _certify_metabolizer(L: Subspace, F: FormSpace, nf: NormalForm,
-                         ctx: ObstructionContext, dec_cache: dict) -> Certificate:
+                         sets: IndexSets, dec_cache: dict) -> Certificate:
     """One certificate for one metabolizer; raises _Uncertified otherwise."""
-    choice = metabolizers.construct_character(L, F, ctx)
+    choice = metabolizers.construct_character(L, F, sets)
     if choice is None:
         raise _Uncertified("no obstructing character found for a metabolizer")
     if isinstance(choice, NotSimplifiedWitness):
@@ -303,9 +257,11 @@ def _certify_prime(simplified: KnotCombination, r: int, budget: int):
 
     Builds the normal form at r and its index sets (every level sum must
     cancel), the form space, and one certificate per invariant metabolizer,
-    in enumeration order.  Returns ``(F, sets, certificates)``.  The budget
-    is checked before the module is built.  Raises BudgetExceeded over
-    budget, and _Uncertified when a metabolizer has no certificate.
+    in enumeration order, and returns the certificates.  Each certificate's
+    characters pass ``metabolizers.check_characters`` as they are built.
+    The budget is checked before the module is built.  Raises
+    BudgetExceeded over budget, and _Uncertified when a metabolizer has no
+    certificate.
     """
     nf = knots.normal_form(simplified, r)
     sets = index_sets(nf)
@@ -320,9 +276,8 @@ def _certify_prime(simplified: KnotCombination, r: int, budget: int):
     metabolizers.check_budget(2 * half_dim, half_dim, r, budget)
     F = FormSpace(module=covers.model_module(simplified.p, r), m1=nf.m1)
     mets = metabolizers.enumerate_invariant_metabolizers(F, budget)
-    ctx = _obstruction_context(nf, sets)
     dec_cache: dict = {}
-    return F, sets, tuple(_certify_metabolizer(L, F, nf, ctx, dec_cache) for L in mets)
+    return tuple(_certify_metabolizer(L, F, nf, sets, dec_cache) for L in mets)
 
 
 def _cheap_verdict(K: KnotCombination, source: str) -> Verdict | None:
@@ -367,7 +322,7 @@ def obstruct(K: KnotCombination, options: Options = Options(),
             reasons.append(f"r={r}: exceeds the configured prime budget {options.max_r}")
             continue
         try:
-            _, _, certificates = _certify_prime(simplified, r, options.budget)
+            certificates = _certify_prime(simplified, r, options.budget)
         except (BudgetExceeded, _Uncertified) as exc:
             reasons.append(f"r={r}: {exc}")
             continue
@@ -394,12 +349,11 @@ def verify_verdict(doc: dict, *, budget: int = Options.budget) -> None:
     own steps: the cheap verdict, or else the per-prime step at the recorded
     r.  ``budget`` bounds the enumeration as in ``obstruct``, the one
     refusal rule for a form's size; a document produced under a larger
-    budget needs that budget here, or BudgetExceeded is raised.  Each
-    certificate's characters are then checked from their values alone
-    (each is induced by a functional, the functionals vanish on the basis,
-    one level condition holds).  Last, the document must equal the rebuilt one as sorted JSON,
-    so any changed, dropped, added, duplicated or reordered entry fails,
-    and so does ``1`` in place of ``true``.  The recorded p must be the
+    budget needs that budget here, or BudgetExceeded is raised.  The
+    rebuilt certificates' characters are checked as they are built, as
+    under ``obstruct``.  The document must equal the rebuilt one as sorted
+    JSON, so any changed, dropped, added, duplicated or reordered entry
+    fails, and so does ``1`` in place of ``true``.  The recorded p must be the
     input's, and INCONCLUSIVE documents are refused.  Raises
     VerificationError at the first disagreement, and for a document that
     is not an object with a string input, an integer p and a string verdict.
@@ -427,11 +381,9 @@ def verify_verdict(doc: dict, *, budget: int = Options.budget) -> None:
         # the combination's own int, so a recorded 5.0 cannot pass as 5
         r = primes[primes.index(doc["r"])]
         try:
-            F, sets, certificates = _certify_prime(simplified, r, budget)
+            certificates = _certify_prime(simplified, r, budget)
         except _Uncertified as exc:
             raise VerificationError(f"r={r}: {exc}") from None
-        for cert in certificates:
-            _check_certificate(cert, F, sets)
         fresh = Verdict(
             kind="NOT_SLICE", p=K.p, input_str=source,
             algebraically_slice=True, r=r, certificates=certificates,
@@ -448,25 +400,3 @@ def verify_verdict(doc: dict, *, budget: int = Options.budget) -> None:
 def _field(doc: dict, key: str):
     return key in doc and json.dumps(doc[key], sort_keys=True)
 
-
-def _check_certificate(cert: Certificate, F: FormSpace, sets: IndexSets) -> None:
-    """The construction's checks on its functionals, made again from the
-    characters alone."""
-    r, dim = F.r, F.block_dim
-    orbit = F.module.orbit_rows()
-    rows = [list(orbit[i]) for i in range(dim)]
-    functional = []
-    for chi in (*cert.chi_a, *cert.chi_b):
-        c = modp.solve(rows, list(chi.values[:dim]), r)
-        if c is None or covers.character_from_functional(F.module, c).values != chi.values:
-            raise VerificationError(f"character {chi} is not induced by any functional")
-        functional.extend(c)
-    if any(sum(a * b for a, b in zip(row, functional)) % r for row in cert.basis):
-        raise VerificationError("the characters do not vanish on the metabolizer")
-    key = (cert.q, cert.s)
-    nontrivial_a = {k for k, chi in enumerate(cert.chi_a) if not chi.is_trivial()}
-    nontrivial_b = {k for k, chi in enumerate(cert.chi_b) if not chi.is_trivial()}
-    cond1 = not (nontrivial_b & sets.I2[key]) and bool(nontrivial_a & sets.I1[key])
-    cond2 = not (nontrivial_a & sets.I1[key]) and bool(nontrivial_b & sets.I2[key])
-    if not (cond1 or cond2):
-        raise VerificationError("the characters satisfy neither level condition")

@@ -55,13 +55,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
+from math import prod
 from operator import mul
 
 from . import modp
 from .covers import ConventionError, CoverModule, validate_module
-from .cyclo import Cyclo, RootOfUnity, int_poly_div_exact
-from .knots import prime_power_exponent
+from .cyclo import RootOfUnity, int_poly_div_exact
+from .knots import check_torus, prime_power_exponent
 from .laurent import LaurentPoly
 
 
@@ -104,17 +104,10 @@ def _seifert_matrix_raw(p: int, q: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in V)
 
 
-def _check_torus(p: int, q: int):
-    if p < 2 or q < 2:
-        raise ValueError("torus knot parameters must be at least 2")
-    if gcd(p, q) != 1:
-        raise ValueError(f"gcd({p}, {q}) != 1")
-
-
 @lru_cache(maxsize=None)
 def seifert_matrix(p: int, q: int) -> tuple[tuple[int, ...], ...]:
     """Validated Seifert matrix of T(p, q), size (p-1)(q-1)."""
-    _check_torus(p, q)
+    check_torus(p, q)
     V = _seifert_matrix_raw(p, q)
     n = len(V)
     if n != (p - 1) * (q - 1):
@@ -200,14 +193,14 @@ def _torus_alexander_reference(p: int, q: int) -> list:
 def alexander_poly(p: int, q: int) -> LaurentPoly:
     """The Alexander polynomial of T(p, q) from its closed form, in monic
     low-0 normal form; ``seifert_matrix`` checks det(V - t V^T) against it."""
-    _check_torus(p, q)
+    check_torus(p, q)
     return LaurentPoly.from_ints(_torus_alexander_reference(p, q)).unit_normal()
 
 
 def alexander_roots(p: int, q: int) -> dict:
     """Unit-circle roots of the Alexander polynomial with multiplicities:
     every k/pq with p and q not dividing k, each simple."""
-    _check_torus(p, q)
+    check_torus(p, q)
     return {RootOfUnity.normalized(k, p * q): 1
             for k in range(1, p * q) if k % p and k % q}
 
@@ -238,7 +231,7 @@ def jump_function(p: int, q: int) -> dict:
 
 @lru_cache(maxsize=None)
 def _jump_function_cached(p: int, q: int) -> tuple:
-    _check_torus(p, q)
+    check_torus(p, q)
     # iq + jp runs over distinct residues mod pq, so no two pairs (i, j)
     # share a point and no jump cancels
     jumps = []
@@ -385,7 +378,7 @@ def branched_cover(p: int, q: int, n: int) -> CoverHomology:
     """
     if n < 2:
         raise ValueError("cover degree must be at least 2")
-    _check_torus(p, q)
+    check_torus(p, q)
     divisors = elementary_divisors(_norm_multiplication(p, q, n))
     if 0 in divisors:
         raise ConventionError(
@@ -437,15 +430,3 @@ def _prime_module(V, n: int, r: int, dim: int) -> CoverModule:
     validate_module(module, n)
     return module
 
-
-def cover_order_from_alexander(p: int, q: int, n: int) -> int:
-    """|prod_{a=1}^{n-1} Delta(xi_n^a)|, the classical order formula for the
-    homology of the n-fold branched cover; exact cyclotomic arithmetic."""
-    delta = alexander_poly(p, q)
-    prod = Cyclo.one()
-    for a in range(1, n):
-        prod = prod * delta.evaluate_root(RootOfUnity.normalized(a, n))
-    value = prod.to_fraction()
-    if value.denominator != 1:
-        raise ConventionError("order product is not an integer")
-    return abs(int(value))

@@ -30,6 +30,7 @@ from functools import lru_cache
 
 from .covers import Character
 from .cyclo import Cyclo, RootOfUnity
+from .knots import check_torus
 from .laurent import LaurentPoly, RationalFn
 
 Word = tuple[tuple[int, int], ...]  # ((generator, exponent), ...), reduced
@@ -117,9 +118,11 @@ def _dense(M: Monomial, q: int) -> list[list[LaurentPoly]]:
 
 class TorusRep:
     """Images of c1, c2 (and inverses) under the working representative,
-    as monomial matrices."""
+    as monomial matrices.  Every route in this module builds one, so a
+    (p, q) that is not a torus knot is rejected here."""
 
     def __init__(self, p: int, q: int, chi: Character):
+        check_torus(p, q)
         if chi.p != p:
             raise ValueError("character length must equal p")
         if chi.r != q:
@@ -247,12 +250,12 @@ def _closed_form(p: int, q: int, values: tuple) -> tuple[LaurentPoly, TwistedPol
         root = RootOfUnity.normalized(-a, q)
         for _ in range(min(values.count(a), p - 1)):
             num, red = num.divide_linear(root), red.divide_linear(root)
-    ext = RationalFn.from_reduced(num, red)
+    ext = RationalFn(num, red)
     num = ext.num.scale(1 if (p - 1) % 2 == 0 else -1)
     if values.count(0) < p - 1:
-        surgery = RationalFn.from_reduced(num.divide_linear(RootOfUnity.one()), ext.den)
+        surgery = RationalFn(num.divide_linear(RootOfUnity.one()), ext.den)
     else:
-        surgery = RationalFn.from_reduced(num, ext.den * LaurentPoly.from_ints([-1, 1]))
+        surgery = RationalFn(num, ext.den * LaurentPoly.from_ints([-1, 1]))
     return den, TwistedPoly(ext), TwistedPoly(surgery)
 
 

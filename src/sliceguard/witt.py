@@ -14,7 +14,9 @@ support, which is what the splitting criterion needs.
 
 Supports are root bookkeeping on closed forms, with no polynomial
 arithmetic.  A classical atom's support is the torus-knot Alexander roots
-pulled back through the twist and dilation.  A twisted atom's order is
+pulled back through the twist and dilation.  A torus knot's signature
+jumps sit exactly at its Alexander roots, so the pullback reads the
+cached jump points, and the jump decision looks at the same points.  A twisted atom's order is
 (1 - t^r)^(p-1) / (prod_i (t xi^(a_i) - 1) (t - 1)) up to units, the
 0-surgery form of the closed product in ``twisted``: its support is where
 the numerator and denominator root multiplicities differ.
@@ -114,14 +116,18 @@ class WittClass:
     __repr__ = __str__
 
 
+def _pullback(atom: Classical) -> set:
+    """The signature jump points of T(p, q), which are also its Alexander
+    roots, pulled back through the atom's twist and dilation."""
+    return {((point - atom.twist.frac + j) / atom.power) % 1
+            for point in seifert.jump_function(atom.p, atom.q)
+            for j in range(atom.power)}
+
+
 def support_of(atom: Atom) -> frozenset:
     """Unit-circle root support of the order, as fractions in [0, 1)."""
     if isinstance(atom, Classical):
-        points = set()
-        for root in seifert.alexander_roots(atom.p, atom.q):
-            for j in range(atom.power):
-                points.add(((root.frac - atom.twist.frac + j) / atom.power) % 1)
-        return frozenset(points)
+        return frozenset(_pullback(atom))
     r = atom.r
     numerator = Counter({Fraction(k, r): atom.p - 1 for k in range(r)})
     denominator = Counter(Fraction(-a, r) % 1 for a in atom.chi.values)
@@ -140,16 +146,12 @@ def jump_of(atom: Classical, x: Fraction) -> int:
 
 
 def support_points(W: WittClass) -> list[Fraction]:
+    """Every point where some atom of the classical class can jump."""
     points = set()
     for atom in W.atoms:
-        if isinstance(atom, Classical):
-            points.update(
-                ((point - atom.twist.frac + j) / atom.power) % 1
-                for point in seifert.jump_function(atom.p, atom.q)
-                for j in range(atom.power)
-            )
-        else:
+        if not isinstance(atom, Classical):
             raise TypeError("support_points expects a classical Witt class")
+        points |= _pullback(atom)
     return sorted(points)
 
 

@@ -18,6 +18,17 @@ replaced live here, as independent oracles:
   certified, raising the precision until they are, and otherwise an exact
   characteristic polynomial over the cyclotomic field with certified
   coefficient signs (Descartes' rule is exact for all-real spectra).
+* ``reduced_fraction`` cancels a fraction of Laurent polynomials by the
+  Euclidean algorithm over the cyclotomic field, the general route that
+  the twisted polynomials' root bookkeeping replaced.
+* ``substitute`` is f(xi^c t^m), the classical order of a twisted and
+  dilated torus-knot atom, whose roots the Witt supports count.
+* ``enumerate_subspaces`` lists every k-dimensional subspace of F_r^n,
+  the Grassmannian that the metabolizer walk prunes.
+* ``cover_order_from_alexander`` is the classical order formula
+  |prod Delta(xi_n^a)| for the homology of the n-fold branched cover.
+* ``evaluate_character`` extends a character linearly to the model
+  module.
 """
 
 from __future__ import annotations
@@ -33,9 +44,11 @@ from operator import mul
 from mpmath import iv
 
 from sliceguard import modp, seifert
-from sliceguard.covers import ConventionError, CoverModule, validate_module
+from sliceguard.covers import Character, ConventionError, CoverModule, validate_module
 from sliceguard.cyclo import Cyclo, RootOfUnity
 from sliceguard.knots import prime_power_exponent
+from sliceguard.laurent import LaurentPoly, RationalFn
+from sliceguard.modp import Subspace
 
 
 def numeric(c: Cyclo) -> complex:
@@ -438,3 +451,107 @@ def interval_signature(p: int, q: int, x, precision_bits: int = 64) -> int:
             return sig
         prec *= 2
     return exact_signature(V, x)
+
+
+# ---------------------------------------------------------------------------
+# Laurent polynomials: the Euclidean algorithm and substitution
+# ---------------------------------------------------------------------------
+
+
+def _divmod_poly(a: LaurentPoly, b: LaurentPoly):
+    """Quotient and remainder with both operands shifted to low = 0, in the
+    ordinary polynomial ring; the unit t^k of each operand is dropped."""
+    if b.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    a, b = LaurentPoly._aligned(a, b)
+    num, den = list(a.coeffs), list(b.coeffs)
+    d = len(den) - 1
+    if len(num) - 1 < d:
+        return LaurentPoly.zero(), LaurentPoly(0, num)
+    inv_lead = den[-1].inverse()
+    quot = [Cyclo.zero()] * (len(num) - d)
+    for k in range(len(num) - 1 - d, -1, -1):
+        c = num[k + d] * inv_lead
+        quot[k] = c
+        if not c.is_zero():
+            for j in range(d + 1):
+                num[k + j] = num[k + j] - c * den[j]
+    return LaurentPoly(0, quot), LaurentPoly(0, num)
+
+
+def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    q, rem = _divmod_poly(a, b)
+    if not rem.is_zero():
+        raise ArithmeticError("non-exact polynomial division")
+    return q.shift(a.low - b.low)
+
+
+def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """Monic gcd with lowest exponent 0, by the Euclidean algorithm."""
+    while not b.is_zero():
+        a, b = b, _divmod_poly(a, b)[1]
+    return a.unit_normal()
+
+
+def reduced_fraction(num: LaurentPoly, den: LaurentPoly) -> RationalFn:
+    """num / den with their gcd cancelled."""
+    if not num.is_zero() and den.span() > 0:
+        g = poly_gcd(num, den)
+        if g.span() > 0:
+            num, den = exact_div(num, g), exact_div(den, g)
+    return RationalFn(num, den)
+
+
+def substitute(f: LaurentPoly, c: RootOfUnity, m: int) -> LaurentPoly:
+    """f(xi^c * t^m) for a root of unity xi^c and m >= 1: each term
+    a_k t^k becomes a_k xi^(c*k) t^(m*k)."""
+    if m < 1:
+        raise ValueError("substitution power must be a positive integer")
+    if f.is_zero():
+        return f
+    out = [Cyclo.zero()] * (m * (len(f.coeffs) - 1) + 1)
+    for i, a in enumerate(f.coeffs):
+        if not a.is_zero():
+            out[m * i] = a * (c ** (f.low + i)).as_cyclo()
+    return LaurentPoly(m * f.low, out)
+
+
+# ---------------------------------------------------------------------------
+# Subspaces, cover orders and characters
+# ---------------------------------------------------------------------------
+
+
+def enumerate_subspaces(n: int, k: int, r: int):
+    """All k-dimensional subspaces of F_r^n, one echelon basis each."""
+    for pivots in itertools.combinations(range(n), k):
+        free_slots = [
+            (i, c)
+            for i in range(k)
+            for c in range(pivots[i] + 1, n)
+            if c not in pivots
+        ]
+        for values in itertools.product(range(r), repeat=len(free_slots)):
+            rows = [[0] * n for _ in range(k)]
+            for i, pc in enumerate(pivots):
+                rows[i][pc] = 1
+            for (i, c), v in zip(free_slots, values):
+                rows[i][c] = v
+            yield Subspace(rows, r, n)
+
+
+def cover_order_from_alexander(p: int, q: int, n: int) -> int:
+    """|prod_{a=1}^{n-1} Delta(xi_n^a)|, the classical order formula for the
+    homology of the n-fold branched cover; exact cyclotomic arithmetic."""
+    delta = seifert.alexander_poly(p, q)
+    value = Cyclo.one()
+    for a in range(1, n):
+        value = value * delta.evaluate_root(RootOfUnity.normalized(a, n))
+    value = value.to_fraction()
+    if value.denominator != 1:
+        raise ConventionError("order product is not an integer")
+    return abs(int(value))
+
+
+def evaluate_character(module: CoverModule, chi: Character, v) -> int:
+    """chi extended linearly to a model element v = sum v_i x_i (row vector)."""
+    return sum(a * b for a, b in zip(v, chi.values[: module.dim])) % module.r

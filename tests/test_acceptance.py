@@ -29,11 +29,13 @@ from sliceguard.metabolizers import (
     graph_detect,
     is_invariant_metabolizer,
 )
-from sliceguard.modp import Subspace, enumerate_subspaces
-from sliceguard.pipeline import Options, index_sets, obstruct, verify_verdict
+from sliceguard.knots import index_sets
+from sliceguard.modp import Subspace
+from sliceguard.pipeline import Options, obstruct, verify_verdict
 from sliceguard.twisted import rep_images, twisted_alex_exterior, twisted_alex_surgery
 
 import oracles
+from oracles import enumerate_subspaces
 
 J2 = "T(2,3;2,5) # -T(2,5) # -T(2,3;2,7) # T(2,7)"
 J3 = "T(3,4;3,5) # -T(3,5) # -T(3,4;3,7) # T(3,7)"
@@ -131,7 +133,7 @@ def test_criterion_03_cover_structure():
             assert modp.mat_eq(power, modp.identity(mod.dim))
             for n in (2, 3, 4):
                 c = seifert.branched_cover(p, q, n)
-                assert c.order == seifert.cover_order_from_alexander(p, q, n)
+                assert c.order == oracles.cover_order_from_alexander(p, q, n)
 
 
 def _numpy_signature(V, x: Fraction):
@@ -256,12 +258,11 @@ def test_criterion_06_character_construction_soundness():
             nf = knots.normal_form(K, r)
             assert nf.m1 == m1
             sets = index_sets(nf)
-            ctx = pipeline._obstruction_context(nf, sets)
             F = FormSpace(module=model_module(p, r), m1=m1)
             mets = enumerate_invariant_metabolizers(F)
             assert mets
             for L in mets:
-                choice = construct_character(L, F, ctx)
+                choice = construct_character(L, F, sets)
                 assert isinstance(choice, CharacterChoice)
                 dim = F.block_dim
                 # independent evaluation on every vector of L

@@ -9,6 +9,7 @@ import sympy
 
 from sliceguard import covers, metabolizers, pipeline, seifert
 from sliceguard.cli import main
+from sliceguard.expr import parse
 
 J2 = "T(2,3;2,5) # -T(2,5) # -T(2,3;2,7) # T(2,7)"
 
@@ -215,6 +216,33 @@ def _child(*argv, timeout):
     return subprocess.run([sys.executable, "-m", "sliceguard.cli", *argv],
                           capture_output=True, text=True, timeout=timeout,
                           env=dict(os.environ, PYTHONPATH=str(src)))
+
+
+def test_closed_stdout_pipe_exits_141_silently():
+    # the reader end is closed before the child starts, so its first write
+    # fails: that is no input error, and nothing goes to stderr
+    src = Path(__file__).resolve().parent.parent / "src"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "sliceguard.cli", "alex", "13", "17"],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              timeout=30, env=dict(os.environ, PYTHONPATH=str(src)))
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")
+
+
+def test_verify_mutated_document_fails_in_one_line(tmp_path):
+    # a nested entry of the wrong type: one stderr line, exit 1, no traceback
+    doc = json.loads(pipeline.obstruct(parse(J2)).to_json())
+    doc["metabolizers"][0]["character"]["a"] = [["x", None]]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    done = _child("obstruct", "--verify", str(path), timeout=60)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+    assert done.stderr.startswith("verification failed: ")
 
 
 def test_p5_budget_refusal_does_not_hang():

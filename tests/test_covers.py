@@ -10,7 +10,6 @@ from sliceguard.covers import (
     CoverModule,
     character_from_functional,
     characters,
-    evaluate_character,
     model_module,
     validate_module,
 )
@@ -19,6 +18,7 @@ from sliceguard.metabolizers import FormSpace, enumerate_invariant_metabolizers
 from sliceguard.pipeline import Options, obstruct
 
 import oracles
+from oracles import evaluate_character
 
 # every shape whose Seifert import finishes within a few seconds; the Smith
 # forms of (5, 7), (5, 11), (6, r >= 5) and (7, 5) do not

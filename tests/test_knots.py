@@ -9,6 +9,7 @@ from sliceguard.knots import (
     KnotCombination,
     TorusKnotSum,
     algebraically_slice,
+    check_torus,
     in_sp,
     normal_form,
     prime_power_exponent,
@@ -138,3 +139,10 @@ def test_prime_power_exponent_matches_sympy():
         factors = sympy.factorint(n) if n >= 2 else {}
         expected = next(iter(factors.values())) if len(factors) == 1 else 0
         assert prime_power_exponent(n) == expected, n
+
+
+@pytest.mark.parametrize("p,q", [(1, 3), (3, 1), (2, 4), (6, 9), (2, 2)])
+def test_check_torus_rejects_non_torus_parameters(p, q):
+    with pytest.raises(ValueError, match=f"T\\({p},{q}\\) is not a torus knot"):
+        check_torus(p, q)
+    check_torus(2, 3)

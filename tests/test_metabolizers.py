@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from sliceguard import knots, modp, pipeline
+from sliceguard import knots, modp
 from sliceguard.covers import model_module
 from sliceguard.metabolizers import (
     BudgetExceeded,
@@ -15,8 +15,10 @@ from sliceguard.metabolizers import (
     graph_detect,
     is_invariant_metabolizer,
 )
-from sliceguard.modp import Subspace, enumerate_subspaces
+from sliceguard.modp import Subspace
 from sliceguard.expr import parse
+
+from oracles import enumerate_subspaces
 
 
 def _perp(L: Subspace, G, r):
@@ -178,28 +180,27 @@ class TestConstructCharacter:
     def _context(self, expr, r):
         K = parse(expr)
         nf = knots.normal_form(knots.simplify(K), r)
-        sets = pipeline.index_sets(nf)
-        return nf, pipeline._obstruction_context(nf, sets), sets
+        return nf, knots.index_sets(nf)
 
     def test_j_family_case3(self):
-        nf, ctx, _ = self._context("T(2,3;2,5) # -T(2,5) # -T(2,3;2,7) # T(2,7)", 5)
+        nf, sets = self._context("T(2,3;2,5) # -T(2,5) # -T(2,3;2,7) # T(2,7)", 5)
         F = FormSpace(module=model_module(2, 5), m1=1)
         L1 = Subspace([(1, 1)], 5)
-        choice = construct_character(L1, F, ctx)
+        choice = construct_character(L1, F, sets)
         assert isinstance(choice, CharacterChoice)
         assert choice.case == 3 and (choice.q, choice.s) == (3, 1)
         assert choice.chi_a[0].values == (1, 4)
         assert choice.chi_b[0].values == (4, 1)
         L2 = Subspace([(1, 4)], 5)
-        choice2 = construct_character(L2, F, ctx)
+        choice2 = construct_character(L2, F, sets)
         assert choice2.case == 3
         assert choice2.chi_a[0].values == (1, 4)
 
     def test_vanishing_on_all_metabolizer_vectors(self):
-        nf, ctx, _ = self._context("T(2,3;2,5) # -T(2,5) # -T(2,3;2,7) # T(2,7)", 5)
+        nf, sets = self._context("T(2,3;2,5) # -T(2,5) # -T(2,3;2,7) # T(2,7)", 5)
         F = FormSpace(module=model_module(2, 5), m1=1)
         for L in enumerate_invariant_metabolizers(F):
-            choice = construct_character(L, F, ctx)
+            choice = construct_character(L, F, sets)
             fa, fb = choice.functional_a, choice.functional_b
             for v in L.vectors():
                 total = sum(a * b for a, b in zip(v[:1], fa)) + sum(
@@ -210,11 +211,11 @@ class TestConstructCharacter:
     def test_case1_on_non_graph_metabolizer(self):
         expr = ("T(2,3;2,5) # T(2,7;2,5) # -2*T(2,5) # -T(2,3;2,11) # T(2,11) "
                 "# -T(2,7;2,13) # T(2,13)")
-        nf, ctx, sets = self._context(expr, 5)
+        nf, sets = self._context(expr, 5)
         F = FormSpace(module=model_module(2, 5), m1=2)
         L = Subspace([(1, 2, 0, 0), (0, 0, 1, 2)], 5)
         assert is_invariant_metabolizer(L, F)
-        choice = construct_character(L, F, ctx)
+        choice = construct_character(L, F, sets)
         assert choice.case == 1
         assert all(chi.is_trivial() for chi in choice.chi_b)
         assert any(not chi.is_trivial() for chi in choice.chi_a)
@@ -224,15 +225,15 @@ class TestConstructCharacter:
         assert nza & sets.I1[key]
 
     def test_not_simplified_witness_data(self):
-        from sliceguard.metabolizers import ObstructionContext, _not_simplified
+        from sliceguard.metabolizers import _not_simplified
 
         # synthetic non-simplified pair list: pair 0 and pair 2 repeat the
         # positive sequence, pair 1's negative matches it
-        ctx = ObstructionContext(
+        sets = knots.IndexSets(
             pairs=(((3, 5), (7, 5)), ((9, 5), (3, 5)), ((3, 5), (11, 5))),
-            qs_points=(), I1={}, I2={},
+            points=(), I1={}, I2={}, I3={}, I4={},
         )
-        witness = _not_simplified(ctx)
+        witness = _not_simplified(sets)
         assert witness.k0 == 0
         assert witness.X == {0, 2}
         assert witness.Y == {1}
@@ -241,10 +242,10 @@ class TestConstructCharacter:
         # mirror of the previous input swaps the roles of the two halves
         expr = ("-T(2,3;2,5) # -T(2,7;2,5) # 2*T(2,5) # T(2,3;2,11) # -T(2,11) "
                 "# T(2,7;2,13) # -T(2,13)")
-        nf, ctx, sets = self._context(expr, 5)
+        nf, sets = self._context(expr, 5)
         F = FormSpace(module=model_module(2, 5), m1=2)
         for L in enumerate_invariant_metabolizers(F):
-            choice = construct_character(L, F, ctx)
+            choice = construct_character(L, F, sets)
             assert choice is not None
             key = (choice.q, choice.s)
             nza = {k for k, chi in enumerate(choice.chi_a) if not chi.is_trivial()}

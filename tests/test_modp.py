@@ -3,7 +3,9 @@ import itertools
 import pytest
 
 from sliceguard import modp
-from sliceguard.modp import Subspace, enumerate_subspaces, subspace_count
+from sliceguard.modp import Subspace, subspace_count
+
+from oracles import enumerate_subspaces
 
 
 def test_rref_and_rank():

@@ -6,21 +6,25 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sliceguard import covers, knots, laurent, modp, pipeline, seifert, twisted
-from sliceguard.covers import Character
+from sliceguard import covers, knots, laurent, metabolizers, modp, pipeline, seifert, twisted
+from sliceguard.covers import Character, ConventionError
 from sliceguard.cyclo import normalize_root
-from sliceguard.expr import parse
+from sliceguard.expr import ParseError, parse
+from sliceguard.knots import index_sets
 from sliceguard.metabolizers import BudgetExceeded
 from sliceguard.pipeline import (
     Options,
     VerificationError,
     decompose,
-    index_sets,
     obstruct,
     verify_verdict,
 )
 from sliceguard.witt import Classical
+
+import oracles
 
 J2 = "T(2,3;2,5) # -T(2,5) # -T(2,3;2,7) # T(2,7)"
 J3 = "T(3,4;3,5) # -T(3,5) # -T(3,4;3,7) # T(3,7)"
@@ -292,11 +296,13 @@ class TestVerification:
         )
 
     def test_verdict_path_uses_no_grassmannian_filter(self, monkeypatch):
-        # enumerate_subspaces is the tests' brute-force oracle only
+        # the Grassmannian filter is the tests' brute-force oracle only: the
+        # package has none, and verdicts never reach the oracle's
         def forbidden(*args, **kwargs):
             raise AssertionError("Grassmannian filter called on the verdict path")
 
-        monkeypatch.setattr(modp, "enumerate_subspaces", forbidden)
+        assert not hasattr(modp, "enumerate_subspaces")
+        monkeypatch.setattr(oracles, "enumerate_subspaces", forbidden)
         for expr in [J2, J3, R13]:
             verdict = obstruct(parse(expr))
             assert verdict.kind == "NOT_SLICE"
@@ -373,3 +379,116 @@ class TestVerification:
         assert set(entry["witness"]) == {"omega", "total_jump"}
         num, den = entry["witness"]["omega"].split("/")
         Fraction(int(num), int(den))
+
+
+def _wrap_finish(monkeypatch, alter):
+    """Route every call of the construction's last step through ``alter``,
+    which edits its (fa, fb, q, s) before the character check runs."""
+    real = metabolizers._finish
+
+    def finish(L, F, sets, case, fa, fb, q, s):
+        return real(L, F, sets, case, *alter(F, fa, fb, q, s))
+
+    monkeypatch.setattr(metabolizers, "_finish", finish)
+
+
+def _nonvanishing_functional(monkeypatch):
+    # the first functional moves off the annihilator of the metabolizer
+    _wrap_finish(monkeypatch, lambda F, fa, fb, q, s: (
+        ((fa[0] + 1) % F.r,) + tuple(fa[1:]), fb, q, s))
+
+
+def _character_not_induced(monkeypatch):
+    # one value too many: no functional on the module induces it
+    real = metabolizers.character_from_functional
+
+    def build(module, functional):
+        chi = real(module, functional)
+        return Character(chi.r, chi.values + (0,))
+
+    monkeypatch.setattr(metabolizers, "character_from_functional", build)
+
+
+def _wrong_level(monkeypatch):
+    # J2 has no companion level at s = 2
+    _wrap_finish(monkeypatch, lambda F, fa, fb, q, s: (fa, fb, q, s + 1))
+
+
+class TestCharacterCheck:
+    """``metabolizers.check_characters`` runs on every certificate as it is
+    built, so a faulty construction stops ``obstruct`` and
+    ``verify_verdict`` alike, with the one self-check error."""
+
+    @pytest.mark.parametrize("fault, message", [
+        (_nonvanishing_functional, "do not vanish on the metabolizer"),
+        (_character_not_induced, "is not induced by any functional"),
+        (_wrong_level, "neither level condition"),
+    ], ids=["not-vanishing", "not-induced", "wrong-level"])
+    def test_fault_raises_convention_error(self, monkeypatch, fault, message):
+        doc = json.loads(obstruct(parse(J2)).to_json())
+        fault(monkeypatch)
+        with pytest.raises(ConventionError, match=message):
+            obstruct(parse(J2))
+        with pytest.raises(ConventionError, match=message):
+            verify_verdict(doc)
+
+
+# ---------------------------------------------------------------------------
+# The verifier's boundary: whatever a document holds, verify_verdict
+# answers with one of its three refusals
+# ---------------------------------------------------------------------------
+
+_J2_DOC = obstruct(parse(J2)).to_json()
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10) | st.floats(allow_nan=False)
+    | st.text(alphabet="T(),;#-*0123456789 ", max_size=12),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["a", "b", "basis", "qs", "omega", "x"]),
+                      inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    """Every position in a JSON document, the root included."""
+    yield prefix
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def _mutated_documents(draw):
+    doc = json.loads(_J2_DOC)
+    for _ in range(draw(st.integers(1, 3))):
+        # the top-level fields are drawn as often as all positions together
+        paths = list(_paths(doc))
+        path = draw(st.sampled_from([p for p in paths if len(p) == 1] or paths)
+                    | st.sampled_from(paths))
+        if not path:
+            doc = draw(_JSON)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            parent[path[-1]] = draw(_JSON)
+        elif isinstance(parent, dict):
+            del parent[path[-1]]
+        else:
+            parent.insert(path[-1], draw(_JSON))
+    return doc
+
+
+class TestVerifierBoundary:
+    @settings(max_examples=150, deadline=None)
+    @given(_mutated_documents())
+    def test_mutated_document_is_refused_in_its_own_terms(self, doc):
+        # a mutation can write back the value it replaced, so success is
+        # allowed; any error other than the three refusals is not
+        try:
+            verify_verdict(doc)
+        except (VerificationError, ParseError, BudgetExceeded):
+            pass

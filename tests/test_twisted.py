@@ -18,6 +18,8 @@ from sliceguard.twisted import (
     word,
 )
 
+from oracles import reduced_fraction
+
 
 # -- dense oracle: matrices of Laurent polynomials, multiplied entry by entry
 
@@ -243,6 +245,16 @@ class TestTwistedPolynomials:
                 assert set(unit_circle_roots(side, {q})) <= allowed
 
 
+@pytest.mark.parametrize("p,q", [(2, 4), (3, 6), (2, 2)])
+def test_non_torus_parameters_rejected(p, q):
+    # T(p, q) with gcd(p, q) > 1 is a link: refused as input, not reported
+    # as a disagreement of the two routes
+    chi = Character(q, (1,) + (0,) * (p - 2) + (q - 1,))
+    for fn in (rep_images, twisted_alex_exterior, twisted_alex_surgery):
+        with pytest.raises(ValueError, match="not a torus knot"):
+            fn(p, q, chi)
+
+
 # every coprime (p, q) with q prime, p <= 6, q <= 13 and at most 500 characters
 REDUCTION_GRID = [(p, q) for p in range(2, 7) for q in (2, 3, 5, 7, 11, 13)
                   if gcd(p, q) == 1 and q ** (p - 1) <= 500]
@@ -256,7 +268,7 @@ class TestReduction:
         assert chars[0].is_trivial()
         assert p == 2 or any(len(set(chi.values)) < p for chi in chars[1:])
         for chi in chars:
-            ref = RationalFn(*_closed_form(p, q, chi))
+            ref = reduced_fraction(*_closed_form(p, q, chi))
             out = twisted_alex_exterior(p, q, chi).fraction
             assert out.num == ref.num and out.den == ref.den
             assert str(out) == str(ref)

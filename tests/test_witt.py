@@ -18,6 +18,8 @@ from sliceguard.witt import (
     support_of,
 )
 
+from oracles import substitute
+
 
 def C(p, q, num=0, den=1, power=1, coeff=1):
     return Classical(p, q, normalize_root(num, den), power, coeff)
@@ -25,7 +27,7 @@ def C(p, q, num=0, den=1, power=1, coeff=1):
 
 def _classical_order(atom):
     """Delta_{T(p,q)}(xi^twist * t^power), the order the support summarises."""
-    return seifert.alexander_poly(atom.p, atom.q).substitute(atom.twist, atom.power)
+    return substitute(seifert.alexander_poly(atom.p, atom.q), atom.twist, atom.power)
 
 
 def _isolated_support(orders, *polys):
@@ -153,3 +155,12 @@ class TestMetabolic:
         W = WittClass([C(3, 4, 1, 5), C(3, 4, coeff=-3)])
         ok, (x, total) = is_metabolic_classical(W)
         assert not ok and total % 2 == 0 and total != 0
+
+
+def test_jump_points_are_the_alexander_roots():
+    # the supports read the cached jump points as the Alexander roots
+    for p in range(2, 14):
+        for q in range(2, 30):
+            if gcd(p, q) == 1:
+                roots = {root.frac for root in seifert.alexander_roots(p, q)}
+                assert set(seifert.jump_function(p, q)) == roots, (p, q)
