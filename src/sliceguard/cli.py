@@ -49,7 +49,7 @@ def _prime(text: str) -> int:
 
 
 def _options(args) -> pipeline.Options:
-    return pipeline.Options(r=args.r, budget=args.budget, max_r=args.max_r)
+    return pipeline.Options(r=args.r, budget=args.budget)
 
 
 def _cmd_obstruct(args) -> int:
@@ -162,11 +162,8 @@ def _cmd_characters(args) -> int:
 
 
 def _cmd_metabolizers(args) -> int:
-    # input errors, then the budget, before the module costs O(p^4)
-    covers.check_model_shape(args.p, args.r)
-    half_dim = args.copies * (args.p - 1)
-    metabolizers.check_budget(2 * half_dim, half_dim, args.r, args.budget)
-    F = metabolizers.FormSpace(module=covers.model_module(args.p, args.r), m1=args.copies)
+    # input errors here, then the budget, before the module costs O(p^4)
+    F = metabolizers.FormSpace(args.p, args.r, args.copies)
     found = metabolizers.enumerate_invariant_metabolizers(F, args.budget)
     if args.json:
         print(json.dumps({
@@ -264,10 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     ob.add_argument("--r", type=_prime, default=None, help="force one obstruction prime")
     ob.add_argument("--budget", type=_count, default=2_000_000,
                     help="max subspaces to enumerate per form")
-    ob.add_argument("--max-r", type=_count, default=13)
     ob.add_argument("--verify", metavar="FILE",
                     help="re-derive a previously emitted JSON verdict and require it "
-                         "bit-for-bit (--max-r does not apply)")
+                         "bit-for-bit")
     add_common(ob)
     ob.set_defaults(func=_cmd_obstruct)
 

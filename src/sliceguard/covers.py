@@ -19,7 +19,10 @@ Seifert-presented cover: the two agree up to an equivariant unit and a
 global scalar.
 
 Characters are zero-sum vectors of length p over Z_r: the character sends
-the i-th orbit generator x_i = t^i x_0 to the (i+1)-st entry.
+the i-th orbit generator x_i = t^i x_0 to the (i+1)-st entry.  As
+x_{p-1} = -(x_0 + ... + x_{p-2}), every such vector is the character of
+one functional on the model basis, its first p - 1 entries
+(``Character.from_functional``).
 """
 
 from __future__ import annotations
@@ -53,15 +56,6 @@ class CoverModule:
     @property
     def dim(self) -> int:
         return len(self.gram)
-
-    def orbit_rows(self) -> tuple:
-        """The rows of x_0, x_1, ..., x_{dim} in the model basis."""
-        rows = []
-        v = tuple([1] + [0] * (self.dim - 1))
-        for _ in range(self.dim + 1):
-            rows.append(v)
-            v = modp.vec_mat(v, self.action, self.r)
-        return tuple(rows)
 
 
 def validate_module(m: CoverModule, n: int):
@@ -101,6 +95,19 @@ class Character:
             raise ValueError(f"character values {self.values} do not sum to 0 mod {self.r}")
         if any(not 0 <= v < self.r for v in self.values):
             raise ValueError("character entries must be reduced mod r")
+
+    @classmethod
+    def from_functional(cls, r: int, functional) -> "Character":
+        """The character (f(x_0), ..., f(x_{p-1})) of a functional f given on
+        the model basis x_0, ..., x_{p-2}: its values there, then
+        f(x_{p-1}) = -(f(x_0) + ... + f(x_{p-2})), as t^(p-1) x_0 is minus
+        the sum of the basis.
+
+        >>> Character.from_functional(5, (1, 3))
+        Character(r=5, values=(1, 3, 1))
+        """
+        values = tuple(x % r for x in functional)
+        return cls(r, values + ((-sum(values)) % r,))
 
     @property
     def p(self) -> int:
@@ -163,14 +170,3 @@ def characters(p: int, r: int) -> list[Character]:
         out.append(Character(r, head + (last,)))
     out.sort(key=lambda c: c.values)
     return out
-
-
-def character_from_functional(module: CoverModule, functional) -> Character:
-    """The character with values (f(x_0), ..., f(x_{p-1})) for a linear
-    functional given by a coefficient vector on the model basis."""
-    values = tuple(
-        sum(a * b for a, b in zip(row, functional)) % module.r
-        for row in module.orbit_rows()
-    )
-    return Character(module.r, values)
-

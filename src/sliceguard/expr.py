@@ -16,6 +16,8 @@ offending position.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .knots import IteratedTorusKnot, KnotCombination
 
 
@@ -129,13 +131,7 @@ def _parse_knot(scanner: _Scanner, p_seen, knot_start):
         knot = IteratedTorusKnot(p, tuple(q for q, _ in qs))
     except ValueError as exc:
         bad_pos = next(
-            (pos for q, pos in qs if q < 1 or _gcd(p, q) != 1), knot_start
+            (pos for q, pos in qs if q < 1 or gcd(p, q) != 1), knot_start
         )
         raise ParseError(str(exc), bad_pos) from None
     return knot, (p_seen if p_seen is not None else p)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a

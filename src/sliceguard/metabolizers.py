@@ -1,10 +1,13 @@
 """Metabolizers of lambda^m ⊕ -lambda^m over F_r and obstructing characters.
 
-The ambient space stacks m positive copies of the cover module followed by
-m negative copies; the linking form is the block sum with signs and the
-deck action acts blockwise.  A metabolizer is a half-dimension subspace
-equal to its own orthogonal complement; since the form is nonsingular,
-isotropy plus half dimension suffices.
+``FormSpace(p, r, m)`` is the one form space: m positive copies of the
+model module of the p-fold cover of T(p, r) (``covers.model_module``)
+followed by m negative copies; the linking form is the block sum with
+signs and the deck action acts blockwise.  The shape is checked when the
+space is made, and the module is built on first use, so the budget can
+refuse a shape before the module costs anything.  A metabolizer is a
+half-dimension subspace equal to its own orthogonal complement; since
+the form is nonsingular, isotropy plus half dimension suffices.
 
 ``enumerate_invariant_metabolizers`` builds echelon bases row by row and
 drops a prefix at its first non-isotropic row, so only isotropic bases
@@ -20,20 +23,23 @@ subspace by g produces the character pair.  If g preserves every such
 subspace the input combination was not simplified, which the caller
 treats as a bug, not a verdict.  The level data is ``knots.IndexSets``.
 
-Every character pair passes ``check_characters`` as it is built, the one
-certificate check: from the values alone, each character is induced by a
-functional, the functionals vanish on the metabolizer, and one level
-condition holds.  A failure is a ``ConventionError``, since the data is
-the package's own.
+The model basis is the orbit x_i = t^i x_0, so a character is read as
+the functional given by its first p - 1 values (``Character.from_functional``
+builds it).  Every character pair passes ``check_characters`` as it is
+built, the one certificate check: from the values alone, each character
+has modulus r and length p, the functionals vanish on the metabolizer,
+and one level condition holds.  A failure is a ``ConventionError``, since
+the data is the package's own.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
-from . import modp
-from .covers import ConventionError, CoverModule, character_from_functional
+from . import covers, modp
+from .covers import Character, ConventionError, CoverModule
 from .knots import IndexSets
 from .modp import Subspace
 
@@ -44,18 +50,23 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class FormSpace:
-    """lambda^m1 ⊕ -lambda^m1 built from a cover module."""
+    """lambda^m1 ⊕ -lambda^m1 on the model module of the p-fold cover of
+    T(p, r); a (p, r) with no model module is a ValueError."""
 
-    module: CoverModule
+    p: int
+    r: int
     m1: int
 
-    @property
-    def r(self) -> int:
-        return self.module.r
+    def __post_init__(self):
+        covers.check_model_shape(self.p, self.r)
+
+    @cached_property
+    def module(self) -> CoverModule:
+        return covers.model_module(self.p, self.r)
 
     @property
     def block_dim(self) -> int:
-        return self.module.dim
+        return self.p - 1
 
     @property
     def half_dim(self) -> int:
@@ -110,10 +121,18 @@ def is_invariant_metabolizer(L: Subspace, F: FormSpace) -> bool:
     return all(L.contains(modp.vec_mat(v, A, r)) for v in rows)
 
 
-def check_budget(n: int, k: int, r: int, budget: int) -> None:
-    """Refuse when the k-dimensional subspaces of F_r^n exceed the budget.
-    The count is at least r^(k(n-k)); a shape whose bound alone has more
-    than 4096 bits is refused from the bound, without the costly count."""
+def enumerate_invariant_metabolizers(F: FormSpace, budget: int = 2_000_000) -> list[Subspace]:
+    """All invariant metabolizers, in the order of the Grassmannian oracle,
+    by the isotropic echelon walk: rows are filled first to last, pivots in
+    combinations order and free slots in product order, and a row is kept
+    only if it pairs to zero with itself and the rows above it (pairings
+    ``is_invariant_metabolizer`` also tests).
+
+    The budget counts every half-dimension subspace, walked or not, and a
+    shape over it is refused loudly before the module is built.  The count
+    is at least r^(k(n-k)); a shape whose bound alone has more than 4096
+    bits is refused from the bound, without the costly count."""
+    n, k, r = F.ambient_dim, F.half_dim, F.r
     exponent = k * (n - k)
     if exponent * (r.bit_length() - 1) > max(4096, budget.bit_length()):
         raise BudgetExceeded(
@@ -125,17 +144,6 @@ def check_budget(n: int, k: int, r: int, budget: int) -> None:
         raise BudgetExceeded(
             f"{total} half-dimension subspaces exceed the budget of {budget}"
         )
-
-
-def enumerate_invariant_metabolizers(F: FormSpace, budget: int = 2_000_000) -> list[Subspace]:
-    """All invariant metabolizers, in the order of the Grassmannian oracle,
-    by the isotropic echelon walk: rows are filled first to last, pivots in
-    combinations order and free slots in product order, and a row is kept
-    only if it pairs to zero with itself and the rows above it (pairings
-    ``is_invariant_metabolizer`` also tests).  The budget counts every
-    half-dimension subspace, walked or not; refuses loudly over budget."""
-    n, k, r = F.ambient_dim, F.half_dim, F.r
-    check_budget(n, k, r, budget)
     G = F.gram()
     found = []
 
@@ -209,8 +217,6 @@ class CharacterChoice:
     chi_b: tuple
     q: int
     s: int
-    functional_a: tuple
-    functional_b: tuple
 
 
 @dataclass(frozen=True)
@@ -327,33 +333,29 @@ def _graph_case(L, F, sets, g, ginv, q, s, S1, S2, gS1):
 def _finish(L, F, sets, case, fa, fb, q, s):
     d = F.block_dim
     chi_a, chi_b = (
-        tuple(character_from_functional(F.module, f[k * d : (k + 1) * d])
+        tuple(Character.from_functional(F.r, f[k * d : (k + 1) * d])
               for k in range(F.m1))
         for f in (fa, fb)
     )
     check_characters(F, L.rows, chi_a, chi_b, q, s, sets)
-    return CharacterChoice(
-        case=case, chi_a=chi_a, chi_b=chi_b, q=q, s=s,
-        functional_a=tuple(fa), functional_b=tuple(fb),
-    )
+    return CharacterChoice(case=case, chi_a=chi_a, chi_b=chi_b, q=q, s=s)
 
 
 def check_characters(F: FormSpace, basis, chi_a, chi_b, q: int, s: int,
                      sets: IndexSets) -> None:
     """The certificate check, made from the characters' values alone: each
-    character is induced by a functional on its block, those functionals
+    character has modulus r and length p, so it is induced by the
+    functional of its first p - 1 values on its block; those functionals
     vanish on every basis row, and one level condition holds at (q, s):
     the characters nontrivial on one side meet that side's index set
     while the other side's nontrivial characters avoid theirs.  Raises
     ConventionError otherwise."""
     r, dim = F.r, F.block_dim
-    orbit = F.module.orbit_rows()
     functional = []
     for chi in (*chi_a, *chi_b):
-        c = modp.solve(orbit[:dim], chi.values[:dim], r)
-        if c is None or modp.mat_vec(orbit, c, r) != chi.values:
+        if chi.r != r or chi.p != F.p:
             raise ConventionError(f"character {chi} is not induced by any functional")
-        functional.extend(c)
+        functional.extend(chi.values[:dim])
     if any(sum(a * b for a, b in zip(row, functional)) % r for row in basis):
         raise ConventionError("the characters do not vanish on the metabolizer")
     key = (q, s)

@@ -3,13 +3,17 @@
 Given a combination of iterated torus knots sharing a prime-power cabling
 parameter, the pipeline first settles the cheap verdicts (trivial after
 cancellation; not algebraically slice with a surviving companion as
-witness).  For the remaining combinations it picks a final prime r,
-arranges the terms into signed pairs, builds the linking form
-lambda^m ⊕ -lambda^m of the r-part of the branched cover, and then, for
-every deck-invariant metabolizer, constructs a vanishing character whose
-twisted decomposition has a level component with a nonzero total
-signature jump.  One certificate per metabolizer yields NOT_SLICE; any
-gap yields INCONCLUSIVE, never an unproven verdict.
+witness).  For the remaining combinations it tries each final prime r,
+arranges the terms into signed pairs, takes the model form space
+lambda^m ⊕ -lambda^m of the r-part of the branched cover
+(``metabolizers.FormSpace``), and then, for every deck-invariant
+metabolizer, constructs a vanishing character whose twisted decomposition
+has a level component with a nonzero total signature jump.  One
+certificate per metabolizer yields NOT_SLICE; any gap yields
+INCONCLUSIVE, never an unproven verdict.  The budget is the one refusal
+rule for a form's size: a prime whose form has more half-dimension
+subspaces than the budget is refused before its module is built, and
+the next prime is tried.
 
 Certificates record the metabolizer basis, the construction case, the
 character pair, the level (q, s), and the witness jump.  There is one
@@ -51,18 +55,15 @@ class VerificationError(AssertionError):
 class Options:
     r: int | None = None
     budget: int = 2_000_000
-    max_r: int = 13
 
 
 @dataclass(frozen=True)
 class Decomposition:
-    """The four blocks of the decomposed metabelian pairing: twisted atoms
-    for the chosen prime's pairs (B1), cancelling twisted pairs for the
-    other groups (B2), and per-level classical blocks (B3 twisted by the
-    characters, B4 untwisted)."""
+    """The blocks of the decomposed metabelian pairing: twisted atoms for
+    the chosen prime's pairs (B1) and per-level classical blocks (B3
+    twisted by the characters, B4 untwisted); see ``decompose``."""
 
     B1: WittClass
-    B2: WittClass
     B3: dict
     B4: dict
 
@@ -82,6 +83,11 @@ def _lambda_block(p: int, q: int, r: int, chi: Character, s: int, sign: int) -> 
 
 
 def decompose(nf: NormalForm, chi_a, chi_b) -> Decomposition:
+    """The blocks for the character pair (chi_a, chi_b) at the prime r of
+    ``nf``.  The pairs of the other primes' groups carry the trivial
+    character and contribute Twisted(p, r', theta, +1) and
+    Twisted(p, r', theta, -1) of one key each, which cancel in the Witt
+    group, so they have no block."""
     p, r = nf.p, nf.r
     m1 = nf.m1
     if len(chi_a) != m1 or len(chi_b) != m1:
@@ -95,14 +101,6 @@ def decompose(nf: NormalForm, chi_a, chi_b) -> Decomposition:
         [Twisted(p, r, chi_a[i], +1) for i in range(m1)]
         + [Twisted(p, r, chi_b[i], -1) for i in range(m1)]
     )
-    b2_atoms = []
-    for j in range(1, len(nf.groups)):
-        prime = nf.primes[j]
-        theta_j = Character(prime, tuple([0] * p))
-        for _ in nf.groups[j]:
-            b2_atoms.append(Twisted(p, prime, theta_j, +1))
-            b2_atoms.append(Twisted(p, prime, theta_j, -1))
-    B2 = WittClass(b2_atoms)
     B3 = {}
     B4 = {}
     for (q, s) in sets.points:
@@ -119,7 +117,7 @@ def decompose(nf: NormalForm, chi_a, chi_b) -> Decomposition:
             atoms4.extend(_lambda_block(p, q, r, theta, s, -1))
         B3[(q, s)] = WittClass(atoms3)
         B4[(q, s)] = WittClass(atoms4)
-    return Decomposition(B1=B1, B2=B2, B3=B3, B4=B4)
+    return Decomposition(B1=B1, B3=B3, B4=B4)
 
 
 @dataclass(frozen=True)
@@ -225,8 +223,6 @@ def _certify_metabolizer(L: Subspace, F: FormSpace, nf: NormalForm,
     if key not in dec_cache:
         dec_cache[key] = decompose(nf, choice.chi_a, choice.chi_b)
     dec = dec_cache[key]
-    if not dec.B2.is_empty():
-        raise _Uncertified("trivial-character block failed to cancel")
     if not _disjointness_ok(dec, choice.q, choice.s):
         raise _Uncertified(
             f"root supports of the level ({choice.q},{choice.s}) block are "
@@ -259,9 +255,9 @@ def _certify_prime(simplified: KnotCombination, r: int, budget: int):
     cancel), the form space, and one certificate per invariant metabolizer,
     in enumeration order, and returns the certificates.  Each certificate's
     characters pass ``metabolizers.check_characters`` as they are built.
-    The budget is checked before the module is built.  Raises
-    BudgetExceeded over budget, and _Uncertified when a metabolizer has no
-    certificate.
+    The enumeration checks the budget before the form space builds its
+    module.  Raises BudgetExceeded over budget, and _Uncertified when a
+    metabolizer has no certificate.
     """
     nf = knots.normal_form(simplified, r)
     sets = index_sets(nf)
@@ -271,10 +267,7 @@ def _certify_prime(simplified: KnotCombination, r: int, budget: int):
                 f"level multiplicity sum nonzero at (q={q}, s={s}) for an "
                 "algebraically slice combination"
             )
-    # the refusal comes before the module is built, which costs O(p^4)
-    half_dim = nf.m1 * (simplified.p - 1)
-    metabolizers.check_budget(2 * half_dim, half_dim, r, budget)
-    F = FormSpace(module=covers.model_module(simplified.p, r), m1=nf.m1)
+    F = FormSpace(simplified.p, r, nf.m1)
     mets = metabolizers.enumerate_invariant_metabolizers(F, budget)
     dec_cache: dict = {}
     return tuple(_certify_metabolizer(L, F, nf, sets, dec_cache) for L in mets)
@@ -317,9 +310,6 @@ def obstruct(K: KnotCombination, options: Options = Options(),
     for r in candidates:
         if r not in simplified.ending_primes():
             reasons.append(f"r={r}: not a final index of the combination")
-            continue
-        if r > options.max_r:
-            reasons.append(f"r={r}: exceeds the configured prime budget {options.max_r}")
             continue
         try:
             certificates = _certify_prime(simplified, r, options.budget)

@@ -46,7 +46,10 @@ lambda(x, z) = x^T Y z / r^2 mod 1, and the deck action a -> T^T a pulls
 back to x -> T^-1 x.  The kernel's dimension must equal the number of
 divisors, which ties the Alexander route to the Seifert presentation,
 and the module must pass ``covers.validate_module`` at n, as the model
-modules do at n = p.
+modules do at n = p.  Y has N = (n-1)(p-1)(q-1) rows, and a cover with
+N over ``MAX_PRESENTATION_ROWS`` is refused (``BudgetExceeded``) after
+its divisors and before Y is built, so ``homology`` answers or refuses in
+bounded time.
 """
 
 from __future__ import annotations
@@ -63,6 +66,11 @@ from .covers import ConventionError, CoverModule, validate_module
 from .cyclo import RootOfUnity, int_poly_div_exact
 from .knots import check_torus, prime_power_exponent
 from .laurent import LaurentPoly
+from .metabolizers import BudgetExceeded
+
+# the largest presentation Y that ``branched_cover`` builds; (7, 13, 7),
+# with 432 rows, takes about 6 s on a 2-CPU x86 machine
+MAX_PRESENTATION_ROWS = 500
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +382,9 @@ def branched_cover(p: int, q: int, n: int) -> CoverHomology:
 
     The divisors come from the cyclic Alexander module; a zero divisor
     (infinite homology) is rejected, which catches non-prime-power n.
-    See the module docstring.
+    A module whose presentation would have more than
+    ``MAX_PRESENTATION_ROWS`` rows raises BudgetExceeded.  See the module
+    docstring.
     """
     if n < 2:
         raise ValueError("cover degree must be at least 2")
@@ -388,6 +398,12 @@ def branched_cover(p: int, q: int, n: int) -> CoverHomology:
     torsion = tuple(d for d in divisors if d != 1)
     module = None
     if prime_power_exponent(q) == 1 and torsion and all(d == q for d in torsion):
+        rows = (n - 1) * (p - 1) * (q - 1)
+        if rows > MAX_PRESENTATION_ROWS:
+            raise BudgetExceeded(
+                f"the {n}-fold cover of T({p},{q}) has a presentation of {rows} "
+                f"rows, over the limit of {MAX_PRESENTATION_ROWS}"
+            )
         module = _prime_module(seifert_matrix(p, q), n, q, len(torsion))
     return CoverHomology(p=p, q=q, n=n, divisors=torsion, order=prod(torsion),
                          module=module)

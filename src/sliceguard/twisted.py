@@ -25,7 +25,6 @@ each out exactly, with no polynomial gcd.  Dividing by the extra
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .covers import Character
@@ -202,19 +201,6 @@ def _fox_numerator(p: int, q: int) -> LaurentPoly:
     return _det(rep.image_of_combination(terms))
 
 
-@dataclass(frozen=True)
-class TwistedPoly:
-    """The twisted polynomial as a reduced fraction, normalized up to units."""
-
-    fraction: RationalFn
-
-    def is_unit(self) -> bool:
-        return self.fraction.is_unit()
-
-    def __str__(self):
-        return str(self.fraction)
-
-
 def _disagree(p: int, q: int, chi=None) -> ArithmeticError:
     where = f"p={p}, q={q}" + ("" if chi is None else f", chi={chi}")
     return ArithmeticError(f"Fox-calculus and closed-form twisted polynomials disagree for {where}")
@@ -231,7 +217,7 @@ def _closed_numerator(p: int, q: int) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
-def _closed_form(p: int, q: int, values: tuple) -> tuple[LaurentPoly, TwistedPoly, TwistedPoly]:
+def _closed_form(p: int, q: int, values: tuple) -> tuple[LaurentPoly, RationalFn, RationalFn]:
     """The closed denominator prod_i (t xi^(a_i) - 1) and the reduced
     exterior and 0-surgery polynomials, for the sorted character values
     ``values``: none of them depends on the order of the values.
@@ -256,11 +242,11 @@ def _closed_form(p: int, q: int, values: tuple) -> tuple[LaurentPoly, TwistedPol
         surgery = RationalFn(num.divide_linear(RootOfUnity.one()), ext.den)
     else:
         surgery = RationalFn(num, ext.den * LaurentPoly.from_ints([-1, 1]))
-    return den, TwistedPoly(ext), TwistedPoly(surgery)
+    return den, ext, surgery
 
 
 @lru_cache(maxsize=None)
-def twisted_alex_exterior(p: int, q: int, chi: Character) -> TwistedPoly:
+def twisted_alex_exterior(p: int, q: int, chi: Character) -> RationalFn:
     """Twisted Alexander polynomial of the knot exterior, by both routes.
 
     Route one is the Fox calculus torsion quotient
@@ -281,7 +267,7 @@ def twisted_alex_exterior(p: int, q: int, chi: Character) -> TwistedPoly:
 
 
 @lru_cache(maxsize=None)
-def twisted_alex_surgery(p: int, q: int, chi: Character) -> TwistedPoly:
+def twisted_alex_surgery(p: int, q: int, chi: Character) -> RationalFn:
     """Twisted polynomial of the 0-surgery: the exterior polynomial divided
     by (-1)^(p-1) (t - 1).  The exterior's checks run for ``chi`` first;
     the reduced fraction is shared by every ordering of its values."""

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from sliceguard import covers, knots, modp, pipeline, seifert
-from sliceguard.covers import Character, model_module
 from sliceguard.cyclo import normalize_root
 from sliceguard.expr import parse
 from sliceguard.laurent import LaurentPoly, RationalFn
@@ -96,13 +95,13 @@ def test_criterion_01_and_02_two_route_twisted_polynomials():
                             [normalize_root(0, 1).as_cyclo() * -1,
                              normalize_root(a, q).as_cyclo()],
                         )
-                    assert (sur.fraction.num * den).eq_up_to_units(
-                        num * sur.fraction.den
+                    assert (sur.num * den).eq_up_to_units(
+                        num * sur.den
                     )
                     # and the surgery is the exterior divided by that unit
                     assert (
-                        sur.fraction.num * ext.fraction.den * LaurentPoly.from_ints([-1, 1])
-                    ).eq_up_to_units(ext.fraction.num.scale((-1) ** (p - 1)) * sur.fraction.den)
+                        sur.num * ext.den * LaurentPoly.from_ints([-1, 1])
+                    ).eq_up_to_units(ext.num.scale((-1) ** (p - 1)) * sur.den)
                     cases += 1
         assert cases == sum(
             q ** (p - 1)
@@ -186,7 +185,7 @@ def test_criterion_05_metabolizer_oracle():
     with _Timer("5 (metabolizer enumeration vs brute force, graph criterion)",
                 budget=120):
         for (p, r, m1) in ACCEPTANCE_FORMS:
-            F = FormSpace(module=model_module(p, r), m1=m1)
+            F = FormSpace(p, r, m1)
             ours = enumerate_invariant_metabolizers(F)
             G, A = F.gram(), F.action()
             brute = [
@@ -258,7 +257,7 @@ def test_criterion_06_character_construction_soundness():
             nf = knots.normal_form(K, r)
             assert nf.m1 == m1
             sets = index_sets(nf)
-            F = FormSpace(module=model_module(p, r), m1=m1)
+            F = FormSpace(p, r, m1)
             mets = enumerate_invariant_metabolizers(F)
             assert mets
             for L in mets:
@@ -365,7 +364,7 @@ def test_criterion_09_p3_instance():
     with _Timer("9 (p=3 instance)", budget=600):
         v = obstruct(parse(J3))
         assert v.kind == "NOT_SLICE" and v.r == 5
-        F = FormSpace(module=model_module(3, 5), m1=1)
+        F = FormSpace(3, 5, 1)
         assert F.ambient_dim == 4
         G, A = F.gram(), F.action()
         brute = [

@@ -134,6 +134,14 @@ def test_homology_5_7_5_finishes():
     assert _legendre_det(module["gram_times_r"], 7) == _legendre_det(model.gram, 7)
 
 
+def test_large_homology_refused_in_one_line():
+    # a 1200-row presentation Y, which once ran for minutes
+    done = _child("homology", "11", "13", "11", timeout=10)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.count("\n") == 1
+    assert done.stderr.startswith("budget refused: ") and "1200 rows" in done.stderr
+
+
 def test_large_index_refused_in_one_line():
     # the index once reached a trial division up to its square root
     done = _child("obstruct", "T(2,3;2,1000000000000000003) # -T(2,1000000000000000003)",
@@ -299,7 +307,7 @@ def test_usage_errors_exit_1_with_one_line(capsys, argv):
     (["metabolizers", "3", "5", "--copies", "-1"], "--copies"),
     (["metabolizers", "3", "5", "--budget", "-1"], "--budget"),
     (["obstruct", J2, "--budget", "-1"], "--budget"),
-    (["obstruct", J2, "--max-r", "-1"], "--max-r"),
+    (["obstruct", J2, "--max-r", "-1"], "--max-r"),  # the option is gone
     (["obstruct", J2, "--max-dim", "-1"], "--max-dim"),  # the option is gone
     (["signature", "2", "3", "1/0"], "rational point"),
     (["obstruct", J2, "--r", "-5"], "--r"),

@@ -8,7 +8,6 @@ from sliceguard.covers import (
     Character,
     ConventionError,
     CoverModule,
-    character_from_functional,
     characters,
     model_module,
     validate_module,
@@ -103,17 +102,17 @@ class TestModelModule:
         closed = model_module(4, 5)
         imported = CoverModule(r=5, action=closed.action,
                                gram=oracles.seifert_import(4, 5))
-        found = [
-            [L.rows for L in enumerate_invariant_metabolizers(
-                FormSpace(module=module, m1=1), 3_000_000)]
-            for module in (closed, imported)
-        ]
-        assert len(found[0]) == 16 and found[0] == found[1]
         text = "T(4,3;4,5) # -T(4,5) # -T(4,3;4,7) # T(4,7)"
         options = Options(r=5, budget=3_000_000)
-        doc = obstruct(parse(text), options).to_json()
-        monkeypatch.setattr(covers, "model_module", lambda p, r: imported)
-        assert obstruct(parse(text), options).to_json() == doc
+        found, docs = [], []
+        for module in (closed, imported):
+            # the form space builds its module through covers.model_module
+            monkeypatch.setattr(covers, "model_module", lambda p, r: module)
+            found.append([L.rows for L in enumerate_invariant_metabolizers(
+                FormSpace(4, 5, 1), 3_000_000)])
+            docs.append(obstruct(parse(text), options).to_json())
+        assert len(found[0]) == 16 and found[0] == found[1]
+        assert docs[0] == docs[1]
 
     @pytest.mark.parametrize("p,r", [(2, 3), (3, 2), (3, 5)])
     def test_equivariance(self, p, r):
@@ -215,7 +214,7 @@ class TestCharacters:
     def test_character_from_functional_roundtrip(self):
         m = model_module(3, 5)
         for func in itertools.product(range(5), repeat=2):
-            chi = character_from_functional(m, func)
+            chi = Character.from_functional(5, func)
             assert sum(chi.values) % 5 == 0
             for v in itertools.product(range(5), repeat=2):
                 direct = sum(a * b for a, b in zip(v, func)) % 5

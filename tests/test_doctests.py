@@ -1,11 +1,15 @@
 import doctest
+import importlib
+import pkgutil
 
-import sliceguard.cyclo
-import sliceguard.knots
-import sliceguard.expr
+import sliceguard
 
 
 def test_doctests():
-    for module in (sliceguard.cyclo, sliceguard.expr, sliceguard.knots):
+    attempted = 0
+    for info in pkgutil.walk_packages(sliceguard.__path__, "sliceguard."):
+        module = importlib.import_module(info.name)
         results = doctest.testmod(module)
         assert results.failed == 0, module.__name__
+        attempted += results.attempted
+    assert attempted

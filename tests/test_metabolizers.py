@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from sliceguard import knots, modp
-from sliceguard.covers import model_module
 from sliceguard.metabolizers import (
     BudgetExceeded,
     CharacterChoice,
@@ -53,7 +52,7 @@ FORMS = {
 
 def _form(name) -> FormSpace:
     p, r, m1 = FORMS[name]
-    return FormSpace(module=model_module(p, r), m1=m1)
+    return FormSpace(p, r, m1)
 
 
 class TestEnumeration:
@@ -65,8 +64,13 @@ class TestEnumeration:
         mets = enumerate_invariant_metabolizers(_form("T(2,5)"))
         assert [L.rows for L in mets] == [((1, 1),), ((1, 4),)]
 
+    def test_shape_without_a_model_module_refused(self):
+        # gcd(10, 5) != 1: there is no model module to build a form on
+        with pytest.raises(ValueError, match="gcd"):
+            FormSpace(10, 5, 1)
+
     def test_zero_copies(self):
-        F = FormSpace(module=model_module(2, 3), m1=0)
+        F = FormSpace(2, 3, 0)
         mets = enumerate_invariant_metabolizers(F)
         assert len(mets) == 1 and mets[0].dim == 0
 
@@ -107,7 +111,7 @@ class TestEchelonWalk:
 
     @pytest.mark.parametrize("p,r,m1", _walk_shapes())
     def test_walk_equals_filter(self, p, r, m1):
-        F = FormSpace(module=model_module(p, r), m1=m1)
+        F = FormSpace(p, r, m1)
         expected = [
             L for L in enumerate_subspaces(F.ambient_dim, F.half_dim, F.r)
             if is_invariant_metabolizer(L, F)
@@ -126,7 +130,7 @@ class TestGraphDetection:
 
     def test_not_a_graph(self):
         # lambda(T(2,5))^2 has the invariant isotropic vector (1, 2)
-        F = FormSpace(module=model_module(2, 5), m1=2)
+        F = FormSpace(2, 5, 2)
         L = Subspace([(1, 2, 0, 0), (0, 0, 1, 2)], 5)
         assert is_invariant_metabolizer(L, F)
         g = graph_detect(L, F)
@@ -184,7 +188,7 @@ class TestConstructCharacter:
 
     def test_j_family_case3(self):
         nf, sets = self._context("T(2,3;2,5) # -T(2,5) # -T(2,3;2,7) # T(2,7)", 5)
-        F = FormSpace(module=model_module(2, 5), m1=1)
+        F = FormSpace(2, 5, 1)
         L1 = Subspace([(1, 1)], 5)
         choice = construct_character(L1, F, sets)
         assert isinstance(choice, CharacterChoice)
@@ -198,10 +202,12 @@ class TestConstructCharacter:
 
     def test_vanishing_on_all_metabolizer_vectors(self):
         nf, sets = self._context("T(2,3;2,5) # -T(2,5) # -T(2,3;2,7) # T(2,7)", 5)
-        F = FormSpace(module=model_module(2, 5), m1=1)
+        F = FormSpace(2, 5, 1)
         for L in enumerate_invariant_metabolizers(F):
             choice = construct_character(L, F, sets)
-            fa, fb = choice.functional_a, choice.functional_b
+            # a character is the functional of its first p - 1 values
+            fa, fb = (tuple(v for chi in chis for v in chi.values[:-1])
+                      for chis in (choice.chi_a, choice.chi_b))
             for v in L.vectors():
                 total = sum(a * b for a, b in zip(v[:1], fa)) + sum(
                     a * b for a, b in zip(v[1:], fb)
@@ -212,7 +218,7 @@ class TestConstructCharacter:
         expr = ("T(2,3;2,5) # T(2,7;2,5) # -2*T(2,5) # -T(2,3;2,11) # T(2,11) "
                 "# -T(2,7;2,13) # T(2,13)")
         nf, sets = self._context(expr, 5)
-        F = FormSpace(module=model_module(2, 5), m1=2)
+        F = FormSpace(2, 5, 2)
         L = Subspace([(1, 2, 0, 0), (0, 0, 1, 2)], 5)
         assert is_invariant_metabolizer(L, F)
         choice = construct_character(L, F, sets)
@@ -243,7 +249,7 @@ class TestConstructCharacter:
         expr = ("-T(2,3;2,5) # -T(2,7;2,5) # 2*T(2,5) # T(2,3;2,11) # -T(2,11) "
                 "# T(2,7;2,13) # -T(2,13)")
         nf, sets = self._context(expr, 5)
-        F = FormSpace(module=model_module(2, 5), m1=2)
+        F = FormSpace(2, 5, 2)
         for L in enumerate_invariant_metabolizers(F):
             choice = construct_character(L, F, sets)
             assert choice is not None

@@ -33,6 +33,7 @@ J3 = "T(3,4;3,5) # -T(3,5) # -T(3,4;3,7) # T(3,7)"
 M3 = ("T(2,3;2,5) # -T(2,3;2,11) # -3*T(2,5) # T(2,11) # 2*T(2,11;2,5) "
       "# -2*T(2,11;2,13) # 2*T(2,13)")
 R13 = "T(3,4;3,13) # -T(3,13) # -T(3,4;3,17) # T(3,17)"
+R17 = "T(2,3;2,17) # -T(2,17) # -T(2,3;2,19) # T(2,19)"
 P2003 = "T(2003,3;2003,5) # -T(2003,5) # -T(2003,3;2003,7) # T(2003,7)"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -77,7 +78,6 @@ class TestDecompose:
         }
         b4 = dec.B4[(3, 1)]
         assert b4.atoms == (Classical(2, 3, normalize_root(0, 1), 1, -2),)
-        assert dec.B2.is_empty()
         assert len(dec.B1.atoms) == 2
 
     def test_trivial_characters_cancel_b1(self):
@@ -161,6 +161,14 @@ class TestObstruct:
         assert "prime power" in v.reason
         v2 = obstruct(parse("T(2,9) # -T(2,9;2,9)"))
         assert v2.kind == "INCONCLUSIVE"
+
+    def test_final_primes_over_13_are_tried(self):
+        # the budget is the one refusal rule: a prime cap once made this
+        # INCONCLUSIVE, though its form has two metabolizers
+        v = obstruct(parse(R17))
+        assert v.kind == "NOT_SLICE" and v.r == 17
+        assert len(v.certificates) == 2
+        verify_verdict(json.loads(v.to_json()))
 
     def test_budget_paths(self):
         # J2 at r = 5 needs a budget of 6 subspaces
@@ -400,13 +408,13 @@ def _nonvanishing_functional(monkeypatch):
 
 def _character_not_induced(monkeypatch):
     # one value too many: no functional on the module induces it
-    real = metabolizers.character_from_functional
+    real = Character.from_functional
 
-    def build(module, functional):
-        chi = real(module, functional)
-        return Character(chi.r, chi.values + (0,))
+    def build(cls, r, functional):
+        chi = real(r, functional)
+        return cls(chi.r, chi.values + (0,))
 
-    monkeypatch.setattr(metabolizers, "character_from_functional", build)
+    monkeypatch.setattr(Character, "from_functional", classmethod(build))
 
 
 def _wrong_level(monkeypatch):

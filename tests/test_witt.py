@@ -38,7 +38,7 @@ def _isolated_support(orders, *polys):
 
 def _twisted_oracle_support(p, r, chi):
     """Roots of the reduced 0-surgery fraction (Fox route checked inside)."""
-    fraction = twisted_alex_surgery(p, r, chi).fraction
+    fraction = twisted_alex_surgery(p, r, chi)
     return _isolated_support({r}, fraction.num, fraction.den)
 
 
@@ -71,7 +71,7 @@ class TestOrders:
 
     def test_twisted_unit(self):
         atom = Twisted(2, 3, Character(3, (1, 2)))
-        assert twisted_alex_surgery(2, 3, atom.chi).fraction.is_unit()
+        assert twisted_alex_surgery(2, 3, atom.chi).is_unit()
         assert support_of(atom) == frozenset()
 
     @pytest.mark.parametrize("p,r", TWISTED_GRID)
