@@ -132,6 +132,9 @@ def _parse_character(text: str, r: int) -> Character:
 
 def _cmd_talex(args) -> int:
     check_torus(args.p, args.q)
+    # time grows as 2^p and about as (pq)^3; T(2,251) takes 1.3 s on 2 x86 CPUs
+    if args.p > 12 or args.p * args.q > 512:
+        raise BudgetExceeded(f"talex takes p <= 12 and pq <= 512, got T({args.p},{args.q})")
     chi = _parse_character(args.character, args.q)
     if chi.p != args.p:
         print(f"character needs {args.p} entries", file=sys.stderr)

@@ -8,12 +8,14 @@ arranges the terms into signed pairs, takes the model form space
 lambda^m ⊕ -lambda^m of the r-part of the branched cover
 (``metabolizers.FormSpace``), and then, for every deck-invariant
 metabolizer, constructs a vanishing character whose twisted decomposition
-has a level component with a nonzero total signature jump.  One
-certificate per metabolizer yields NOT_SLICE; any gap yields
-INCONCLUSIVE, never an unproven verdict.  The budget is the one refusal
-rule for a form's size: a prime whose form has more half-dimension
-subspaces than the budget is refused before its module is built, and
-the next prime is tried.
+has a level component with a nonzero total signature jump.  Jumps are
+``seifert.jump_at``'s arithmetic: the witness scan builds no jump table
+or support set, and the disjointness check lists only the twisted
+supports and the smaller classical side.  One certificate per
+metabolizer yields NOT_SLICE; any gap yields INCONCLUSIVE, never an
+unproven verdict.  The budget is the one refusal rule for a form's size:
+a prime whose form has more half-dimension subspaces than the budget is
+refused before its module is built, and the next prime is tried.
 
 Certificates record the metabolizer basis, the construction case, the
 character pair, the level (q, s), and the witness jump.  There is one
@@ -189,19 +191,19 @@ def _hypotheses_ok(K: KnotCombination):
 
 
 def _disjointness_ok(dec: Decomposition, q: int, s: int) -> bool:
-    chosen = dec.B3[(q, s)] + dec.B4[(q, s)]
-    chosen_support = set()
-    for atom in chosen.atoms:
-        chosen_support |= witt.support_of(atom)
-    other_support = set()
-    for atom in dec.B1.atoms:
-        other_support |= witt.support_of(atom)
-    for key, block in list(dec.B3.items()) + list(dec.B4.items()):
-        if key == (q, s):
-            continue
-        for atom in block.atoms:
-            other_support |= witt.support_of(atom)
-    return not (chosen_support & other_support)
+    """Whether the level (q, s) block's support misses those of B1 and the
+    other levels: B1 and the smaller side are listed, ``jump_of`` tests."""
+    chosen = (dec.B3[(q, s)] + dec.B4[(q, s)]).atoms
+    others = tuple(atom for key, block in (*dec.B3.items(), *dec.B4.items())
+                   if key != (q, s) for atom in block.atoms)
+    small, large = sorted((chosen, others), key=lambda atoms: sum(
+        a.power * (a.p - 1) * (a.q - 1) for a in atoms))
+
+    def meets(listed, tested):
+        return any(witt.jump_of(a, x) for b in listed
+                   for x in witt.support_of(b) for a in tested)
+
+    return not (meets(dec.B1.atoms, chosen) or meets(small, large))
 
 
 class _Uncertified(Exception):

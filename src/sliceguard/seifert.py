@@ -25,13 +25,12 @@ Sylvester's identity and is checked to be, by ``cyclo.int_poly_div_exact``.
 ``alexander_poly`` and the ``alex`` command read the closed form
 (t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)) that this check compares against.
 
-The verdict path and the ``signature`` command need only closed forms.
-The Alexander roots of T(p, q) are the points k/pq with p and q not
-dividing k, each simple.  The signature jumps are Litherland's count
-("Signatures of iterated torus knots", 1979): for 0 < i < p and
-0 < j < q with s = i/p + j/q, the signature jumps by +2 at s when s < 1
-and by -2 at s - 1 when s > 1.  The Levine-Tristram signature at a
-non-root point x is the sum of the jumps below x.
+The verdict path needs only closed forms, and ``jump_at`` is the one jump
+rule.  Litherland ("Signatures of iterated torus knots", 1979) puts a jump
+of +2 at s = i/p + j/q when s < 1 and of -2 at s - 1 when s > 1, for
+0 < i < p and 0 < j < q.  As iq + jp is k or k + pq for i = k/q mod p and
+j = k/p mod q, the jumps sit exactly at the Alexander roots k/pq, p and q
+not dividing k, each simple, and are +2 exactly when iq + jp < pq.
 
 Branched covers serve the ``homology`` command and the tests' oracles,
 and Seifert matrices their linking forms.  The Alexander module of a
@@ -46,10 +45,9 @@ lambda(x, z) = x^T Y z / r^2 mod 1, and the deck action a -> T^T a pulls
 back to x -> T^-1 x.  The kernel's dimension must equal the number of
 divisors, which ties the Alexander route to the Seifert presentation,
 and the module must pass ``covers.validate_module`` at n, as the model
-modules do at n = p.  Y has N = (n-1)(p-1)(q-1) rows, and a cover with
-N over ``MAX_PRESENTATION_ROWS`` is refused (``BudgetExceeded``) after
-its divisors and before Y is built, so ``homology`` answers or refuses in
-bounded time.
+modules do at n = p.  ``homology`` answers or refuses in bounded time: d
+and the N = (n-1)d rows of Y may not exceed ``MAX_PRESENTATION_ROWS``
+(``BudgetExceeded``), d before the Smith form and N before Y is built.
 """
 
 from __future__ import annotations
@@ -58,18 +56,18 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import ceil, prod
 from operator import mul
 
 from . import modp
 from .covers import ConventionError, CoverModule, validate_module
-from .cyclo import RootOfUnity, int_poly_div_exact
+from .cyclo import int_poly_div_exact
 from .knots import check_torus, prime_power_exponent
 from .laurent import LaurentPoly
 from .metabolizers import BudgetExceeded
 
-# the largest presentation Y that ``branched_cover`` builds; (7, 13, 7),
-# with 432 rows, takes about 6 s on a 2-CPU x86 machine
+# the most rows of the Smith form (d) and of Y (N) in ``branched_cover``;
+# (7, 13, 7), with N = 432, takes about 6 s on a 2-CPU x86 machine
 MAX_PRESENTATION_ROWS = 500
 
 
@@ -205,49 +203,56 @@ def alexander_poly(p: int, q: int) -> LaurentPoly:
     return LaurentPoly.from_ints(_torus_alexander_reference(p, q)).unit_normal()
 
 
-def alexander_roots(p: int, q: int) -> dict:
-    """Unit-circle roots of the Alexander polynomial with multiplicities:
-    every k/pq with p and q not dividing k, each simple."""
+# ---------------------------------------------------------------------------
+# Signature jumps and Levine-Tristram signatures
+# ---------------------------------------------------------------------------
+
+
+def jump_at(p: int, q: int, x) -> int:
+    """The signature jump of T(p, q) at e^(2 pi i x), x rational mod 1: at
+    x = k/pq with p and q not dividing k, +2 if iq + jp < pq for
+    i = k/q mod p and j = k/p mod q, else -2; elsewhere 0."""
     check_torus(p, q)
-    return {RootOfUnity.normalized(k, p * q): 1
-            for k in range(1, p * q) if k % p and k % q}
-
-
-# ---------------------------------------------------------------------------
-# Levine-Tristram signatures
-# ---------------------------------------------------------------------------
+    pq = p * q
+    scale, rest = divmod(pq, x.denominator)
+    k = x.numerator * scale % pq
+    if rest or not (k % p and k % q):
+        return 0
+    i, j = k * pow(q, -1, p) % p, k * pow(p, -1, q) % q
+    return 2 if i * q + j * p < pq else -2
 
 
 def lt_signature(p: int, q: int, x) -> int:
     """Levine-Tristram signature of T(p, q) at e^(2 pi i x), x in (0, 1):
-    the sum of the Litherland jumps below x.  Rejects evaluation at roots
-    of the Alexander polynomial, where the signature is undefined.
-    """
+    the sum of the jumps below x, counted for each i of the smaller index.
+    Rejects the roots of the Alexander polynomial, where it is undefined."""
     x = Fraction(x)
     if not 0 < x < 1:
         raise ValueError("evaluation point must be strictly between 0 and 1")
-    if RootOfUnity(x) in alexander_roots(p, q):
+    if jump_at(p, q, x):
         raise ValueError(f"{x} is a root of the Alexander polynomial of T({p},{q})")
-    return sum(jump for point, jump in _jump_function_cached(p, q) if point < x)
+    p, q = sorted((p, q))
+
+    def below(t):
+        # the number of j in 1..q-1 with j/q < t
+        return min(max(ceil(q * t) - 1, 0), q - 1)
+
+    # +2 for each s = i/p + j/q < x and -2 for each 1 < s < 1 + x; no s is
+    # 1, x or 1 + x, as x is not a jump point
+    return 2 * sum(below(x - u) - below(1 + x - u) + below(1 - u)
+                   for u in (Fraction(i, p) for i in range(1, p)))
 
 
 def jump_function(p: int, q: int) -> dict:
-    """Signature jumps of T(p, q) by Litherland's count; see the module
-    docstring."""
+    """Every signature jump of T(p, q) by its point, for ``signature --jumps``."""
     return dict(_jump_function_cached(p, q))
 
 
 @lru_cache(maxsize=None)
 def _jump_function_cached(p: int, q: int) -> tuple:
     check_torus(p, q)
-    # iq + jp runs over distinct residues mod pq, so no two pairs (i, j)
-    # share a point and no jump cancels
-    jumps = []
-    for i in range(1, p):
-        for j in range(1, q):
-            s = Fraction(i, p) + Fraction(j, q)
-            jumps.append((s, 2) if s < 1 else (s - 1, -2))
-    return tuple(sorted(jumps))
+    points = (Fraction(k, p * q) for k in range(1, p * q))
+    return tuple((x, jump) for x in points if (jump := jump_at(p, q, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -381,14 +386,17 @@ def branched_cover(p: int, q: int, n: int) -> CoverHomology:
     deck action and linking form when every divisor is the prime q.
 
     The divisors come from the cyclic Alexander module; a zero divisor
-    (infinite homology) is rejected, which catches non-prime-power n.
-    A module whose presentation would have more than
-    ``MAX_PRESENTATION_ROWS`` rows raises BudgetExceeded.  See the module
-    docstring.
+    (infinite homology) is rejected, which catches non-prime-power n, and
+    d or N over ``MAX_PRESENTATION_ROWS`` raises BudgetExceeded; see the
+    module docstring.
     """
     if n < 2:
         raise ValueError("cover degree must be at least 2")
     check_torus(p, q)
+    d = (p - 1) * (q - 1)
+    if d > MAX_PRESENTATION_ROWS:
+        raise BudgetExceeded(f"the Alexander module of T({p},{q}) has rank {d}, "
+                             f"over the limit of {MAX_PRESENTATION_ROWS}")
     divisors = elementary_divisors(_norm_multiplication(p, q, n))
     if 0 in divisors:
         raise ConventionError(
@@ -398,7 +406,7 @@ def branched_cover(p: int, q: int, n: int) -> CoverHomology:
     torsion = tuple(d for d in divisors if d != 1)
     module = None
     if prime_power_exponent(q) == 1 and torsion and all(d == q for d in torsion):
-        rows = (n - 1) * (p - 1) * (q - 1)
+        rows = (n - 1) * d
         if rows > MAX_PRESENTATION_ROWS:
             raise BudgetExceeded(
                 f"the {n}-fold cover of T({p},{q}) has a presentation of {rows} "

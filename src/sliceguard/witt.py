@@ -12,21 +12,22 @@ the coefficient-weighted jumps cancel everywhere: that is the decision
 rule used by the pipeline.  Twisted atoms only ever contribute their root
 support, which is what the splitting criterion needs.
 
-Supports are root bookkeeping on closed forms, with no polynomial
-arithmetic.  A classical atom's support is the torus-knot Alexander roots
-pulled back through the twist and dilation.  A torus knot's signature
-jumps sit exactly at its Alexander roots, so the pullback reads the
-cached jump points, and the jump decision looks at the same points.  A twisted atom's order is
+Supports and jumps are closed-form arithmetic, with no table.  A classical
+atom jumps at x where T(p, q) jumps at twist + power * x
+(``seifert.jump_at``), which is exactly on the atom's support, the simple
+Alexander roots pulled back.  A twisted atom's order is
 (1 - t^r)^(p-1) / (prod_i (t xi^(a_i) - 1) (t - 1)) up to units, the
-0-surgery form of the closed product in ``twisted``: its support is where
-the numerator and denominator root multiplicities differ.
+0-surgery form of the closed product in ``twisted``: its support is the
+k/r where the numerator and denominator root multiplicities differ.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import heapq
+import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import ceil
 
 from . import seifert
 from .covers import Character
@@ -116,52 +117,37 @@ class WittClass:
     __repr__ = __str__
 
 
-def _pullback(atom: Classical) -> set:
-    """The signature jump points of T(p, q), which are also its Alexander
-    roots, pulled back through the atom's twist and dilation."""
-    return {((point - atom.twist.frac + j) / atom.power) % 1
-            for point in seifert.jump_function(atom.p, atom.q)
-            for j in range(atom.power)}
+def _points(atom: Classical):
+    """The atom's jump points x in [0, 1), lazily and in increasing order:
+    twist + power * x = k/pq with p and q not dividing k."""
+    pq, twist = atom.p * atom.q, atom.twist.frac
+    first = ceil(twist * pq)
+    return ((Fraction(k, pq) - twist) / atom.power
+            for k in range(first, first + atom.power * pq) if k % atom.p and k % atom.q)
 
 
 def support_of(atom: Atom) -> frozenset:
     """Unit-circle root support of the order, as fractions in [0, 1)."""
     if isinstance(atom, Classical):
-        return frozenset(_pullback(atom))
-    r = atom.r
-    numerator = Counter({Fraction(k, r): atom.p - 1 for k in range(r)})
-    denominator = Counter(Fraction(-a, r) % 1 for a in atom.chi.values)
-    denominator[Fraction(0)] += 1
-    return frozenset(x for x in numerator | denominator
-                     if numerator[x] != denominator[x])
+        return frozenset(_points(atom))
+    # the numerator has every k/r with multiplicity p - 1
+    r, denominator = atom.r, [0, *((-a) % atom.r for a in atom.chi.values)]
+    return frozenset(Fraction(k, r) for k in range(r) if denominator.count(k) != atom.p - 1)
 
 
 def jump_of(atom: Classical, x: Fraction) -> int:
     """coefficient times the torus-knot jump at twist + power * x."""
     if not isinstance(atom, Classical):
         raise TypeError("jump functions are only computed for classical atoms")
-    jumps = seifert.jump_function(atom.p, atom.q)
-    point = (atom.twist.frac + atom.power * Fraction(x)) % 1
-    return atom.coefficient * jumps.get(point, 0)
-
-
-def support_points(W: WittClass) -> list[Fraction]:
-    """Every point where some atom of the classical class can jump."""
-    points = set()
-    for atom in W.atoms:
-        if not isinstance(atom, Classical):
-            raise TypeError("support_points expects a classical Witt class")
-        points |= _pullback(atom)
-    return sorted(points)
+    point = atom.twist.frac + atom.power * x
+    return atom.coefficient * seifert.jump_at(atom.p, atom.q, point)
 
 
 def is_metabolic_classical(W: WittClass):
-    """Decide metabolicity of a sum of classical atoms through total
-    signature jumps; returns (True, None) or (False, (point, total))."""
-    for atom in W.atoms:
-        if not isinstance(atom, Classical):
-            raise TypeError(f"non-classical atom {atom} in jump-based decision")
-    for x in support_points(W):
+    """Decide metabolicity of a sum of classical atoms by scanning its jump
+    points in order; returns (True, None) or (False, (point, total)) at the
+    first nonzero total."""
+    for x, _ in itertools.groupby(heapq.merge(*map(_points, W.atoms))):
         total = sum(jump_of(a, x) for a in W.atoms)
         if total:
             return False, (x, total)

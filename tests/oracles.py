@@ -29,6 +29,12 @@ replaced live here, as independent oracles:
   |prod Delta(xi_n^a)| for the homology of the n-fold branched cover.
 * ``evaluate_character`` extends a character linearly to the model
   module.
+* ``litherland_jumps`` is Litherland's double count of the torus-knot
+  signature jumps, the table that ``seifert.jump_at`` replaced, and
+  ``alexander_roots`` the root set it sits on.  ``pullback``,
+  ``metabolic_by_union_scan`` and ``disjoint_by_intersection`` are the
+  materialized route of the jump decision: supports built as sets from
+  the table, scanned as a sorted union and intersected.
 """
 
 from __future__ import annotations
@@ -43,10 +49,10 @@ from operator import mul
 
 from mpmath import iv
 
-from sliceguard import modp, seifert
+from sliceguard import modp, seifert, witt
 from sliceguard.covers import Character, ConventionError, CoverModule, validate_module
 from sliceguard.cyclo import Cyclo, RootOfUnity
-from sliceguard.knots import prime_power_exponent
+from sliceguard.knots import check_torus, prime_power_exponent
 from sliceguard.laurent import LaurentPoly, RationalFn
 from sliceguard.modp import Subspace
 
@@ -555,3 +561,77 @@ def cover_order_from_alexander(p: int, q: int, n: int) -> int:
 def evaluate_character(module: CoverModule, chi: Character, v) -> int:
     """chi extended linearly to a model element v = sum v_i x_i (row vector)."""
     return sum(a * b for a, b in zip(v, chi.values[: module.dim])) % module.r
+
+
+# ---------------------------------------------------------------------------
+# Jump tables and materialized supports
+# ---------------------------------------------------------------------------
+
+
+def alexander_roots(p: int, q: int) -> dict:
+    """Unit-circle roots of the Alexander polynomial of T(p, q) with
+    multiplicities: every k/pq with p and q not dividing k, each simple."""
+    check_torus(p, q)
+    return {RootOfUnity.normalized(k, p * q): 1
+            for k in range(1, p * q) if k % p and k % q}
+
+
+def litherland_jumps(p: int, q: int) -> dict:
+    """Litherland's count: +2 at s = i/p + j/q when s < 1 and -2 at s - 1
+    when s > 1, for 0 < i < p and 0 < j < q."""
+    check_torus(p, q)
+    jumps = {}
+    for i in range(1, p):
+        for j in range(1, q):
+            s = Fraction(i, p) + Fraction(j, q)
+            point, jump = (s, 2) if s < 1 else (s - 1, -2)
+            assert point not in jumps, "two pairs (i, j) share a jump point"
+            jumps[point] = jump
+    return jumps
+
+
+def table_signature(p: int, q: int, x: Fraction) -> int:
+    """The Levine-Tristram signature as the sum of the table's jumps below x."""
+    return sum(j for point, j in litherland_jumps(p, q).items() if point < x)
+
+
+def pullback(atom) -> dict:
+    """The classical atom's jumps, coefficient included, read off the jump
+    table through the twist and dilation."""
+    out = {}
+    for point, jump in litherland_jumps(atom.p, atom.q).items():
+        for j in range(atom.power):
+            out[((point - atom.twist.frac + j) / atom.power) % 1] = atom.coefficient * jump
+    return out
+
+
+def materialized_support(atom) -> frozenset:
+    """The support of an atom: the table pullback for a classical one, and
+    ``witt.support_of`` for a twisted one, which the tests hold against
+    root isolation."""
+    if isinstance(atom, witt.Classical):
+        return frozenset(pullback(atom))
+    return witt.support_of(atom)
+
+
+def metabolic_by_union_scan(W):
+    """``witt.is_metabolic_classical`` through the sorted union of the
+    pulled-back supports and the table jumps."""
+    tables = [pullback(atom) for atom in W.atoms]
+    for x in sorted(set().union(*tables)):
+        total = sum(table.get(x, 0) for table in tables)
+        if total:
+            return False, (x, total)
+    return True, None
+
+
+def disjoint_by_intersection(dec, q: int, s: int) -> bool:
+    """``pipeline._disjointness_ok`` as the intersection of the materialized
+    supports of the chosen level's block and of every other block."""
+    chosen = dec.B3[(q, s)] + dec.B4[(q, s)]
+    chosen_support = set().union(*map(materialized_support, chosen.atoms))
+    other_support = set().union(*map(materialized_support, dec.B1.atoms))
+    for key, block in (*dec.B3.items(), *dec.B4.items()):
+        if key != (q, s):
+            other_support |= set().union(*map(materialized_support, block.atoms))
+    return not (chosen_support & other_support)

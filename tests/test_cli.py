@@ -1,11 +1,15 @@
 import json
 import os
+import resource
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sliceguard import covers, metabolizers, pipeline, seifert
 from sliceguard.cli import main
@@ -217,13 +221,104 @@ def test_metabolizers_rejects_bad_cover_parameters(capsys, p, r):
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
+# the address space of a child: an input that makes the package grow
+# without bound fails with a MemoryError instead of exhausting the host
+CHILD_MEMORY_BYTES = 1 << 30
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_MEMORY_BYTES, CHILD_MEMORY_BYTES))
+
+
 def _child(*argv, timeout):
-    """The CLI in a child process, so that a hang fails instead of stalling
-    the suite."""
+    """The CLI in a child process under a memory limit, so that a hang or
+    an unbounded allocation fails instead of stalling the suite."""
     src = Path(__file__).resolve().parent.parent / "src"
     return subprocess.run([sys.executable, "-m", "sliceguard.cli", *argv],
                           capture_output=True, text=True, timeout=timeout,
-                          env=dict(os.environ, PYTHONPATH=str(src)))
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          preexec_fn=_limit_memory)
+
+
+# the largest prime the parser takes
+LARGE_Q = 2147483629
+LARGE_INPUT = f"T(2,{LARGE_Q};2,5) # -T(2,5) # -T(2,{LARGE_Q};2,7) # T(2,7)"
+
+
+def _one_line_refusal(done, code, needle):
+    assert done.returncode == code and done.stdout == "", done.stderr
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+    assert needle in done.stderr
+
+
+def test_large_companion_index_obstructs_and_verifies(tmp_path):
+    # the jump decision once built all (p-1)(q-1) jumps of T(2, q)
+    done = _child("obstruct", LARGE_INPUT, "--json", timeout=10)
+    assert done.returncode == 0 and done.stderr == ""
+    doc = json.loads(done.stdout)
+    assert doc["verdict"] == "NOT_SLICE" and len(doc["metabolizers"]) == 2
+    # as the jump table gives 3/100090 at q = 10009, also 4 mod 5
+    assert {m["witness"]["omega"] for m in doc["metabolizers"]} == {f"3/{10 * LARGE_Q}"}
+    path = tmp_path / "cert.json"
+    path.write_text(done.stdout)
+    done = _child("obstruct", "--verify", str(path), timeout=10)
+    assert done.returncode == 0 and "bit-for-bit" in done.stdout and done.stderr == ""
+
+
+def test_signature_at_a_large_index():
+    # T(2, q) jumps by -2 at j/q - 1/2 for q/2 < j < q, so at 1/3 the
+    # signature is -2 times the number of j with q/2 < j < 5q/6
+    done = _child("signature", "2", str(LARGE_Q), "1/3", "--json", timeout=10)
+    assert done.returncode == 0 and done.stderr == ""
+    assert json.loads(done.stdout)["signature"] == -2 * (5 * LARGE_Q // 6 - LARGE_Q // 2)
+
+
+def test_homology_large_rank_refused_before_the_smith_form():
+    # d = 3000: the d x d Smith form once ran first, for seconds growing with q
+    done = _child("homology", "2", "3001", "3", timeout=10)
+    _one_line_refusal(done, 2, "budget refused: the Alexander module of T(2,3001) has rank 3000")
+
+
+@pytest.mark.parametrize("argv", [("2", "503", "1,502"), ("32", "3", "1," * 31 + "2")],
+                         ids=["large-q", "large-p"])
+def test_talex_large_knot_refused(argv):
+    # these took 11 s and 18 s
+    done = _child("talex", *argv, timeout=10)
+    _one_line_refusal(done, 2, "budget refused: talex takes p <= 12 and pq <= 512")
+
+
+@st.composite
+def _large_index_inputs(draw):
+    """Algebraically slice T(X;p,r1) # -T(Y;p,r1) # -T(X;p,r2) # T(Y;p,r2),
+    where Y drops the first companion of X; X holds one index up to the
+    parser's bound, alone or before or after a small one.  Two large
+    indices at different levels are left out: the disjointness check is
+    still linear in the smaller of them."""
+    p = draw(st.sampled_from([2, 3, 4, 8, 9]))
+    r1, r2 = draw(st.lists(st.sampled_from([5, 7, 11, 13]), min_size=2, max_size=2,
+                           unique=True).filter(lambda rs: all(r % p for r in rs)))
+    q = draw(st.integers(2**20, 2**31 - 1).filter(
+        lambda q: gcd(q, p * r1 * r2) == 1))
+    small = draw(st.sampled_from([3, 5, 7, 9, 11, 13, 17]).filter(
+        lambda c: gcd(c, p * r1 * r2) == 1))
+    chain = draw(st.sampled_from([[q], [q, small], [small, q]]))
+    X = ";".join(f"{p},{c}" for c in chain)
+    Y = "".join(f"{p},{c};" for c in chain[1:])
+    return f"T({X};{p},{r1}) # -T({Y}{p},{r1}) # -T({X};{p},{r2}) # T({Y}{p},{r2})"
+
+
+@given(_large_index_inputs())
+@settings(max_examples=6, deadline=None)
+def test_large_index_inputs_decide_in_bounded_time(tmp_path_factory, text):
+    done = _child("obstruct", text, "--json", timeout=10)
+    assert done.returncode in (0, 2) and done.stderr == "", done.stderr
+    doc = json.loads(done.stdout)
+    assert doc["verdict"] == ("INCONCLUSIVE" if done.returncode else "NOT_SLICE")
+    if doc["verdict"] == "NOT_SLICE":
+        path = tmp_path_factory.mktemp("large") / "cert.json"
+        path.write_text(done.stdout)
+        done = _child("obstruct", "--verify", str(path), timeout=10)
+        assert done.returncode == 0 and done.stderr == ""
 
 
 def test_closed_stdout_pipe_exits_141_silently():

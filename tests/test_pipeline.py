@@ -1,15 +1,19 @@
+import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sliceguard import covers, knots, laurent, metabolizers, modp, pipeline, seifert, twisted
+from sliceguard import (covers, knots, laurent, metabolizers, modp, pipeline, seifert, twisted,
+                        witt)
 from sliceguard.covers import Character, ConventionError
 from sliceguard.cyclo import normalize_root
 from sliceguard.expr import ParseError, parse
@@ -349,10 +353,10 @@ class TestVerification:
             verify_verdict(doc)
 
     def test_verdict_path_uses_no_numeric_route(self, monkeypatch):
-        # signatures, root isolation, the twisted polynomials and the
-        # Seifert-presented cover serve only the inspection commands and the
-        # tests: patch every binding of them to raise, and the verdicts
-        # still come out and verify
+        # signatures, root isolation, the twisted polynomials, the
+        # Seifert-presented cover and the jump table serve only the
+        # inspection commands and the tests: patch every binding of them to
+        # raise, and the verdicts still come out and verify
         def forbidden(*args, **kwargs):
             raise AssertionError("numeric route called on the verdict path")
 
@@ -360,13 +364,13 @@ class TestVerification:
         numeric = (lt_signature, laurent.unit_circle_roots,
                    twisted.twisted_alex_exterior, twisted.twisted_alex_surgery,
                    seifert.seifert_matrix, seifert.branched_cover,
-                   seifert.elementary_divisors)
+                   seifert.elementary_divisors, seifert.jump_function,
+                   seifert._jump_function_cached)
         for name, module in list(sys.modules.items()):
             if name == "sliceguard" or name.startswith("sliceguard."):
                 for attr, value in list(vars(module).items()):
                     if any(value is fn for fn in numeric):
                         monkeypatch.setattr(module, attr, forbidden)
-        seifert._jump_function_cached.cache_clear()
         covers.model_module.cache_clear()
         for expr in [J2, J3, R13]:
             verdict = obstruct(parse(expr))
@@ -500,3 +504,81 @@ class TestVerifierBoundary:
             verify_verdict(doc)
         except (VerificationError, ParseError, BudgetExceeded):
             pass
+
+
+# ---------------------------------------------------------------------------
+# The jump decision against its materialized route
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _decompositions(draw):
+    """Blocks of the decomposition's shape whose supports often meet:
+    companion indices 3 and 9, and twists at the same r-th roots."""
+    p = draw(st.sampled_from([2, 3]))
+    r = draw(st.sampled_from([r for r in (3, 5, 7) if r % p]))
+    chars = covers.characters(p, r)
+    B1 = witt.WittClass(witt.Twisted(p, r, draw(st.sampled_from(chars)), sign)
+                        for sign in draw(st.lists(st.sampled_from([1, -1]), max_size=2)))
+    keys = draw(st.lists(st.tuples(st.sampled_from([q for q in (3, 5, 7, 9, 11)
+                                                    if q % p and q % r]),
+                                   st.integers(1, 2)), min_size=1, max_size=3, unique=True))
+
+    def block(q, s):
+        return witt.WittClass(
+            Classical(p, q, normalize_root(p ** (s - 1) * a, r), p ** (s - 1), sign)
+            for a, sign in draw(st.lists(st.tuples(st.integers(0, r - 1),
+                                                   st.sampled_from([1, -1])), max_size=3)))
+
+    return pipeline.Decomposition(B1=B1, B3={key: block(*key) for key in keys},
+                                  B4={key: block(*key) for key in keys})
+
+
+@given(_decompositions())
+@settings(max_examples=150, deadline=None)
+def test_disjointness_matches_the_support_intersection(dec):
+    for q, s in dec.B3:
+        assert pipeline._disjointness_ok(dec, q, s) == oracles.disjoint_by_intersection(dec, q, s)
+
+
+def _overlapping_batch_draws(seed: int, count: int) -> list:
+    """The benchmark's batch blocks (perfbench/inputs.py), keeping only the
+    draws whose companion indices share a factor, which its generator
+    draws again."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", SRC.parent / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    rng = random.Random(seed)
+    strata = [(p, m1, r) for (p, m1, r), _ in inputs.STRATA if m1 <= 2 and r <= 7]
+    out = []
+    while len(out) < count:
+        p, m1, r = rng.choice(strata)
+        above = [c for c in inputs.PRIMES if c > r and c % p]
+        blocks = [inputs._block(p, r, rng.choice(above), rng) for _ in range(m1)]
+        heads = {q for block in blocks for qs, _ in block for q in qs[:-1]}
+        if any(gcd(a, b) > 1 for a in heads for b in heads if a < b):
+            out.append(inputs.combination(p, blocks, rng.choice((1, -1))))
+    return out
+
+
+def test_jump_decision_matches_the_oracles_on_overlapping_batch_draws(monkeypatch):
+    disjoint, metabolic = pipeline._disjointness_ok, witt.is_metabolic_classical
+    answers = set()
+
+    def checked_disjoint(dec, q, s):
+        answer = disjoint(dec, q, s)
+        assert answer == oracles.disjoint_by_intersection(dec, q, s)
+        answers.add(answer)
+        return answer
+
+    def checked_metabolic(W):
+        answer = metabolic(W)
+        assert answer == oracles.metabolic_by_union_scan(W)
+        return answer
+
+    monkeypatch.setattr(pipeline, "_disjointness_ok", checked_disjoint)
+    monkeypatch.setattr(witt, "is_metabolic_classical", checked_metabolic)
+    kinds = {obstruct(parse(text)).kind for text in _overlapping_batch_draws(11, 24)}
+    # both answers of the disjointness test, and both verdicts they lead to
+    assert answers == {True, False} and kinds == {"NOT_SLICE", "INCONCLUSIVE"}

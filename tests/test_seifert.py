@@ -98,7 +98,7 @@ class TestAlexander:
 
     @pytest.mark.parametrize("p,q", [(2, 3), (2, 5), (3, 4), (3, 5)])
     def test_root_characterization(self, p, q):
-        roots = seifert.alexander_roots(p, q)
+        roots = oracles.alexander_roots(p, q)
         expected = {
             normalize_root(a, p * q)
             for a in range(1, p * q)
@@ -110,7 +110,7 @@ class TestAlexander:
     @pytest.mark.parametrize("p,q", CLOSED_FORM_PAIRS)
     def test_closed_form_roots_match_root_isolation(self, p, q):
         isolated = unit_circle_roots(seifert.alexander_poly(p, q), {p * q})
-        assert seifert.alexander_roots(p, q) == isolated
+        assert oracles.alexander_roots(p, q) == isolated
 
 
 def _midpoint_jumps(p, q):
@@ -118,7 +118,7 @@ def _midpoint_jumps(p, q):
     the Seifert form at the midpoints between consecutive Alexander roots,
     differenced.  The signature is symmetric under x -> 1 - x, and so is
     the set of midpoints, so each value is computed once."""
-    roots = sorted(root.frac for root in seifert.alexander_roots(p, q))
+    roots = sorted(root.frac for root in oracles.alexander_roots(p, q))
     edges = [Fraction(0)] + roots + [Fraction(1)]
     sigma = {}
     for a, b in zip(edges, edges[1:]):
@@ -148,7 +148,7 @@ class TestSignature:
     def test_against_numpy_oracle(self, p, q):
         rng = random.Random(1000 * p + q)
         V = seifert.seifert_matrix(p, q)
-        roots = {r.frac for r in seifert.alexander_roots(p, q)}
+        roots = {r.frac for r in oracles.alexander_roots(p, q)}
         done = 0
         while done < 25:
             x = Fraction(rng.randrange(1, 840), 840)
@@ -182,7 +182,7 @@ class TestJumps:
             with pytest.raises(ValueError):
                 seifert.jump_function(p, q)
             with pytest.raises(ValueError):
-                seifert.alexander_roots(p, q)
+                seifert.jump_at(p, q, Fraction(1, 2))
 
     def test_trefoil(self):
         assert seifert.jump_function(2, 3) == {
@@ -203,7 +203,7 @@ class TestJumps:
         jumps = seifert.jump_function(p, q)
         assert sum(jumps.values()) == 0
         assert all(j % 2 == 0 and j != 0 for j in jumps.values())
-        roots = {r.frac for r in seifert.alexander_roots(p, q)}
+        roots = {r.frac for r in oracles.alexander_roots(p, q)}
         assert set(jumps) <= roots
 
 
@@ -459,3 +459,33 @@ def test_closed_form_matches_the_kernel_route(p, r):
         pulled = modp.mat_mul(modp.mat_mul(rows, m.gram, r), tuple(zip(*rows)), r)
         assert modp.mat_eq(pulled, [[s * x % r for x in row] for row in imported])
     assert _discriminant_class(cover.module.gram, r) == _discriminant_class(m.gram, r)
+
+
+@st.composite
+def _torus_pairs(draw):
+    p = draw(st.integers(2, 13))
+    return p, draw(st.integers(2, 40).filter(lambda q: gcd(p, q) == 1))
+
+
+@given(_torus_pairs(), st.integers(-10**6, 10**6), st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_jump_at_matches_the_table(pq, k, m):
+    # every point with denominator dividing m*pq, and points off the jump set
+    p, q = pq
+    x = Fraction(k, p * q * m)
+    expected = oracles.litherland_jumps(p, q).get(x % 1, 0)
+    assert seifert.jump_at(p, q, x) == expected
+    assert seifert.jump_function(p, q).get(x % 1, 0) == expected
+
+
+@given(_torus_pairs(), st.integers(2, 400).flatmap(
+    lambda b: st.tuples(st.integers(1, b - 1), st.just(b))))
+@settings(max_examples=200, deadline=None)
+def test_lt_signature_matches_the_table_sum(pq, ab):
+    p, q = pq
+    x = Fraction(*ab)
+    if seifert.jump_at(p, q, x):
+        with pytest.raises(ValueError):
+            seifert.lt_signature(p, q, x)
+    else:
+        assert seifert.lt_signature(p, q, x) == oracles.table_signature(p, q, x)

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sliceguard import covers, seifert
 from sliceguard.covers import Character
@@ -18,6 +20,7 @@ from sliceguard.witt import (
     support_of,
 )
 
+import oracles
 from oracles import substitute
 
 
@@ -158,9 +161,34 @@ class TestMetabolic:
 
 
 def test_jump_points_are_the_alexander_roots():
-    # the supports read the cached jump points as the Alexander roots
+    # a support is where jump_of is nonzero: the jumps sit exactly on the
+    # Alexander roots
     for p in range(2, 14):
         for q in range(2, 30):
             if gcd(p, q) == 1:
-                roots = {root.frac for root in seifert.alexander_roots(p, q)}
+                roots = {root.frac for root in oracles.alexander_roots(p, q)}
                 assert set(seifert.jump_function(p, q)) == roots, (p, q)
+
+
+@st.composite
+def classical_atoms(draw):
+    p = draw(st.sampled_from([2, 3, 4, 5]))
+    q = draw(st.sampled_from([q for q in (2, 3, 5, 7, 9, 11) if gcd(p, q) == 1]))
+    den = draw(st.sampled_from([1, 2, 3, 5, 7]))
+    return C(p, q, draw(st.integers(0, den - 1)), den, power=draw(st.integers(1, 4)),
+             coeff=draw(st.sampled_from([-2, -1, 1, 2])))
+
+
+@given(classical_atoms())
+@settings(max_examples=100, deadline=None)
+def test_support_of_matches_the_table_pullback(atom):
+    assert support_of(atom) == frozenset(oracles.pullback(atom))
+
+
+@given(st.lists(classical_atoms(), min_size=1, max_size=5), st.data())
+@settings(max_examples=150, deadline=None)
+def test_is_metabolic_matches_the_union_scan(atoms, data):
+    # minus a subset of the atoms, so that jumps cancel at some points
+    cancelled = data.draw(st.lists(st.sampled_from(atoms), max_size=len(atoms)))
+    W = WittClass(atoms) + (-WittClass(cancelled))
+    assert is_metabolic_classical(W) == oracles.metabolic_by_union_scan(W)
