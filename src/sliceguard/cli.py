@@ -24,6 +24,18 @@ from .metabolizers import BudgetExceeded
 from .twisted import twisted_alex_exterior, twisted_alex_surgery
 
 
+# the longest listing printed: at degree 100 002 the Alexander polynomial
+# alone took 0.49 s to print, and the listings grow without bound
+MAX_LISTED = 100_000
+
+
+def _refuse_long_listing(count: int, what: str) -> None:
+    """A listing of more than MAX_LISTED entries is refused in one line,
+    before any work."""
+    if count > MAX_LISTED:
+        raise BudgetExceeded(f"{what}, over the listing limit of {MAX_LISTED}")
+
+
 def _count(text: str) -> int:
     """A bound or a count: a negative one is a usage error, before any work."""
     try:
@@ -117,6 +129,9 @@ def _cmd_slice_check(args) -> int:
 
 
 def _cmd_alex(args) -> int:
+    check_torus(args.p, args.q)
+    d = (args.p - 1) * (args.q - 1)
+    _refuse_long_listing(d, f"the Alexander polynomial of T({args.p},{args.q}) has degree {d}")
     poly = seifert.alexander_poly(args.p, args.q)
     if args.json:
         print(json.dumps({"p": args.p, "q": args.q, "alexander": str(poly)}))
@@ -153,7 +168,13 @@ def _cmd_talex(args) -> int:
 
 
 def _cmd_characters(args) -> int:
-    chars = covers.characters(args.p, args.r)
+    p, r = args.p, args.r
+    if p >= 2 and r >= 2:  # else covers.characters names the input error
+        # there are r^(p-1); as r^17 > MAX_LISTED already, capping the
+        # exponent there decides alike without building a huge power
+        _refuse_long_listing(r ** min(p - 1, MAX_LISTED.bit_length()),
+                             f"the {p}-fold cover module over Z_{r} has {r}^{p - 1} characters")
+    chars = covers.characters(p, r)
     if args.json:
         print(json.dumps({"p": args.p, "r": args.r,
                           "characters": [list(c.values) for c in chars]}))
@@ -186,6 +207,9 @@ def _cmd_metabolizers(args) -> int:
 
 def _cmd_signature(args) -> int:
     if args.jumps:
+        check_torus(args.p, args.q)
+        d = (args.p - 1) * (args.q - 1)
+        _refuse_long_listing(d, f"T({args.p},{args.q}) has {d} signature jumps")
         jumps = seifert.jump_function(args.p, args.q)
         if args.json:
             print(json.dumps({
@@ -262,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     ob = sub.add_parser("obstruct", help="run the full obstruction pipeline")
     ob.add_argument("expression", nargs="?", help="knot combination, e.g. 'T(2,3;2,5) # -T(2,5)'")
     ob.add_argument("--r", type=_prime, default=None, help="force one obstruction prime")
-    ob.add_argument("--budget", type=_count, default=2_000_000,
+    ob.add_argument("--budget", type=_count, default=metabolizers.DEFAULT_BUDGET,
                     help="max subspaces to enumerate per form")
     ob.add_argument("--verify", metavar="FILE",
                     help="re-derive a previously emitted JSON verdict and require it "
@@ -301,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     me.add_argument("p", type=int)
     me.add_argument("r", type=int)
     me.add_argument("--copies", type=_count, default=1, help="the exponent m")
-    me.add_argument("--budget", type=_count, default=2_000_000)
+    me.add_argument("--budget", type=_count, default=metabolizers.DEFAULT_BUDGET)
     add_common(me)
     me.set_defaults(func=_cmd_metabolizers)
 

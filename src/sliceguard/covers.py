@@ -27,7 +27,7 @@ one functional on the model basis, its first p - 1 entries
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd
 import itertools
@@ -42,16 +42,13 @@ class ConventionError(ArithmeticError):
     wrong somewhere, so stop rather than guess."""
 
 
-@dataclass(frozen=True)
-class CoverModule:
+class CoverModule(namedtuple("CoverModule", "r action gram")):
     """The r-torsion of H_1 of a branched cover as an F_r vector space:
     deck action (rows act on row vectors, v -> v @ action) and linking
     form gram[i][j] / r in Q/Z.  The model module of the p-fold cover of
     T(p, r) has dimension p - 1, on the basis x_0, ..., x_{p-2}."""
 
-    r: int
-    action: tuple
-    gram: tuple
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
@@ -82,19 +79,18 @@ def validate_module(m: CoverModule, n: int):
         raise ConventionError("deck action not annihilated by 1 + t + ... + t^{n-1}")
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(namedtuple("Character", "r values")):
     """A character on H_1 of the p-fold cover of T(p, r), encoded by the
     zero-sum vector (chi(x_0), ..., chi(x_{p-1})) over Z_r."""
 
-    r: int
-    values: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if sum(self.values) % self.r != 0:
-            raise ValueError(f"character values {self.values} do not sum to 0 mod {self.r}")
-        if any(not 0 <= v < self.r for v in self.values):
+    def __new__(cls, r: int, values: tuple):
+        if sum(values) % r != 0:
+            raise ValueError(f"character values {values} do not sum to 0 mod {r}")
+        if any(not 0 <= v < r for v in values):
             raise ValueError("character entries must be reduced mod r")
+        return tuple.__new__(cls, (r, values))
 
     @classmethod
     def from_functional(cls, r: int, functional) -> "Character":

@@ -18,7 +18,7 @@ Bareiss elimination in ``seifert``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -48,10 +48,14 @@ def int_poly_div_exact(a: list, b: list) -> list:
     """a / b in Z[t], on coefficient lists lowest degree first with no
     trailing zeros (the zero polynomial is the empty list).  A remainder
     or a fractional coefficient raises ArithmeticError: every caller
-    divides where the quotient is exact."""
+    divides where the quotient is exact.  Each step walks only the
+    divisor's nonzero coefficients below the leading one, so dividing by
+    t^q - 1 is linear in the degree of a."""
     if not a:
         return []
     shift, lead = len(b) - 1, b[-1]
+    # the leading term cancels a[k + shift], which is never read again
+    lower = [(j, y) for j, y in enumerate(b[:shift]) if y]
     a = list(a)
     out = [0] * max(len(a) - shift, 0)
     for k in range(len(out) - 1, -1, -1):
@@ -60,8 +64,8 @@ def int_poly_div_exact(a: list, b: list) -> list:
             raise ArithmeticError("inexact integer polynomial division")
         out[k] = c
         if c:
-            for j, y in enumerate(b, k):
-                a[j] -= c * y
+            for j, y in lower:
+                a[k + j] -= c * y
     if any(a[:shift]) or not out:
         raise ArithmeticError("inexact integer polynomial division")
     return out
@@ -126,11 +130,12 @@ def _lcm(a: int, b: int) -> int:
     return a // gcd(a, b) * b
 
 
-@dataclass(frozen=True, order=True)
-class RootOfUnity:
+class RootOfUnity(namedtuple("RootOfUnity", "frac")):
     """The point e^(2*pi*i*k/N) on the unit circle, as a reduced fraction.
 
-    Multiplication of roots is addition of fractions mod 1.
+    Multiplication of roots is addition of fractions mod 1.  Like every
+    value class of the package it is a namedtuple: immutable, hashed and
+    ordered as its field tuple.
 
     >>> RootOfUnity.normalized(2, 6)
     RootOfUnity(1/3)
@@ -138,7 +143,7 @@ class RootOfUnity:
     RootOfUnity(5/6)
     """
 
-    frac: Fraction
+    __slots__ = ()
 
     @staticmethod
     def normalized(k: int, n: int) -> "RootOfUnity":

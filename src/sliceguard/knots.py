@@ -13,7 +13,7 @@ the cabling sequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 
@@ -41,21 +41,22 @@ def check_torus(p: int, q: int) -> None:
         )
 
 
-@dataclass(frozen=True, order=True, repr=False)
-class IteratedTorusKnot:
-    p: int
-    qs: tuple[int, ...]
+class IteratedTorusKnot(namedtuple("IteratedTorusKnot", "p qs")):
+    """T(p, q1; ...; p, ql), ordered as its (p, qs) tuple."""
 
-    def __post_init__(self):
-        if self.p < 2:
+    __slots__ = ()
+
+    def __new__(cls, p: int, qs: tuple[int, ...]):
+        if p < 2:
             raise ValueError("cabling parameter p must be at least 2")
-        if not self.qs:
+        if not qs:
             raise ValueError("empty cabling sequence")
-        for q in self.qs:
+        for q in qs:
             if q < 1:
                 raise ValueError(f"cabling index {q} must be positive")
-            if gcd(self.p, q) != 1:
-                raise ValueError(f"gcd({self.p}, {q}) != 1: not a torus knot cable")
+            if gcd(p, q) != 1:
+                raise ValueError(f"gcd({p}, {q}) != 1: not a torus knot cable")
+        return tuple.__new__(cls, (p, qs))
 
     @property
     def length(self) -> int:
@@ -217,8 +218,7 @@ def simplify(K: KnotCombination) -> KnotCombination:
     return KnotCombination(K.p, K.terms)
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(namedtuple("NormalForm", "p r primes groups")):
     """A simplified, level-cancelling combination arranged into signed pairs.
 
     ``groups[0]`` holds the pairs whose sequences end in the chosen prime r;
@@ -228,10 +228,7 @@ class NormalForm:
     coefficient copies.
     """
 
-    p: int
-    r: int
-    primes: tuple[int, ...]
-    groups: tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], ...]
+    __slots__ = ()
 
     @property
     def m(self) -> tuple[int, ...]:
@@ -242,20 +239,14 @@ class NormalForm:
         return len(self.groups[0])
 
 
-@dataclass(frozen=True)
-class IndexSets:
+class IndexSets(namedtuple("IndexSets", "pairs points I1 I2 I3 I4")):
     """The level bookkeeping of a normal form: the chosen prime's signed
     ``pairs``, and for each companion level (q, s) in ``points``, which
     indices of those pairs appear positively (I1) and negatively (I2), and
     which pairs (j, i) of the remaining groups appear positively (I3) and
     negatively (I4)."""
 
-    pairs: tuple
-    points: tuple
-    I1: dict
-    I2: dict
-    I3: dict
-    I4: dict
+    __slots__ = ()
 
     def alternating_sum(self, q: int, s: int) -> int:
         key = (q, s)

@@ -35,8 +35,7 @@ the data is the package's own.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
+from collections import namedtuple
 
 from . import covers, modp
 from .covers import Character, ConventionError, CoverModule
@@ -44,24 +43,27 @@ from .knots import IndexSets
 from .modp import Subspace
 
 
+# the default bound on the half-dimension subspaces of one form
+DEFAULT_BUDGET = 2_000_000
+
+
 class BudgetExceeded(RuntimeError):
     """Enumeration would exceed the configured budget: refuse, never truncate."""
 
 
-@dataclass(frozen=True)
-class FormSpace:
+class FormSpace(namedtuple("FormSpace", "p r m1")):
     """lambda^m1 ⊕ -lambda^m1 on the model module of the p-fold cover of
     T(p, r); a (p, r) with no model module is a ValueError."""
 
-    p: int
-    r: int
-    m1: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        covers.check_model_shape(self.p, self.r)
+    def __new__(cls, p: int, r: int, m1: int):
+        covers.check_model_shape(p, r)
+        return tuple.__new__(cls, (p, r, m1))
 
-    @cached_property
+    @property
     def module(self) -> CoverModule:
+        # model_module is cached, so the module is built once, on first use
         return covers.model_module(self.p, self.r)
 
     @property
@@ -121,7 +123,8 @@ def is_invariant_metabolizer(L: Subspace, F: FormSpace) -> bool:
     return all(L.contains(modp.vec_mat(v, A, r)) for v in rows)
 
 
-def enumerate_invariant_metabolizers(F: FormSpace, budget: int = 2_000_000) -> list[Subspace]:
+def enumerate_invariant_metabolizers(F: FormSpace,
+                                     budget: int = DEFAULT_BUDGET) -> list[Subspace]:
     """All invariant metabolizers, in the order of the Grassmannian oracle,
     by the isotropic echelon walk: rows are filled first to last, pivots in
     combinations order and free slots in product order, and a row is kept
@@ -172,18 +175,17 @@ def enumerate_invariant_metabolizers(F: FormSpace, budget: int = 2_000_000) -> l
     return found
 
 
-@dataclass(frozen=True)
-class Isometry:
+class Isometry(namedtuple("Isometry", "matrix")):
     """Row-convention matrix of the equivariant isometry v -> v @ matrix
     from the positive half to the negative half."""
 
-    matrix: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NotAGraph:
-    meets_first: bool
-    meets_second: bool
+class NotAGraph(namedtuple("NotAGraph", "meets_first meets_second")):
+    """A metabolizer that is no graph: which factor of the sum it meets."""
+
+    __slots__ = ()
 
 
 def graph_detect(L: Subspace, F: FormSpace):
@@ -210,23 +212,18 @@ def graph_detect(L: Subspace, F: FormSpace):
     return Isometry(matrix=g)
 
 
-@dataclass(frozen=True)
-class CharacterChoice:
-    case: int
-    chi_a: tuple
-    chi_b: tuple
-    q: int
-    s: int
+class CharacterChoice(namedtuple("CharacterChoice", "case chi_a chi_b q s")):
+    """The character pair built for a metabolizer, its construction case
+    and the level (q, s) it obstructs at."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NotSimplifiedWitness:
+class NotSimplifiedWitness(namedtuple("NotSimplifiedWitness", "k0 X Y")):
     """Claim data showing the combination contained a knot and its mirror:
     contradicts the simplified precondition upstream."""
 
-    k0: int
-    X: frozenset
-    Y: frozenset
+    __slots__ = ()
 
 
 def _coordinate_subspace(indices, m1: int, block_dim: int, r: int) -> Subspace:

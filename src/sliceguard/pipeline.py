@@ -30,14 +30,13 @@ checked from their values when the certificate is built
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 from . import covers, knots, metabolizers, witt
 from .covers import Character
 from .cyclo import RootOfUnity
 from .knots import IndexSets, KnotCombination, NormalForm, index_sets, prime_power_exponent
-from .metabolizers import BudgetExceeded, FormSpace, NotSimplifiedWitness
+from .metabolizers import DEFAULT_BUDGET, BudgetExceeded, FormSpace, NotSimplifiedWitness
 from .modp import Subspace
 from .witt import Classical, Twisted, WittClass
 
@@ -53,21 +52,20 @@ class VerificationError(AssertionError):
     """A recorded certificate failed an exact re-check."""
 
 
-@dataclass(frozen=True)
-class Options:
-    r: int | None = None
-    budget: int = 2_000_000
+class Options(namedtuple("Options", "r budget", defaults=(None, DEFAULT_BUDGET))):
+    """A forced obstruction prime r (None tries every final prime) and the
+    enumeration budget."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(namedtuple("Decomposition", "B1 B3 B4")):
     """The blocks of the decomposed metabelian pairing: twisted atoms for
-    the chosen prime's pairs (B1) and per-level classical blocks (B3
-    twisted by the characters, B4 untwisted); see ``decompose``."""
+    the chosen prime's pairs (B1, a WittClass) and per-level classical
+    blocks (B3 twisted by the characters, B4 untwisted, dicts from the
+    level to a WittClass); see ``decompose``."""
 
-    B1: WittClass
-    B3: dict
-    B4: dict
+    __slots__ = ()
 
 
 def _lambda_block(p: int, q: int, r: int, chi: Character, s: int, sign: int) -> list:
@@ -122,16 +120,13 @@ def decompose(nf: NormalForm, chi_a, chi_b) -> Decomposition:
     return Decomposition(B1=B1, B3=B3, B4=B4)
 
 
-@dataclass(frozen=True)
-class Certificate:
-    basis: tuple
-    case: int
-    chi_a: tuple
-    chi_b: tuple
-    q: int
-    s: int
-    witness_omega: Fraction
-    witness_jump: int
+class Certificate(namedtuple("Certificate", "basis case chi_a chi_b q s "
+                                            "witness_omega witness_jump")):
+    """One metabolizer's certificate: its basis, the construction case, the
+    character pair, the level (q, s), and the witness point (a Fraction)
+    with its total jump."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -149,16 +144,13 @@ class Certificate:
         }
 
 
-@dataclass(frozen=True)
-class Verdict:
-    kind: str
-    p: int
-    input_str: str
-    algebraically_slice: bool | None = None
-    witness: tuple | None = None
-    r: int | None = None
-    certificates: tuple = ()
-    reason: str | None = None
+class Verdict(namedtuple("Verdict", "kind p input_str algebraically_slice witness r "
+                                    "certificates reason",
+                         defaults=(None, None, None, (), None))):
+    """The outcome of ``obstruct``: its kind, the input, and the witness,
+    prime, certificates or reason that the kind calls for."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         out = {
@@ -334,7 +326,7 @@ def obstruct(K: KnotCombination, options: Options = Options(),
 # ---------------------------------------------------------------------------
 
 
-def verify_verdict(doc: dict, *, budget: int = Options.budget) -> None:
+def verify_verdict(doc: dict, *, budget: int = DEFAULT_BUDGET) -> None:
     """Re-derive a verdict document and require it byte for byte.
 
     The input is parsed again and the verdict rebuilt through ``obstruct``'s

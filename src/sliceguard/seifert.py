@@ -53,7 +53,7 @@ and the N = (n-1)d rows of Y may not exceed ``MAX_PRESENTATION_ROWS``
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, prod
@@ -260,14 +260,12 @@ def _jump_function_cached(p: int, q: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoverHomology:
-    p: int
-    q: int
-    n: int
-    divisors: tuple
-    order: int
-    module: CoverModule | None
+class CoverHomology(namedtuple("CoverHomology", "p q n divisors order module")):
+    """H_1 of the n-fold branched cover of T(p, q): its torsion ``divisors``
+    and ``order``, and its q-torsion ``module`` when q is prime and that is
+    all the torsion, else None."""
+
+    __slots__ = ()
 
 
 def elementary_divisors(rows) -> tuple:

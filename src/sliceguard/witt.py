@@ -25,26 +25,19 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from math import ceil
 
 from . import seifert
-from .covers import Character
-from .cyclo import RootOfUnity
 # unused here: perfbench/spans.py wraps witt.unit_circle_roots by this name
 from .laurent import unit_circle_roots  # noqa: F401
 
 
-@dataclass(frozen=True)
-class Classical:
-    """coefficient * Bl(T(p, q))(xi^twist * t^power)."""
+class Classical(namedtuple("Classical", "p q twist power coefficient", defaults=(1,))):
+    """coefficient * Bl(T(p, q))(xi^twist * t^power), twist a RootOfUnity."""
 
-    p: int
-    q: int
-    twist: RootOfUnity
-    power: int
-    coefficient: int = 1
+    __slots__ = ()
 
     def key(self):
         return ("classical", self.p, self.q, self.twist.frac, self.power)
@@ -56,14 +49,11 @@ class Classical:
         return f"{self.coefficient}*Bl(T({self.p},{self.q}))({arg})"
 
 
-@dataclass(frozen=True)
-class Twisted:
-    """coefficient * Bl_alpha(p, chi)(T(p, r)) for a zero-sum chi over Z_r."""
+class Twisted(namedtuple("Twisted", "p r chi coefficient", defaults=(1,))):
+    """coefficient * Bl_alpha(p, chi)(T(p, r)) for a zero-sum Character chi
+    over Z_r."""
 
-    p: int
-    r: int
-    chi: Character
-    coefficient: int = 1
+    __slots__ = ()
 
     def key(self):
         return ("twisted", self.p, self.r, self.chi.values)
@@ -86,8 +76,8 @@ class WittClass:
         for atom in atoms:
             k = atom.key()
             if k in merged:
-                merged[k] = replace(
-                    merged[k], coefficient=merged[k].coefficient + atom.coefficient
+                merged[k] = merged[k]._replace(
+                    coefficient=merged[k].coefficient + atom.coefficient
                 )
             else:
                 merged[k] = atom
@@ -103,7 +93,7 @@ class WittClass:
 
     def __neg__(self) -> "WittClass":
         return WittClass(
-            replace(a, coefficient=-a.coefficient) for a in self.atoms
+            a._replace(coefficient=-a.coefficient) for a in self.atoms
         )
 
     def __eq__(self, other):

@@ -3,6 +3,7 @@ verdict digests against perfbench/expected.json and wraps functions by
 name.  These tests keep the package to that contract; they only read
 perfbench/."""
 
+import ast
 import hashlib
 import importlib.util
 import json
@@ -78,3 +79,30 @@ def test_worker_caches_and_spans_resolve():
     done = subprocess.run([sys.executable, "-c", "import sliceguard" + CONTRACT_CHECK],
                           env=env, cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def _modules_perfbench_reads() -> set:
+    """The sliceguard modules that worker.CACHED reads from sys.modules and
+    that spans.install imports."""
+    names = {dotted.split(".")[0] for dotted in _load("worker").CACHED}
+    tree = ast.parse((PERFBENCH / "spans.py").read_text())
+    install = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "install")
+    names |= {alias.name for node in ast.walk(install)
+              if isinstance(node, ast.ImportFrom) and node.module == "sliceguard"
+              for alias in node.names}
+    return {f"sliceguard.{name}" for name in names}
+
+
+def test_import_is_light_and_loads_every_module_perfbench_reads():
+    # every command and every benchmark worker is a fresh process that pays
+    # for the import; without site, nothing but sliceguard loads modules
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import sliceguard; print(*sys.modules)"
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(ROOT / "src")],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis"}
+    wanted = _modules_perfbench_reads()
+    assert {"sliceguard.seifert", "sliceguard.twisted", "sliceguard.witt"} <= wanted
+    assert wanted <= loaded, wanted - loaded

@@ -11,7 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sliceguard import covers, metabolizers, pipeline, seifert
+from sliceguard import cli, covers, metabolizers, pipeline, seifert
 from sliceguard.cli import main
 from sliceguard.expr import parse
 
@@ -285,6 +285,26 @@ def test_talex_large_knot_refused(argv):
     # these took 11 s and 18 s
     done = _child("talex", *argv, timeout=10)
     _one_line_refusal(done, 2, "budget refused: talex takes p <= 12 and pq <= 512")
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (("alex", "2", str(LARGE_Q)),
+     f"the Alexander polynomial of T(2,{LARGE_Q}) has degree {LARGE_Q - 1}"),
+    (("signature", "2", str(LARGE_Q), "--jumps", "--json"),
+     f"T(2,{LARGE_Q}) has {LARGE_Q - 1} signature jumps"),
+    (("characters", "13", "101"), "the 13-fold cover module over Z_101 has 101^12 characters"),
+    (("characters", "100000001", "3"),
+     "the 100000001-fold cover module over Z_3 has 3^100000000 characters"),
+], ids=["alex", "signature-jumps", "characters", "characters-large-p"])
+def test_long_listing_refused_in_one_line(argv, needle):
+    # the first died with a MemoryError traceback, the next two ran past 10 s
+    done = _child(*argv, timeout=10)
+    _one_line_refusal(done, 2, f"budget refused: {needle}, over the listing limit of 100000")
+
+
+def test_listing_at_the_limit_is_printed(capsys):
+    code, out, _ = run(capsys, "characters", "2", "100000", "--json")
+    assert code == 0 and len(json.loads(out)["characters"]) == cli.MAX_LISTED == 100_000
 
 
 @st.composite
