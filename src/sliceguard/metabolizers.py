@@ -10,9 +10,9 @@ half-dimension subspace equal to its own orthogonal complement; since
 the form is nonsingular, isotropy plus half dimension suffices.
 
 ``enumerate_invariant_metabolizers`` builds echelon bases row by row and
-drops a prefix at its first non-isotropic row, so only isotropic bases
-reach the metabolizer test; the Grassmannian filter is the tests' oracle,
-in ``tests/oracles.py``.
+solves each row's pairings (``_isotropic_rows``), so only isotropic bases
+reach the metabolizer test; the Grassmannian filter and the product walk
+that tried every row are the tests' oracles, in ``tests/oracles.py``.
 
 ``construct_character`` realizes the three-case character construction:
 when one projection of the metabolizer is proper, a functional killing it
@@ -36,6 +36,8 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
+from functools import lru_cache
+from operator import mul
 
 from . import covers, modp
 from .covers import Character, ConventionError, CoverModule
@@ -78,30 +80,33 @@ class FormSpace(namedtuple("FormSpace", "p r m1")):
     def ambient_dim(self) -> int:
         return 2 * self.half_dim
 
-    def _block_diagonal(self, block, signs) -> tuple:
-        """One copy of ``block`` per entry of ``signs`` down the diagonal,
-        each scaled by its sign, mod r."""
-        d, r = self.block_dim, self.r
-        n = len(signs) * d
-        M = [[0] * n for _ in range(n)]
-        for b, sign in enumerate(signs):
-            for i in range(d):
-                M[b * d + i][b * d : (b + 1) * d] = [(sign * x) % r for x in block[i]]
-        return tuple(map(tuple, M))
-
     def gram(self) -> tuple:
         """Full Gram matrix, entries meaning value/r in Q/Z."""
-        return self._block_diagonal(self.module.gram, (1,) * self.m1 + (-1,) * self.m1)
+        return _block_diagonal(self.module.gram, (1,) * self.m1 + (-1,) * self.m1, self.r)
 
     def half_gram(self) -> tuple:
         """Gram of lambda^m1 on one half (positive sign)."""
-        return self._block_diagonal(self.module.gram, (1,) * self.m1)
+        return _block_diagonal(self.module.gram, (1,) * self.m1, self.r)
 
     def action(self) -> tuple:
-        return self._block_diagonal(self.module.action, (1,) * (2 * self.m1))
+        return _block_diagonal(self.module.action, (1,) * (2 * self.m1), self.r)
 
     def half_action(self) -> tuple:
-        return self._block_diagonal(self.module.action, (1,) * self.m1)
+        return _block_diagonal(self.module.action, (1,) * self.m1, self.r)
+
+
+@lru_cache(maxsize=None)
+def _block_diagonal(block, signs, r) -> tuple:
+    """One copy of ``block`` per entry of ``signs`` down the diagonal,
+    each scaled by its sign, mod r.  Cached by the block itself, so the
+    matrices follow the module the form space reads."""
+    d = len(block)
+    n = len(signs) * d
+    M = [[0] * n for _ in range(n)]
+    for b, sign in enumerate(signs):
+        for i in range(d):
+            M[b * d + i][b * d : (b + 1) * d] = [(sign * x) % r for x in block[i]]
+    return tuple(map(tuple, M))
 
 
 def is_invariant_metabolizer(L: Subspace, F: FormSpace) -> bool:
@@ -117,7 +122,7 @@ def is_invariant_metabolizer(L: Subspace, F: FormSpace) -> bool:
     for i, u in enumerate(rows):
         Gu = modp.mat_vec(G, u, r)
         for v in rows[i:]:
-            if sum(a * b for a, b in zip(v, Gu)) % r:
+            if sum(map(mul, v, Gu)) % r:
                 return False
     A = F.action()
     return all(L.contains(modp.vec_mat(v, A, r)) for v in rows)
@@ -126,10 +131,13 @@ def is_invariant_metabolizer(L: Subspace, F: FormSpace) -> bool:
 def enumerate_invariant_metabolizers(F: FormSpace,
                                      budget: int = DEFAULT_BUDGET) -> list[Subspace]:
     """All invariant metabolizers, in the order of the Grassmannian oracle,
-    by the isotropic echelon walk: rows are filled first to last, pivots in
-    combinations order and free slots in product order, and a row is kept
-    only if it pairs to zero with itself and the rows above it (pairings
-    ``is_invariant_metabolizer`` also tests).
+    by the isotropic echelon walk: rows are filled first to last and
+    pivots in combinations order.  A row's pairings with the rows above
+    are linear in its free slots, so only the solutions of that system are
+    visited, and each is kept if it pairs to zero with itself.  The kept
+    rows are sorted, which is the product order of their free slots, so
+    the leaves come as in the walk that tried every row;
+    ``is_invariant_metabolizer`` checks each.
 
     The budget counts every half-dimension subspace, walked or not, and a
     shape over it is refused loudly before the module is built.  The count
@@ -157,22 +165,33 @@ def enumerate_invariant_metabolizers(F: FormSpace,
                 found.append(L)
             return
         pc = pivots[len(rows)]
-        free = [c for c in range(pc + 1, n) if c not in pivots]
-        for values in itertools.product(range(r), repeat=len(free)):
+        slots = [pc, *(c for c in range(pc + 1, n) if c not in pivots)]
+        for v in _isotropic_rows([[G[i][j] for j in slots] for i in slots],
+                                 [[Gw[c] for c in slots[1:]] for Gw in images],
+                                 [-Gw[pc] % r for Gw in images], r):
             row = [0] * n
-            row[pc] = 1
-            for c, v in zip(free, values):
-                row[c] = v
-            if any(sum(a * b for a, b in zip(row, Gw)) % r for Gw in images):
-                continue
-            Grow = modp.mat_vec(G, row, r)
-            if sum(a * b for a, b in zip(row, Grow)) % r:
-                continue
-            walk(pivots, rows + [row], images + [Grow])
+            for c, x in zip(slots, v):
+                row[c] = x
+            walk(pivots, rows + [row], images + [modp.mat_vec(G, row, r)])
 
     for pivots in itertools.combinations(range(n), k):
         walk(pivots, [], [])
     return found
+
+
+def _isotropic_rows(B, system, rhs, r) -> list:
+    """Every v = (1, x) with system @ x = rhs (the pairings with the rows
+    above, linear in the free slots x) and v B v = 0, in increasing order:
+    the solutions x0 + span(nullspace), each tested for its self-pairing."""
+    f = len(B) - 1
+    x0 = modp.solve(system, rhs, r) if system else (0,) * f
+    if x0 is None:
+        return []
+    solutions = [(1, *x0)]
+    for b in modp.nullspace(system, r, f):
+        solutions = [tuple((u + c * w) % r for u, w in zip(v, (0, *b)))
+                     for v in solutions for c in range(r)]
+    return sorted(v for v in solutions if sum(map(mul, v, modp.mat_vec(B, v, r))) % r == 0)
 
 
 class Isometry(namedtuple("Isometry", "matrix")):
@@ -226,6 +245,7 @@ class NotSimplifiedWitness(namedtuple("NotSimplifiedWitness", "k0 X Y")):
     __slots__ = ()
 
 
+@lru_cache(maxsize=None)
 def _coordinate_subspace(indices, m1: int, block_dim: int, r: int) -> Subspace:
     rows = []
     n = m1 * block_dim
@@ -258,24 +278,18 @@ def construct_character(L: Subspace, F: FormSpace, sets: IndexSets):
     r = F.r
     D = F.half_dim
     d = F.block_dim
-    X = [row[:D] for row in L.rows]
-    Y = [row[D:] for row in L.rows]
-    rank_x = modp.rank(X, r) if X else 0
-    rank_y = modp.rank(Y, r) if Y else 0
-
-    if rank_x < D:
-        choice = _proper_projection_case(L, F, sets, X, case=1)
-        if choice is not None:
-            return choice
-    if rank_y < D:
-        choice = _proper_projection_case(L, F, sets, Y, case=2)
-        if choice is not None:
-            return choice
-    if rank_x < D or rank_y < D:
-        return None
-
     g = graph_detect(L, F)
-    assert isinstance(g, Isometry)
+    if isinstance(g, NotAGraph):
+        # L meets the second factor exactly when its first projection is proper
+        if g.meets_second:
+            choice = _proper_projection_case(L, F, sets, [row[:D] for row in L.rows], case=1)
+            if choice is not None:
+                return choice
+        if g.meets_first:
+            choice = _proper_projection_case(L, F, sets, [row[D:] for row in L.rows], case=2)
+            if choice is not None:
+                return choice
+        return None
     ginv = modp.mat_inv(g.matrix, r)
     for (q, s) in sets.points:
         S1 = _coordinate_subspace(sets.I1[(q, s)], F.m1, d, r)
@@ -291,7 +305,7 @@ def construct_character(L: Subspace, F: FormSpace, sets: IndexSets):
 
 def _proper_projection_case(L, F, sets, side_rows, case):
     r, D, d = F.r, F.half_dim, F.block_dim
-    kernel = modp.nullspace(side_rows, r, ncols=D) if side_rows else modp.identity(D)
+    kernel = modp.nullspace(side_rows, r, ncols=D)
     side = sets.I1 if case == 1 else sets.I2
     for (q, s) in sets.points:
         blocks = side[(q, s)]
@@ -353,7 +367,7 @@ def check_characters(F: FormSpace, basis, chi_a, chi_b, q: int, s: int,
         if chi.r != r or chi.p != F.p:
             raise ConventionError(f"character {chi} is not induced by any functional")
         functional.extend(chi.values[:dim])
-    if any(sum(a * b for a, b in zip(row, functional)) % r for row in basis):
+    if any(sum(map(mul, row, functional)) % r for row in basis):
         raise ConventionError("the characters do not vanish on the metabolizer")
     key = (q, s)
     I1, I2 = sets.I1.get(key, frozenset()), sets.I2.get(key, frozenset())

@@ -4,28 +4,29 @@ Vectors are tuples of ints in [0, r); matrices are tuples of row tuples.
 The forms of the verdict path have dimension under ~20; the largest
 matrices are the symmetric cover presentations that ``homology`` reduces,
 (n-1)(p-1)(q-1) rows (96 for the 5-fold cover of T(5, 7), 1200 for the
-11-fold cover of T(11, 13)).  The elimination is plain O(n^3) Python, so
-clarity beats speed.
+11-fold cover of T(11, 13)).  The elimination is plain O(n^3) Python.
+The hot use is the metabolizer walk, which solves one small system per
+echelon row (``solve`` and ``nullspace``) instead of trying every row,
+so products are ``sum(map(mul, ...))`` over rows and columns.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import mul
 
 
 def mat_mul(a, b, r):
     bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % r for col in bt) for row in a
-    )
+    return tuple(tuple(sum(map(mul, row, col)) % r for col in bt) for row in a)
 
 
 def mat_vec(a, v, r):
-    return tuple(sum(x * y for x, y in zip(row, v)) % r for row in a)
+    return tuple(sum(map(mul, row, v)) % r for row in a)
 
 
 def vec_mat(v, a, r):
-    return tuple(sum(v[i] * a[i][j] for i in range(len(v))) % r for j in range(len(a[0])))
+    return tuple(sum(map(mul, v, col)) % r for col in zip(*a))
 
 
 def identity(n):
@@ -137,6 +138,8 @@ class Subspace:
         return not any(x % self.r for x in v)
 
     def __eq__(self, other):
+        if not isinstance(other, Subspace):
+            return NotImplemented
         return (self.r, self.n, self.rows) == (other.r, other.n, other.rows)
 
     def __hash__(self):
@@ -144,14 +147,10 @@ class Subspace:
 
     def vectors(self):
         """All vectors of the subspace (small spaces only)."""
-        if not self.rows:
-            yield tuple([0] * self.n)
-            return
         for coeffs in itertools.product(range(self.r), repeat=self.dim):
             v = [0] * self.n
             for c, row in zip(coeffs, self.rows):
-                if c:
-                    v = [(x + c * y) % self.r for x, y in zip(v, row)]
+                v = [(x + c * y) % self.r for x, y in zip(v, row)]
             yield tuple(v)
 
     def image(self, m) -> "Subspace":

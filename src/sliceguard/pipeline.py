@@ -9,9 +9,13 @@ lambda^m ⊕ -lambda^m of the r-part of the branched cover
 (``metabolizers.FormSpace``), and then, for every deck-invariant
 metabolizer, constructs a vanishing character whose twisted decomposition
 has a level component with a nonzero total signature jump.  Jumps are
-``seifert.jump_at``'s arithmetic: the witness scan builds no jump table
-or support set, and the disjointness check lists only the twisted
-supports and the smaller classical side.  One certificate per
+``seifert.jump_at``'s integer arithmetic: the witness scan builds no jump
+table or support set.  The disjointness check takes one pair of atoms at
+a time and decides most by a gcd lemma (a classical atom over T(p, q)
+misses every atom whose points have denominators prime to q, see
+``_disjointness_ok``); only a pair whose indices share a factor lists the
+smaller support.  The metabolizer walk solves each row's pairings with
+the rows above instead of trying every row.  One certificate per
 metabolizer yields NOT_SLICE; any gap yields INCONCLUSIVE, never an
 unproven verdict.  The budget is the one refusal rule for a form's size:
 a prime whose form has more half-dimension subspaces than the budget is
@@ -31,6 +35,8 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
+from functools import lru_cache
+from math import gcd
 
 from . import covers, knots, metabolizers, witt
 from .covers import Character
@@ -68,9 +74,10 @@ class Decomposition(namedtuple("Decomposition", "B1 B3 B4")):
     __slots__ = ()
 
 
-def _lambda_block(p: int, q: int, r: int, chi: Character, s: int, sign: int) -> list:
+@lru_cache(maxsize=None)
+def _lambda_block(p: int, q: int, r: int, chi: Character, s: int, sign: int) -> tuple:
     power = p ** (s - 1)
-    return [
+    return tuple(
         Classical(
             p=p,
             q=q,
@@ -79,7 +86,7 @@ def _lambda_block(p: int, q: int, r: int, chi: Character, s: int, sign: int) -> 
             coefficient=sign,
         )
         for a in chi.values
-    ]
+    )
 
 
 def decompose(nf: NormalForm, chi_a, chi_b) -> Decomposition:
@@ -184,18 +191,38 @@ def _hypotheses_ok(K: KnotCombination):
 
 def _disjointness_ok(dec: Decomposition, q: int, s: int) -> bool:
     """Whether the level (q, s) block's support misses those of B1 and the
-    other levels: B1 and the smaller side are listed, ``jump_of`` tests."""
+    other levels, one pair of atoms at a time.
+
+    A pair is decided by gcd when one side is a classical atom a with
+    gcd(q_a, p R_a D_b) = 1, R_a its twist's order and D_b the other
+    side's denominator (its points are integers over D_b).  Proof: a point
+    x of a has power * x = k/(p q_a) + j - twist for an integer j and a k
+    that q_a does not divide.  So some prime l dividing q_a divides k fewer
+    times than it divides q_a, and as l does not divide p, k/(p q_a) has
+    negative l-adic valuation; j and the twist, over R_a, have none.  So
+    power * x, and with it x, has negative valuation at l, which no point
+    over D_b has.  The other pairs, whose indices share a factor, are
+    decided by listing the smaller support (a twisted one always) and
+    testing its points with ``jump_of``."""
     chosen = (dec.B3[(q, s)] + dec.B4[(q, s)]).atoms
-    others = tuple(atom for key, block in (*dec.B3.items(), *dec.B4.items())
-                   if key != (q, s) for atom in block.atoms)
-    small, large = sorted((chosen, others), key=lambda atoms: sum(
-        a.power * (a.p - 1) * (a.q - 1) for a in atoms))
+    others = (*dec.B1.atoms, *(atom for key, block in (*dec.B3.items(), *dec.B4.items())
+                               if key != (q, s) for atom in block.atoms))
+    return not any(_meet(a, b) for a in chosen for b in others)
 
-    def meets(listed, tested):
-        return any(witt.jump_of(a, x) for b in listed
-                   for x in witt.support_of(b) for a in tested)
 
-    return not (meets(dec.B1.atoms, chosen) or meets(small, large))
+def _apart(a, b) -> bool:
+    """The gcd rule of ``_disjointness_ok``: a's points have a negative
+    valuation at a prime that no point of b's has."""
+    return isinstance(a, Classical) and gcd(a.q, a.p * a.twist.order * b.denominator) == 1
+
+
+def _meet(a: Classical, b) -> bool:
+    """Whether the supports of a and b share a point."""
+    if _apart(a, b) or _apart(b, a):
+        return False
+    listed, tested = sorted((b, a), key=lambda atom: isinstance(atom, Classical)
+                            and atom.power * (atom.p - 1) * (atom.q - 1))
+    return any(witt.jump_of(tested, x, listed.denominator) for x in witt.support_of(listed))
 
 
 class _Uncertified(Exception):

@@ -208,14 +208,15 @@ def alexander_poly(p: int, q: int) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 
 
-def jump_at(p: int, q: int, x) -> int:
-    """The signature jump of T(p, q) at e^(2 pi i x), x rational mod 1: at
-    x = k/pq with p and q not dividing k, +2 if iq + jp < pq for
-    i = k/q mod p and j = k/p mod q, else -2; elsewhere 0."""
+def jump_at(p: int, q: int, numerator: int, denominator: int) -> int:
+    """The signature jump of T(p, q) at e^(2 pi i x), x = numerator /
+    denominator mod 1, not necessarily reduced: at x = k/pq with p and q
+    not dividing k, +2 if iq + jp < pq for i = k/q mod p and j = k/p mod q,
+    else -2; elsewhere 0."""
     check_torus(p, q)
     pq = p * q
-    scale, rest = divmod(pq, x.denominator)
-    k = x.numerator * scale % pq
+    k, rest = divmod(numerator * pq, denominator)
+    k %= pq
     if rest or not (k % p and k % q):
         return 0
     i, j = k * pow(q, -1, p) % p, k * pow(p, -1, q) % q
@@ -229,7 +230,7 @@ def lt_signature(p: int, q: int, x) -> int:
     x = Fraction(x)
     if not 0 < x < 1:
         raise ValueError("evaluation point must be strictly between 0 and 1")
-    if jump_at(p, q, x):
+    if jump_at(p, q, x.numerator, x.denominator):
         raise ValueError(f"{x} is a root of the Alexander polynomial of T({p},{q})")
     p, q = sorted((p, q))
 
@@ -251,8 +252,8 @@ def jump_function(p: int, q: int) -> dict:
 @lru_cache(maxsize=None)
 def _jump_function_cached(p: int, q: int) -> tuple:
     check_torus(p, q)
-    points = (Fraction(k, p * q) for k in range(1, p * q))
-    return tuple((x, jump) for x in points if (jump := jump_at(p, q, x)))
+    return tuple((Fraction(k, p * q), jump) for k in range(1, p * q)
+                 if (jump := jump_at(p, q, k, p * q)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,17 @@ the coefficient-weighted jumps cancel everywhere: that is the decision
 rule used by the pipeline.  Twisted atoms only ever contribute their root
 support, which is what the splitting criterion needs.
 
-Supports and jumps are closed-form arithmetic, with no table.  A classical
-atom jumps at x where T(p, q) jumps at twist + power * x
-(``seifert.jump_at``), which is exactly on the atom's support, the simple
-Alexander roots pulled back.  A twisted atom's order is
-(1 - t^r)^(p-1) / (prod_i (t xi^(a_i) - 1) (t - 1)) up to units, the
-0-surgery form of the closed product in ``twisted``: its support is the
-k/r where the numerator and denominator root multiplicities differ.
+Supports and jumps are closed-form integer arithmetic, with no table: an
+atom's support points are integer numerators over its ``denominator``
+(pq times the twist's order times the power for a classical atom, r for a
+twisted one), and a Fraction is built only for the witness point.  A
+classical atom jumps at x where T(p, q) jumps at twist + power * x
+(``seifert.jump_at``, which takes the point unreduced), which is exactly
+on the atom's support, the simple Alexander roots pulled back.  A twisted
+atom's order is (1 - t^r)^(p-1) / (prod_i (t xi^(a_i) - 1) (t - 1)) up to
+units, the 0-surgery form of the closed product in ``twisted``: its
+support is the k/r where the numerator and denominator root
+multiplicities differ.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import heapq
 import itertools
 from collections import namedtuple
 from fractions import Fraction
-from math import ceil
+from math import lcm
 
 from . import seifert
 # unused here: perfbench/spans.py wraps witt.unit_circle_roots by this name
@@ -41,6 +45,10 @@ class Classical(namedtuple("Classical", "p q twist power coefficient", defaults=
 
     def key(self):
         return ("classical", self.p, self.q, self.twist.frac, self.power)
+
+    @property
+    def denominator(self) -> int:
+        return self.p * self.q * self.twist.order * self.power
 
     def __str__(self):
         arg = "t" if self.power == 1 else f"t^{self.power}"
@@ -57,6 +65,10 @@ class Twisted(namedtuple("Twisted", "p r chi coefficient", defaults=(1,))):
 
     def key(self):
         return ("twisted", self.p, self.r, self.chi.values)
+
+    @property
+    def denominator(self) -> int:
+        return self.r
 
     def __str__(self):
         return f"{self.coefficient}*TwBl(T({self.p},{self.r}); chi={self.chi})"
@@ -107,38 +119,46 @@ class WittClass:
     __repr__ = __str__
 
 
-def _points(atom: Classical):
-    """The atom's jump points x in [0, 1), lazily and in increasing order:
-    twist + power * x = k/pq with p and q not dividing k."""
-    pq, twist = atom.p * atom.q, atom.twist.frac
-    first = ceil(twist * pq)
-    return ((Fraction(k, pq) - twist) / atom.power
+def _points(atom: Classical, denominator: int):
+    """The atom's jump points x in [0, 1), lazily and in increasing order,
+    as numerators over a multiple of ``atom.denominator``: with the twist
+    a/R, the condition twist + power * x = k/pq (p and q not dividing k)
+    puts x at (kR - a pq) / (pq R power)."""
+    pq, R, a = atom.p * atom.q, atom.twist.order, atom.twist.numer
+    scale, first = denominator // atom.denominator, -(-a * pq // R)
+    return ((k * R - a * pq) * scale
             for k in range(first, first + atom.power * pq) if k % atom.p and k % atom.q)
 
 
 def support_of(atom: Atom) -> frozenset:
-    """Unit-circle root support of the order, as fractions in [0, 1)."""
+    """Unit-circle root support of the order: the numerators over
+    ``atom.denominator`` of its points in [0, 1)."""
     if isinstance(atom, Classical):
-        return frozenset(_points(atom))
+        return frozenset(_points(atom, atom.denominator))
     # the numerator has every k/r with multiplicity p - 1
-    r, denominator = atom.r, [0, *((-a) % atom.r for a in atom.chi.values)]
-    return frozenset(Fraction(k, r) for k in range(r) if denominator.count(k) != atom.p - 1)
+    den_roots = [0, *((-a) % atom.r for a in atom.chi.values)]
+    return frozenset(k for k in range(atom.r) if den_roots.count(k) != atom.p - 1)
 
 
-def jump_of(atom: Classical, x: Fraction) -> int:
-    """coefficient times the torus-knot jump at twist + power * x."""
+def jump_of(atom: Classical, numerator: int, denominator: int) -> int:
+    """coefficient times the torus-knot jump at twist + power * x, for the
+    point x = numerator / denominator."""
     if not isinstance(atom, Classical):
         raise TypeError("jump functions are only computed for classical atoms")
-    point = atom.twist.frac + atom.power * x
-    return atom.coefficient * seifert.jump_at(atom.p, atom.q, point)
+    R = atom.twist.order
+    return atom.coefficient * seifert.jump_at(
+        atom.p, atom.q, atom.twist.numer * denominator + atom.power * numerator * R,
+        R * denominator)
 
 
 def is_metabolic_classical(W: WittClass):
     """Decide metabolicity of a sum of classical atoms by scanning its jump
-    points in order; returns (True, None) or (False, (point, total)) at the
-    first nonzero total."""
-    for x, _ in itertools.groupby(heapq.merge(*map(_points, W.atoms))):
-        total = sum(jump_of(a, x) for a in W.atoms)
+    points in order, as numerators over the common denominator; returns
+    (True, None) or (False, (point, total)) at the first nonzero total,
+    the point a Fraction."""
+    den = lcm(*(a.denominator for a in W.atoms))
+    for x, _ in itertools.groupby(heapq.merge(*(_points(a, den) for a in W.atoms))):
+        total = sum(jump_of(a, x, den) for a in W.atoms)
         if total:
-            return False, (x, total)
+            return False, (Fraction(x, den), total)
     return True, None

@@ -24,7 +24,9 @@ replaced live here, as independent oracles:
 * ``substitute`` is f(xi^c t^m), the classical order of a twisted and
   dilated torus-knot atom, whose roots the Witt supports count.
 * ``enumerate_subspaces`` lists every k-dimensional subspace of F_r^n,
-  the Grassmannian that the metabolizer walk prunes.
+  the Grassmannian that the metabolizer walk prunes, and ``product_walk``
+  is the walk that tried every value of a row's free slots, where the
+  package's walk solves the row's pairings.
 * ``cover_order_from_alexander`` is the classical order formula
   |prod Delta(xi_n^a)| for the homology of the n-fold branched cover.
 * ``evaluate_character`` extends a character linearly to the model
@@ -545,6 +547,43 @@ def enumerate_subspaces(n: int, k: int, r: int):
             yield Subspace(rows, r, n)
 
 
+def product_walk(F) -> list:
+    """The isotropic echelon walk that tried every row, which
+    ``metabolizers.enumerate_invariant_metabolizers`` replaced by solving
+    each row's pairings: rows are filled first to last, pivots in
+    combinations order and free slots in product order, and a row is kept
+    if it pairs to zero with itself and the rows above it.  Its leaves go
+    to ``metabolizers.is_invariant_metabolizer``, looked up at call time."""
+    from sliceguard import metabolizers
+
+    n, k, r, G = F.ambient_dim, F.half_dim, F.r, F.gram()
+    found = []
+
+    def walk(pivots, rows, images):
+        if len(rows) == k:
+            L = Subspace(rows, r, n)
+            if metabolizers.is_invariant_metabolizer(L, F):
+                found.append(L)
+            return
+        pc = pivots[len(rows)]
+        free = [c for c in range(pc + 1, n) if c not in pivots]
+        for values in itertools.product(range(r), repeat=len(free)):
+            row = [0] * n
+            row[pc] = 1
+            for c, v in zip(free, values):
+                row[c] = v
+            if any(sum(a * b for a, b in zip(row, Gw)) % r for Gw in images):
+                continue
+            Grow = modp.mat_vec(G, row, r)
+            if sum(a * b for a, b in zip(row, Grow)) % r:
+                continue
+            walk(pivots, rows + [row], images + [Grow])
+
+    for pivots in itertools.combinations(range(n), k):
+        walk(pivots, [], [])
+    return found
+
+
 def cover_order_from_alexander(p: int, q: int, n: int) -> int:
     """|prod_{a=1}^{n-1} Delta(xi_n^a)|, the classical order formula for the
     homology of the n-fold branched cover; exact cyclotomic arithmetic."""
@@ -605,13 +644,18 @@ def pullback(atom) -> dict:
     return out
 
 
+def support_fractions(atom) -> frozenset:
+    """``witt.support_of``, its numerators read over ``atom.denominator``."""
+    return frozenset(Fraction(n, atom.denominator) for n in witt.support_of(atom))
+
+
 def materialized_support(atom) -> frozenset:
     """The support of an atom: the table pullback for a classical one, and
     ``witt.support_of`` for a twisted one, which the tests hold against
     root isolation."""
     if isinstance(atom, witt.Classical):
         return frozenset(pullback(atom))
-    return witt.support_of(atom)
+    return support_fractions(atom)
 
 
 def metabolic_by_union_scan(W):

@@ -344,7 +344,8 @@ def test_criterion_08_end_to_end():
             from sliceguard import witt
 
             block = dec.B3[(c.q, c.s)] + dec.B4[(c.q, c.s)]
-            total = sum(witt.jump_of(a, c.witness_omega) for a in block.atoms)
+            omega = c.witness_omega
+            total = sum(witt.jump_of(a, omega.numerator, omega.denominator) for a in block.atoms)
             assert total == c.witness_jump
         reordered = obstruct(parse("T(2,7) # -T(2,3;2,7) # -T(2,5) # T(2,3;2,5)"))
         mirrored = obstruct(parse(J2).mirror())

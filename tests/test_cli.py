@@ -265,6 +265,20 @@ def test_large_companion_index_obstructs_and_verifies(tmp_path):
     assert done.returncode == 0 and "bit-for-bit" in done.stdout and done.stderr == ""
 
 
+@pytest.mark.parametrize("q1,q2", [(10007, 10009), (1000003, 1000033)])
+def test_large_indices_at_two_levels_obstruct_and_verify(tmp_path, q1, q2):
+    # the disjointness check once listed the smaller level point by point:
+    # 2.8 s for the first pair and over 20 s for the second
+    text = " # ".join(f"T(2,{q};2,5) # -T(2,5) # -T(2,{q};2,7) # T(2,7)" for q in (q1, q2))
+    done = _child("obstruct", text, "--json", timeout=10)
+    assert done.returncode == 0 and done.stderr == ""
+    assert json.loads(done.stdout)["verdict"] == "NOT_SLICE"
+    path = tmp_path / "cert.json"
+    path.write_text(done.stdout)
+    done = _child("obstruct", "--verify", str(path), timeout=10)
+    assert done.returncode == 0 and "bit-for-bit" in done.stdout and done.stderr == ""
+
+
 def test_signature_at_a_large_index():
     # T(2, q) jumps by -2 at j/q - 1/2 for q/2 < j < q, so at 1/3 the
     # signature is -2 times the number of j with q/2 < j < 5q/6
@@ -311,9 +325,9 @@ def test_listing_at_the_limit_is_printed(capsys):
 def _large_index_inputs(draw):
     """Algebraically slice T(X;p,r1) # -T(Y;p,r1) # -T(X;p,r2) # T(Y;p,r2),
     where Y drops the first companion of X; X holds one index up to the
-    parser's bound, alone or before or after a small one.  Two large
-    indices at different levels are left out: the disjointness check is
-    still linear in the smaller of them."""
+    parser's bound, alone or before or after a small one.  Or two such
+    sums, one for each of two coprime large indices, which sit at
+    different levels."""
     p = draw(st.sampled_from([2, 3, 4, 8, 9]))
     r1, r2 = draw(st.lists(st.sampled_from([5, 7, 11, 13]), min_size=2, max_size=2,
                            unique=True).filter(lambda rs: all(r % p for r in rs)))
@@ -321,10 +335,16 @@ def _large_index_inputs(draw):
         lambda q: gcd(q, p * r1 * r2) == 1))
     small = draw(st.sampled_from([3, 5, 7, 9, 11, 13, 17]).filter(
         lambda c: gcd(c, p * r1 * r2) == 1))
-    chain = draw(st.sampled_from([[q], [q, small], [small, q]]))
-    X = ";".join(f"{p},{c}" for c in chain)
-    Y = "".join(f"{p},{c};" for c in chain[1:])
-    return f"T({X};{p},{r1}) # -T({Y}{p},{r1}) # -T({X};{p},{r2}) # T({Y}{p},{r2})"
+    chains = [draw(st.sampled_from([[q], [q, small], [small, q]]))]
+    if draw(st.booleans()):
+        chains.append([draw(st.integers(2**20, 2**31 - 1).filter(
+            lambda q2: gcd(q2, p * r1 * r2 * q) == 1))])
+    terms = []
+    for chain in chains:
+        X = ";".join(f"{p},{c}" for c in chain)
+        Y = "".join(f"{p},{c};" for c in chain[1:])
+        terms.append(f"T({X};{p},{r1}) # -T({Y}{p},{r1}) # -T({X};{p},{r2}) # T({Y}{p},{r2})")
+    return " # ".join(terms)
 
 
 @given(_large_index_inputs())

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from sliceguard import knots, modp
+from sliceguard import knots, metabolizers, modp
 from sliceguard.metabolizers import (
     BudgetExceeded,
     CharacterChoice,
@@ -17,6 +17,7 @@ from sliceguard.metabolizers import (
 from sliceguard.modp import Subspace
 from sliceguard.expr import parse
 
+import oracles
 from oracles import enumerate_subspaces
 
 
@@ -117,6 +118,21 @@ class TestEchelonWalk:
             if is_invariant_metabolizer(L, F)
         ]
         assert enumerate_invariant_metabolizers(F) == expected
+
+    @pytest.mark.parametrize("p,r,m1", [(3, 2, 2), (2, 3, 3), (2, 5, 2), (3, 7, 1),
+                                        (4, 5, 1), (2, 11, 2)])
+    def test_walk_equals_the_product_walk(self, p, r, m1, monkeypatch):
+        # shapes where the Grassmannian filter is too slow; the solved walk
+        # must reach the same leaves, checked in the same order
+        F = FormSpace(p, r, m1)
+        leaves = []
+        check = metabolizers.is_invariant_metabolizer
+        monkeypatch.setattr(metabolizers, "is_invariant_metabolizer",
+                            lambda L, F: leaves.append(L.rows) or check(L, F))
+        found = enumerate_invariant_metabolizers(F, budget=10**9)
+        solved, leaves[:] = leaves[:], []
+        assert found == oracles.product_walk(F) and found
+        assert solved == leaves
 
 
 class TestGraphDetection:

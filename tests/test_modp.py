@@ -60,3 +60,12 @@ def test_image():
     s = Subspace([(1, 0), (0, 1)], 5)
     m = ((2, 0), (0, 3))
     assert s.image(m) == s
+
+
+def test_subspace_equality_with_other_types():
+    # a comparison with anything but a Subspace raised AttributeError
+    s = Subspace([(1, 0)], 3)
+    assert not (s == None) and s != None  # noqa: E711
+    assert s in [None, s] and [None, s].index(s) == 1
+    assert s != ((1, 0),) and s != "Subspace"
+    assert s == Subspace([(2, 0)], 3) and s != Subspace([(0, 1)], 3)

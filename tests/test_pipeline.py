@@ -97,11 +97,11 @@ class TestDecompose:
         dec = decompose(nf, (Character(5, (1, 4)),), (Character(5, (4, 1)),))
         twisted_support = set()
         for atom in dec.B1.atoms:
-            twisted_support |= witt.support_of(atom)
+            twisted_support |= oracles.support_fractions(atom)
         classical_support = set()
         for block in list(dec.B3.values()) + list(dec.B4.values()):
             for atom in block.atoms:
-                classical_support |= witt.support_of(atom)
+                classical_support |= oracles.support_fractions(atom)
         assert not (twisted_support & classical_support)
 
     def test_character_shape_validation(self):
@@ -514,14 +514,16 @@ class TestVerifierBoundary:
 @st.composite
 def _decompositions(draw):
     """Blocks of the decomposition's shape whose supports often meet:
-    companion indices 3 and 9, and twists at the same r-th roots."""
+    companion indices that share a factor (3, 9 and 15; 5, 15 and 35;
+    7 and 35) or are coprime, some sharing one with r, and twists at the
+    same r-th roots."""
     p = draw(st.sampled_from([2, 3]))
     r = draw(st.sampled_from([r for r in (3, 5, 7) if r % p]))
     chars = covers.characters(p, r)
     B1 = witt.WittClass(witt.Twisted(p, r, draw(st.sampled_from(chars)), sign)
                         for sign in draw(st.lists(st.sampled_from([1, -1]), max_size=2)))
-    keys = draw(st.lists(st.tuples(st.sampled_from([q for q in (3, 5, 7, 9, 11)
-                                                    if q % p and q % r]),
+    keys = draw(st.lists(st.tuples(st.sampled_from([q for q in (3, 5, 7, 9, 11, 15, 35)
+                                                    if q % p]),
                                    st.integers(1, 2)), min_size=1, max_size=3, unique=True))
 
     def block(q, s):
@@ -534,11 +536,59 @@ def _decompositions(draw):
                                   B4={key: block(*key) for key in keys})
 
 
-@given(_decompositions())
-@settings(max_examples=150, deadline=None)
-def test_disjointness_matches_the_support_intersection(dec):
-    for q, s in dec.B3:
-        assert pipeline._disjointness_ok(dec, q, s) == oracles.disjoint_by_intersection(dec, q, s)
+def test_disjointness_matches_the_support_intersection(monkeypatch):
+    # the gcd rule decides some levels alone, and the listing others
+    calls = []
+    apart, support_of = pipeline._apart, witt.support_of
+    monkeypatch.setattr(pipeline, "_apart", lambda a, b: calls.append("gcd") or apart(a, b))
+    monkeypatch.setattr(witt, "support_of", lambda a: calls.append("listing") or support_of(a))
+    decided_by = set()
+
+    @given(_decompositions())
+    @settings(max_examples=150, deadline=None)
+    def check(dec):
+        for q, s in dec.B3:
+            calls.clear()
+            answer = pipeline._disjointness_ok(dec, q, s)
+            if calls:
+                decided_by.add("listing" if "listing" in calls else "gcd")
+            assert answer == oracles.disjoint_by_intersection(dec, q, s)
+
+    check()
+    assert decided_by == {"gcd", "listing"}
+
+
+@st.composite
+def _atoms(draw):
+    """A classical atom whose twist order may share a factor with q, or a
+    twisted atom."""
+    p = draw(st.sampled_from([2, 3]))
+    if draw(st.integers(0, 3)) == 0:
+        r = draw(st.sampled_from([r for r in (3, 5, 7) if r % p]))
+        return witt.Twisted(p, r, draw(st.sampled_from(covers.characters(p, r))))
+    q = draw(st.sampled_from([q for q in (3, 5, 9, 15) if q % p]))
+    order = draw(st.sampled_from([1, 3, 5, 15]))
+    return Classical(p, q, normalize_root(draw(st.integers(0, order - 1)), order),
+                     draw(st.integers(1, 2)), draw(st.sampled_from([1, -2])))
+
+
+@given(_atoms(), _atoms())
+@settings(max_examples=300, deadline=None)
+def test_two_atoms_meet_exactly_when_their_supports_do(a, b):
+    # T(2,3) twisted by 1/3 and T(2,5) twisted by 1/5 both jump at 1/2,
+    # so the gcd rule needs the twist's order as well as the indices
+    if isinstance(a, witt.Twisted):
+        a, b = b, a
+    if isinstance(a, Classical):
+        meet = bool(oracles.materialized_support(a) & oracles.materialized_support(b))
+        assert pipeline._meet(a, b) == meet
+
+
+def test_gcd_rule_counts_the_twist_order():
+    a = Classical(2, 3, normalize_root(1, 3), 1)
+    b = Classical(2, 5, normalize_root(1, 5), 1)
+    assert Fraction(1, 2) in oracles.materialized_support(a) & oracles.materialized_support(b)
+    assert pipeline._meet(a, b) and pipeline._meet(b, a)
 
 
 def _overlapping_batch_draws(seed: int, count: int) -> list:

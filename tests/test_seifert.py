@@ -182,7 +182,7 @@ class TestJumps:
             with pytest.raises(ValueError):
                 seifert.jump_function(p, q)
             with pytest.raises(ValueError):
-                seifert.jump_at(p, q, Fraction(1, 2))
+                seifert.jump_at(p, q, 1, 2)
 
     def test_trefoil(self):
         assert seifert.jump_function(2, 3) == {
@@ -470,11 +470,11 @@ def _torus_pairs(draw):
 @given(_torus_pairs(), st.integers(-10**6, 10**6), st.integers(1, 6))
 @settings(max_examples=200, deadline=None)
 def test_jump_at_matches_the_table(pq, k, m):
-    # every point with denominator dividing m*pq, and points off the jump set
+    # every point k/(m*pq), passed unreduced, and points off the jump set
     p, q = pq
     x = Fraction(k, p * q * m)
     expected = oracles.litherland_jumps(p, q).get(x % 1, 0)
-    assert seifert.jump_at(p, q, x) == expected
+    assert seifert.jump_at(p, q, k, p * q * m) == expected
     assert seifert.jump_function(p, q).get(x % 1, 0) == expected
 
 
@@ -484,7 +484,7 @@ def test_jump_at_matches_the_table(pq, k, m):
 def test_lt_signature_matches_the_table_sum(pq, ab):
     p, q = pq
     x = Fraction(*ab)
-    if seifert.jump_at(p, q, x):
+    if seifert.jump_at(p, q, *ab):
         with pytest.raises(ValueError):
             seifert.lt_signature(p, q, x)
     else:

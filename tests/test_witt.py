@@ -21,7 +21,7 @@ from sliceguard.witt import (
 )
 
 import oracles
-from oracles import substitute
+from oracles import substitute, support_fractions as fractions
 
 
 def C(p, q, num=0, den=1, power=1, coeff=1):
@@ -57,7 +57,7 @@ class TestOrders:
     def test_classical_untwisted(self):
         order = _classical_order(C(2, 3))
         assert order == LaurentPoly.from_ints([1, -1, 1])
-        assert support_of(C(2, 3)) == _isolated_support({6}, order)
+        assert fractions(C(2, 3)) == _isolated_support({6}, order)
 
     def test_classical_twisted(self):
         out = _classical_order(C(2, 3, 1, 3))
@@ -70,7 +70,7 @@ class TestOrders:
             den = rng.choice([1, 2, 3, 5])
             atom = C(p, q, rng.randrange(den), den, power=rng.randrange(1, 4))
             orders = {p * q * den * atom.power}
-            assert support_of(atom) == _isolated_support(orders, _classical_order(atom))
+            assert fractions(atom) == _isolated_support(orders, _classical_order(atom))
 
     def test_twisted_unit(self):
         atom = Twisted(2, 3, Character(3, (1, 2)))
@@ -80,29 +80,33 @@ class TestOrders:
     @pytest.mark.parametrize("p,r", TWISTED_GRID)
     def test_twisted_supports_match_root_isolation(self, p, r):
         for chi in covers.characters(p, r):
-            assert support_of(Twisted(p, r, chi)) == _twisted_oracle_support(p, r, chi), chi
+            assert fractions(Twisted(p, r, chi)) == _twisted_oracle_support(p, r, chi), chi
 
 
 class TestJumps:
     def test_basic(self):
-        assert jump_of(C(2, 3), Fraction(1, 6)) == -2
-        assert jump_of(C(2, 3), Fraction(5, 6)) == 2
-        assert jump_of(C(2, 3), Fraction(1, 2)) == 0
-        assert jump_of(C(2, 3, coeff=-3), Fraction(1, 6)) == 6
+        assert jump_of(C(2, 3), 1, 6) == -2
+        assert jump_of(C(2, 3), 5, 6) == 2
+        assert jump_of(C(2, 3), 1, 2) == 0
+        assert jump_of(C(2, 3, coeff=-3), 1, 6) == 6
 
     def test_reparametrized_support(self):
         # twist by 1/3: jumps where x + 1/3 lands on {1/6, 5/6}
         atom = C(2, 3, 1, 3)
-        assert jump_of(atom, Fraction(5, 6)) == -2  # 5/6 + 1/3 = 1/6 mod 1
-        assert jump_of(atom, Fraction(1, 2)) == 2
-        assert support_of(atom) == frozenset({Fraction(5, 6), Fraction(1, 2)})
+        assert jump_of(atom, 5, 6) == -2  # 5/6 + 1/3 = 1/6 mod 1
+        assert jump_of(atom, 1, 2) == 2
+        assert fractions(atom) == frozenset({Fraction(5, 6), Fraction(1, 2)})
+        # the numerators over pq * 3 * 1
+        assert atom.denominator == 18 and support_of(atom) == frozenset({15, 9})
 
     def test_power_two_support(self):
         atom = C(2, 3, power=2)
-        assert support_of(atom) == frozenset(
+        assert fractions(atom) == frozenset(
             {Fraction(1, 12), Fraction(5, 12), Fraction(7, 12), Fraction(11, 12)}
         )
-        assert jump_of(atom, Fraction(1, 12)) == -2
+        assert jump_of(atom, 1, 12) == -2
+        # an unreduced point is the same point
+        assert jump_of(atom, 5, 60) == -2 and jump_of(atom, 5, 12) == jump_of(atom, 35, 84)
 
     def test_composition_property(self):
         rng = random.Random(31)
@@ -114,11 +118,11 @@ class TestJumps:
             for x0 in base:
                 for j in range(m):
                     x = (Fraction(x0 - c.frac + j)) / m % 1
-                    assert jump_of(atom, x) == base[x0]
+                    assert jump_of(atom, x.numerator, x.denominator) == base[x0]
 
     def test_rejects_twisted(self):
         with pytest.raises(TypeError):
-            jump_of(Twisted(2, 3, Character(3, (0, 0))), Fraction(1, 2))
+            jump_of(Twisted(2, 3, Character(3, (0, 0))), 1, 2)
 
 
 class TestMetabolic:
@@ -141,7 +145,7 @@ class TestMetabolic:
         ok, witness = is_metabolic_classical(W)
         assert not ok
         x, total = witness
-        assert total != 0 and x in support_of(C(2, 3, 1, 3)) | support_of(C(2, 3))
+        assert total != 0 and x in fractions(C(2, 3, 1, 3)) | fractions(C(2, 3))
 
     def test_group_inverse_property(self):
         rng = random.Random(17)
@@ -182,7 +186,7 @@ def classical_atoms(draw):
 @given(classical_atoms())
 @settings(max_examples=100, deadline=None)
 def test_support_of_matches_the_table_pullback(atom):
-    assert support_of(atom) == frozenset(oracles.pullback(atom))
+    assert fractions(atom) == frozenset(oracles.pullback(atom))
 
 
 @given(st.lists(classical_atoms(), min_size=1, max_size=5), st.data())
