@@ -113,17 +113,6 @@ class KnotCombination:
     def is_empty(self) -> bool:
         return not self.terms
 
-    def mirror(self) -> "KnotCombination":
-        return KnotCombination(self.p, {k: -c for k, c in self.terms.items()})
-
-    def __add__(self, other: "KnotCombination") -> "KnotCombination":
-        if other.p != self.p:
-            raise ValueError("cannot add combinations with different p")
-        merged = dict(self.terms)
-        for k, c in other.terms.items():
-            merged[k] = merged.get(k, 0) + c
-        return KnotCombination(self.p, merged)
-
     def __eq__(self, other):
         return isinstance(other, KnotCombination) and (
             self.p == other.p and self.terms == other.terms

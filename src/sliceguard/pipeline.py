@@ -7,19 +7,40 @@ witness).  For the remaining combinations it tries each final prime r,
 arranges the terms into signed pairs, takes the model form space
 lambda^m ⊕ -lambda^m of the r-part of the branched cover
 (``metabolizers.FormSpace``), and then, for every deck-invariant
-metabolizer, constructs a vanishing character whose twisted decomposition
-has a level component with a nonzero total signature jump.  Jumps are
-``seifert.jump_at``'s integer arithmetic: the witness scan builds no jump
-table or support set.  The disjointness check takes one pair of atoms at
-a time and decides most by a gcd lemma (a classical atom over T(p, q)
-misses every atom whose points have denominators prime to q, see
-``_disjointness_ok``); only a pair whose indices share a factor lists the
-smaller support.  The metabolizer walk solves each row's pairings with
-the rows above instead of trying every row.  One certificate per
-metabolizer yields NOT_SLICE; any gap yields INCONCLUSIVE, never an
-unproven verdict.  The budget is the one refusal rule for a form's size:
-a prime whose form has more half-dimension subspaces than the budget is
-refused before its module is built, and the next prime is tried.
+metabolizer, constructs a vanishing character pair whose metabelian
+class has a nonzero signature jump at a jump point of one level block
+(the point rule below).  Jumps are ``seifert.jump_at``'s integer
+arithmetic: the witness scan builds no jump table.  The metabolizer walk
+solves each row's pairings with the rows above instead of trying every
+row.  One certificate per metabolizer yields NOT_SLICE; any gap yields
+INCONCLUSIVE, never an unproven verdict.  The budget is the one refusal
+rule for a form's size: a prime whose form has more half-dimension
+subspaces than the budget is refused before its module is built, and the
+next prime is tried.
+
+The witness is decided by points.  For the character pair, the class is
+B1 + sum over the levels of (B3 + B4) (``decompose``).  The witness is the
+first jump point w of the chosen level's block, in increasing order, that
+lies off the root support of B1 and at which the jumps of every classical
+atom of every level of B3 and B4 have a nonzero total.  Three facts make
+that total the jump of the whole class at w, so the class is not
+metabolic, and the character obstruction (the second of ``AXIOMS``) makes
+that the metabolizer's certificate (Borodzik-Conway-Politarczyk,
+"Twisted Blanchfield pairings, twisted signatures and Casson-Gordon
+invariants", 2018; Litherland 1979):
+
+- the signature jump at w is additive on the Witt group of linking forms;
+- it vanishes on a metabolic class (the first of ``AXIOMS``);
+- a form's jump is zero off the roots of its order, so the twisted atoms
+  of B1 contribute nothing at w.
+
+The rule needs no splitting.  The source paper's splitting hypothesis
+asks that the chosen block's order be coprime to the rest, so that the
+block alone must be metabolic when the class is; where it holds, B1 and
+the other levels have no jump at the block's points, and the witness is
+the one the block alone gives.  Where the supports meet, the rule still
+decides, and it refuses only when every point of the block with a
+nonzero total lies in the support of B1.
 
 Certificates record the metabolizer basis, the construction case, the
 character pair, the level (q, s), and the witness jump.  There is one
@@ -36,7 +57,6 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from functools import lru_cache
-from math import gcd
 
 from . import covers, knots, metabolizers, witt
 from .covers import Character
@@ -131,7 +151,7 @@ class Certificate(namedtuple("Certificate", "basis case chi_a chi_b q s "
                                             "witness_omega witness_jump")):
     """One metabolizer's certificate: its basis, the construction case, the
     character pair, the level (q, s), and the witness point (a Fraction)
-    with its total jump."""
+    with its total jump, taken over every classical atom of every level."""
 
     __slots__ = ()
 
@@ -189,40 +209,12 @@ def _hypotheses_ok(K: KnotCombination):
     return None
 
 
-def _disjointness_ok(dec: Decomposition, q: int, s: int) -> bool:
-    """Whether the level (q, s) block's support misses those of B1 and the
-    other levels, one pair of atoms at a time.
-
-    A pair is decided by gcd when one side is a classical atom a with
-    gcd(q_a, p R_a D_b) = 1, R_a its twist's order and D_b the other
-    side's denominator (its points are integers over D_b).  Proof: a point
-    x of a has power * x = k/(p q_a) + j - twist for an integer j and a k
-    that q_a does not divide.  So some prime l dividing q_a divides k fewer
-    times than it divides q_a, and as l does not divide p, k/(p q_a) has
-    negative l-adic valuation; j and the twist, over R_a, have none.  So
-    power * x, and with it x, has negative valuation at l, which no point
-    over D_b has.  The other pairs, whose indices share a factor, are
-    decided by listing the smaller support (a twisted one always) and
-    testing its points with ``jump_of``."""
-    chosen = (dec.B3[(q, s)] + dec.B4[(q, s)]).atoms
-    others = (*dec.B1.atoms, *(atom for key, block in (*dec.B3.items(), *dec.B4.items())
-                               if key != (q, s) for atom in block.atoms))
-    return not any(_meet(a, b) for a in chosen for b in others)
-
-
-def _apart(a, b) -> bool:
-    """The gcd rule of ``_disjointness_ok``: a's points have a negative
-    valuation at a prime that no point of b's has."""
-    return isinstance(a, Classical) and gcd(a.q, a.p * a.twist.order * b.denominator) == 1
-
-
-def _meet(a: Classical, b) -> bool:
-    """Whether the supports of a and b share a point."""
-    if _apart(a, b) or _apart(b, a):
-        return False
-    listed, tested = sorted((b, a), key=lambda atom: isinstance(atom, Classical)
-                            and atom.power * (atom.p - 1) * (atom.q - 1))
-    return any(witt.jump_of(tested, x, listed.denominator) for x in witt.support_of(listed))
+def _witness(dec: Decomposition, q: int, s: int):
+    """The point rule: ``witt.is_metabolic_classical`` on the level (q, s)
+    block, with B1 and the other levels as the rest of the class."""
+    rest = (*dec.B1.atoms, *(atom for key, block in (*dec.B3.items(), *dec.B4.items())
+                             if key != (q, s) for atom in block.atoms))
+    return witt.is_metabolic_classical(dec.B3[(q, s)] + dec.B4[(q, s)], rest)
 
 
 class _Uncertified(Exception):
@@ -244,17 +236,11 @@ def _certify_metabolizer(L: Subspace, F: FormSpace, nf: NormalForm,
     if key not in dec_cache:
         dec_cache[key] = decompose(nf, choice.chi_a, choice.chi_b)
     dec = dec_cache[key]
-    if not _disjointness_ok(dec, choice.q, choice.s):
-        raise _Uncertified(
-            f"root supports of the level ({choice.q},{choice.s}) block are "
-            "not isolated; splitting hypothesis failed"
-        )
-    block = dec.B3[(choice.q, choice.s)] + dec.B4[(choice.q, choice.s)]
-    metabolic, witness = witt.is_metabolic_classical(block)
+    metabolic, witness = _witness(dec, choice.q, choice.s)
     if metabolic:
         raise _Uncertified(
-            f"level ({choice.q},{choice.s}) block is metabolic despite the "
-            "character conditions"
+            f"level ({choice.q},{choice.s}) block has no jump point off the "
+            "twisted support with a nonzero total jump"
         )
     omega, jump = witness
     return Certificate(

@@ -8,9 +8,10 @@ the character chi.  Formal sums merge atoms of identical kind.
 
 Classical atoms carry computable signature-jump functions (reparametrized
 torus-knot jumps), and a sum of classical atoms is metabolic exactly when
-the coefficient-weighted jumps cancel everywhere: that is the decision
-rule used by the pipeline.  Twisted atoms only ever contribute their root
-support, which is what the splitting criterion needs.
+the coefficient-weighted jumps cancel everywhere.  Twisted atoms only
+ever contribute their root support: a form's jump is zero off the roots
+of its order, so the pipeline's point rule skips those points and totals
+the classical jumps at the others (``is_metabolic_classical``).
 
 Supports and jumps are closed-form integer arithmetic, with no table: an
 atom's support points are integer numerators over its ``denominator``
@@ -103,11 +104,6 @@ class WittClass:
     def __add__(self, other: "WittClass") -> "WittClass":
         return WittClass(self.atoms + other.atoms)
 
-    def __neg__(self) -> "WittClass":
-        return WittClass(
-            a._replace(coefficient=-a.coefficient) for a in self.atoms
-        )
-
     def __eq__(self, other):
         return isinstance(other, WittClass) and self.atoms == other.atoms
 
@@ -130,14 +126,20 @@ def _points(atom: Classical, denominator: int):
             for k in range(first, first + atom.power * pq) if k % atom.p and k % atom.q)
 
 
+def _twisted_root(atom: Twisted, numerator: int, denominator: int) -> bool:
+    """Whether the point numerator / denominator is a root of the twisted
+    atom's order: a k/r whose multiplicity in the denominator differs from
+    the numerator's, which has every k/r with multiplicity p - 1."""
+    k, remainder = divmod(numerator * atom.r, denominator)
+    return not remainder and [0, *((-a) % atom.r for a in atom.chi.values)].count(k) != atom.p - 1
+
+
 def support_of(atom: Atom) -> frozenset:
     """Unit-circle root support of the order: the numerators over
     ``atom.denominator`` of its points in [0, 1)."""
     if isinstance(atom, Classical):
         return frozenset(_points(atom, atom.denominator))
-    # the numerator has every k/r with multiplicity p - 1
-    den_roots = [0, *((-a) % atom.r for a in atom.chi.values)]
-    return frozenset(k for k in range(atom.r) if den_roots.count(k) != atom.p - 1)
+    return frozenset(k for k in range(atom.r) if _twisted_root(atom, k, atom.r))
 
 
 def jump_of(atom: Classical, numerator: int, denominator: int) -> int:
@@ -151,14 +153,20 @@ def jump_of(atom: Classical, numerator: int, denominator: int) -> int:
         R * denominator)
 
 
-def is_metabolic_classical(W: WittClass):
-    """Decide metabolicity of a sum of classical atoms by scanning its jump
-    points in order, as numerators over the common denominator; returns
-    (True, None) or (False, (point, total)) at the first nonzero total,
-    the point a Fraction."""
+def is_metabolic_classical(W: WittClass, rest=()):
+    """Scan the jump points of the classical sum W in order, as numerators
+    over their common denominator, for the first point off the supports of
+    the twisted atoms in ``rest`` at which the jumps of W's atoms and of
+    the classical atoms in ``rest`` have a nonzero total; returns
+    (False, (point, total)), the point a Fraction, or (True, None) when
+    there is none."""
+    classical = [*W.atoms, *(a for a in rest if isinstance(a, Classical))]
+    twisted = [a for a in rest if isinstance(a, Twisted)]
     den = lcm(*(a.denominator for a in W.atoms))
     for x, _ in itertools.groupby(heapq.merge(*(_points(a, den) for a in W.atoms))):
-        total = sum(jump_of(a, x, den) for a in W.atoms)
+        if any(_twisted_root(a, x, den) for a in twisted):
+            continue
+        total = sum(jump_of(a, x, den) for a in classical)
         if total:
             return False, (Fraction(x, den), total)
     return True, None

@@ -34,9 +34,14 @@ replaced live here, as independent oracles:
 * ``litherland_jumps`` is Litherland's double count of the torus-knot
   signature jumps, the table that ``seifert.jump_at`` replaced, and
   ``alexander_roots`` the root set it sits on.  ``pullback``,
-  ``metabolic_by_union_scan`` and ``disjoint_by_intersection`` are the
+  ``metabolic_by_union_scan`` and ``witness_by_union_scan`` are the
   materialized route of the jump decision: supports built as sets from
-  the table, scanned as a sorted union and intersected.
+  the table and scanned as a sorted union.  ``disjoint_by_intersection``
+  intersects them, to find where the point rule's witness must be the
+  level block's own.
+
+The formal sums the package has no use for, ``mirror`` and ``add`` of
+knot combinations and ``negate`` of a Witt class, are kept here too.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from mpmath import iv
 from sliceguard import modp, seifert, witt
 from sliceguard.covers import Character, ConventionError, CoverModule, validate_module
 from sliceguard.cyclo import Cyclo, RootOfUnity
-from sliceguard.knots import check_torus, prime_power_exponent
+from sliceguard.knots import KnotCombination, check_torus, prime_power_exponent
 from sliceguard.laurent import LaurentPoly, RationalFn
 from sliceguard.modp import Subspace
 
@@ -669,9 +674,26 @@ def metabolic_by_union_scan(W):
     return True, None
 
 
+def witness_by_union_scan(dec, q: int, s: int):
+    """The point rule's witness for the level (q, s) block of ``dec``,
+    through the table pullbacks: the first point of the block, in sorted
+    order and off the support of B1, at which the pulled-back jumps of
+    every classical atom of B3 and B4 have a nonzero total."""
+    tables = [pullback(atom) for block in (*dec.B3.values(), *dec.B4.values())
+              for atom in block.atoms]
+    chosen = set().union(*map(pullback, (dec.B3[(q, s)] + dec.B4[(q, s)]).atoms))
+    twisted = set().union(*map(support_fractions, dec.B1.atoms))
+    for x in sorted(chosen - twisted):
+        total = sum(table.get(x, 0) for table in tables)
+        if total:
+            return False, (x, total)
+    return True, None
+
+
 def disjoint_by_intersection(dec, q: int, s: int) -> bool:
-    """``pipeline._disjointness_ok`` as the intersection of the materialized
-    supports of the chosen level's block and of every other block."""
+    """Whether the materialized support of the level (q, s) block misses
+    those of B1 and every other block: the source paper's splitting
+    hypothesis, under which the point rule's witness is the block's own."""
     chosen = dec.B3[(q, s)] + dec.B4[(q, s)]
     chosen_support = set().union(*map(materialized_support, chosen.atoms))
     other_support = set().union(*map(materialized_support, dec.B1.atoms))
@@ -679,3 +701,23 @@ def disjoint_by_intersection(dec, q: int, s: int) -> bool:
         if key != (q, s):
             other_support |= set().union(*map(materialized_support, block.atoms))
     return not (chosen_support & other_support)
+
+
+# ---------------------------------------------------------------------------
+# Formal-sum helpers the package has no use for
+# ---------------------------------------------------------------------------
+
+
+def mirror(K: KnotCombination) -> KnotCombination:
+    """The mirror image: every coefficient negated."""
+    return KnotCombination(K.p, {k: -c for k, c in K.terms.items()})
+
+
+def add(K1: KnotCombination, K2: KnotCombination) -> KnotCombination:
+    """The formal sum of two combinations with the same p."""
+    return KnotCombination(K1.p, [*K1.terms.items(), *K2.terms.items()])
+
+
+def negate(W: witt.WittClass) -> witt.WittClass:
+    """The Witt inverse: every coefficient negated."""
+    return witt.WittClass(a._replace(coefficient=-a.coefficient) for a in W.atoms)

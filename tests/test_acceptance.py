@@ -348,7 +348,7 @@ def test_criterion_08_end_to_end():
             total = sum(witt.jump_of(a, omega.numerator, omega.denominator) for a in block.atoms)
             assert total == c.witness_jump
         reordered = obstruct(parse("T(2,7) # -T(2,3;2,7) # -T(2,5) # T(2,3;2,5)"))
-        mirrored = obstruct(parse(J2).mirror())
+        mirrored = obstruct(oracles.mirror(parse(J2)))
         assert reordered.kind == mirrored.kind == "NOT_SLICE"
         assert reordered.r == mirrored.r == 5
         assert len(reordered.certificates) == len(mirrored.certificates) == 2

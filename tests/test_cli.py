@@ -265,11 +265,20 @@ def test_large_companion_index_obstructs_and_verifies(tmp_path):
     assert done.returncode == 0 and "bit-for-bit" in done.stdout and done.stderr == ""
 
 
-@pytest.mark.parametrize("q1,q2", [(10007, 10009), (1000003, 1000033)])
-def test_large_indices_at_two_levels_obstruct_and_verify(tmp_path, q1, q2):
+def _large_index_sum(chain: str, rest: str = "") -> str:
+    """T(2,chain;2,5) # -T(rest2,5) # -T(2,chain;2,7) # T(rest2,7)."""
+    return f"T(2,{chain};2,5) # -T({rest}2,5) # -T(2,{chain};2,7) # T({rest}2,7)"
+
+
+@pytest.mark.parametrize("text", [
+    f"{_large_index_sum('10007')} # {_large_index_sum('10009')}",
+    f"{_large_index_sum('1000003')} # {_large_index_sum('1000033')}",
+    f"{_large_index_sum(LARGE_Q)} # {_large_index_sum(f'{LARGE_Q};2,3', '2,3;')}",
+], ids=["10007-10009", "1000003-1000033", "one-index-at-two-levels"])
+def test_large_indices_at_two_levels_obstruct_and_verify(tmp_path, text):
     # the disjointness check once listed the smaller level point by point:
-    # 2.8 s for the first pair and over 20 s for the second
-    text = " # ".join(f"T(2,{q};2,5) # -T(2,5) # -T(2,{q};2,7) # T(2,7)" for q in (q1, q2))
+    # 2.8 s for the first pair and over 20 s for the second; the third,
+    # whose levels (q, 1) and (q, 2) share q, took 8 s at q = 100003
     done = _child("obstruct", text, "--json", timeout=10)
     assert done.returncode == 0 and done.stderr == ""
     assert json.loads(done.stdout)["verdict"] == "NOT_SLICE"
@@ -326,8 +335,9 @@ def _large_index_inputs(draw):
     """Algebraically slice T(X;p,r1) # -T(Y;p,r1) # -T(X;p,r2) # T(Y;p,r2),
     where Y drops the first companion of X; X holds one index up to the
     parser's bound, alone or before or after a small one.  Or two such
-    sums, one for each of two coprime large indices, which sit at
-    different levels."""
+    sums: one for each of two coprime large indices, which sit at
+    different levels, or a second one that puts the same large index at
+    another level."""
     p = draw(st.sampled_from([2, 3, 4, 8, 9]))
     r1, r2 = draw(st.lists(st.sampled_from([5, 7, 11, 13]), min_size=2, max_size=2,
                            unique=True).filter(lambda rs: all(r % p for r in rs)))
@@ -336,9 +346,12 @@ def _large_index_inputs(draw):
     small = draw(st.sampled_from([3, 5, 7, 9, 11, 13, 17]).filter(
         lambda c: gcd(c, p * r1 * r2) == 1))
     chains = [draw(st.sampled_from([[q], [q, small], [small, q]]))]
-    if draw(st.booleans()):
+    second = draw(st.sampled_from(["none", "other index", "same index"]))
+    if second == "other index":
         chains.append([draw(st.integers(2**20, 2**31 - 1).filter(
             lambda q2: gcd(q2, p * r1 * r2 * q) == 1))])
+    elif second == "same index":
+        chains.append([q] if chains[0] == [q, small] else [q, small])
     terms = []
     for chain in chains:
         X = ";".join(f"{p},{c}" for c in chain)

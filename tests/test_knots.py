@@ -18,6 +18,8 @@ from sliceguard.knots import (
 )
 from sliceguard.expr import parse
 
+from oracles import add, mirror
+
 J2 = "T(2,3;2,5) # -T(2,5) # -T(2,3;2,7) # T(2,7)"
 
 
@@ -58,7 +60,7 @@ class TestLevels:
             t2 = {k: rng.randrange(-2, 3) for k in rng.sample(pool, 3)}
             K1, K2 = KnotCombination(2, t1), KnotCombination(2, t2)
             for s in range(3):
-                merged = s_level(K1 + K2, s).terms
+                merged = s_level(add(K1, K2), s).terms
                 split = dict(s_level(K1, s).terms)
                 for pq, c in s_level(K2, s).terms.items():
                     split[pq] = split.get(pq, 0) + c
@@ -80,7 +82,7 @@ class TestAlgebraicSliceness:
         for _ in range(30):
             terms = {k: rng.randrange(-2, 3) for k in rng.sample(pool, rng.randrange(1, 5))}
             K = KnotCombination(2, terms)
-            assert algebraically_slice(K)[0] == algebraically_slice(K.mirror())[0]
+            assert algebraically_slice(K)[0] == algebraically_slice(mirror(K))[0]
 
     def test_simplify_consistency(self):
         K = parse(J2)

@@ -126,7 +126,7 @@ class TestObstruct:
     def test_reorder_and_mirror_invariance(self):
         base = obstruct(parse(J2))
         reordered = obstruct(parse("T(2,7) # -T(2,3;2,7) # -T(2,5) # T(2,3;2,5)"))
-        mirrored = obstruct(parse(J2).mirror())
+        mirrored = obstruct(oracles.mirror(parse(J2)))
         assert base.kind == reordered.kind == mirrored.kind == "NOT_SLICE"
         assert base.r == reordered.r == mirrored.r
         assert len(base.certificates) == len(reordered.certificates)
@@ -536,59 +536,82 @@ def _decompositions(draw):
                                   B4={key: block(*key) for key in keys})
 
 
-def test_disjointness_matches_the_support_intersection(monkeypatch):
-    # the gcd rule decides some levels alone, and the listing others
-    calls = []
-    apart, support_of = pipeline._apart, witt.support_of
-    monkeypatch.setattr(pipeline, "_apart", lambda a, b: calls.append("gcd") or apart(a, b))
-    monkeypatch.setattr(witt, "support_of", lambda a: calls.append("listing") or support_of(a))
-    decided_by = set()
+def test_witness_matches_the_union_scan_and_the_block_alone():
+    # the point rule against its materialized route everywhere, and against
+    # the block's own scan wherever the supports are disjoint
+    seen = set()
 
     @given(_decompositions())
     @settings(max_examples=150, deadline=None)
     def check(dec):
         for q, s in dec.B3:
-            calls.clear()
-            answer = pipeline._disjointness_ok(dec, q, s)
-            if calls:
-                decided_by.add("listing" if "listing" in calls else "gcd")
-            assert answer == oracles.disjoint_by_intersection(dec, q, s)
+            witness = pipeline._witness(dec, q, s)
+            assert witness == oracles.witness_by_union_scan(dec, q, s)
+            alone = witt.is_metabolic_classical(dec.B3[(q, s)] + dec.B4[(q, s)])
+            if oracles.disjoint_by_intersection(dec, q, s):
+                assert witness == alone
+                seen.add("disjoint")
+            elif witness != alone:
+                seen.add("moved")
 
     check()
-    assert decided_by == {"gcd", "listing"}
+    # both the splitting hypothesis and witnesses that only the rule finds
+    assert seen == {"disjoint", "moved"}
 
 
-@st.composite
-def _atoms(draw):
-    """A classical atom whose twist order may share a factor with q, or a
-    twisted atom."""
-    p = draw(st.sampled_from([2, 3]))
-    if draw(st.integers(0, 3)) == 0:
-        r = draw(st.sampled_from([r for r in (3, 5, 7) if r % p]))
-        return witt.Twisted(p, r, draw(st.sampled_from(covers.characters(p, r))))
-    q = draw(st.sampled_from([q for q in (3, 5, 9, 15) if q % p]))
-    order = draw(st.sampled_from([1, 3, 5, 15]))
-    return Classical(p, q, normalize_root(draw(st.integers(0, order - 1)), order),
-                     draw(st.integers(1, 2)), draw(st.sampled_from([1, -2])))
+def test_another_level_cancels_the_blocks_first_jump():
+    # T(2,3) twisted by 1/3 and T(2,5) twisted by 1/5 both jump by +2 at
+    # 1/2, so with opposite signs at two levels they cancel there
+    empty = witt.WittClass()
+    dec = pipeline.Decomposition(
+        B1=empty,
+        B3={(3, 1): witt.WittClass([Classical(2, 3, normalize_root(1, 3), 1, 1)]),
+            (5, 1): witt.WittClass([Classical(2, 5, normalize_root(1, 5), 1, -1)])},
+        B4={(3, 1): empty, (5, 1): empty})
+    assert witt.is_metabolic_classical(dec.B3[(3, 1)]) == (False, (Fraction(1, 2), 2))
+    assert pipeline._witness(dec, 3, 1) == (False, (Fraction(5, 6), -2))
+    assert pipeline._witness(dec, 3, 1) == oracles.witness_by_union_scan(dec, 3, 1)
 
 
-@given(_atoms(), _atoms())
-@settings(max_examples=300, deadline=None)
-def test_two_atoms_meet_exactly_when_their_supports_do(a, b):
-    # T(2,3) twisted by 1/3 and T(2,5) twisted by 1/5 both jump at 1/2,
-    # so the gcd rule needs the twist's order as well as the indices
-    if isinstance(a, witt.Twisted):
-        a, b = b, a
-    if isinstance(a, Classical):
-        meet = bool(oracles.materialized_support(a) & oracles.materialized_support(b))
-        assert pipeline._meet(a, b) == meet
+def _refused_decomposition():
+    """J2's B1 at r = 5 (support 2/5 and 3/5) with a level (3, 1) block
+    jumping at 1/15 and 2/5, and a level (5, 1) atom cancelling it at 1/15:
+    the block's only nonzero total lies in the support of B1.  Its twists
+    have order 30, which p = 2 divides; a block that ``decompose`` builds,
+    with twists over r, has no point there."""
+    nf = knots.normal_form(parse(J2), 5)
+    B1 = decompose(nf, (Character(5, (1, 4)),), (Character(5, (4, 1)),)).B1
+    empty = witt.WittClass()
+    return pipeline.Decomposition(
+        B1=B1,
+        B3={(3, 1): witt.WittClass([Classical(2, 3, normalize_root(23, 30), 1, 1)]),
+            (5, 1): witt.WittClass([Classical(2, 5, normalize_root(1, 30), 1, 1)])},
+        B4={(3, 1): empty, (5, 1): empty})
 
 
-def test_gcd_rule_counts_the_twist_order():
-    a = Classical(2, 3, normalize_root(1, 3), 1)
-    b = Classical(2, 5, normalize_root(1, 5), 1)
-    assert Fraction(1, 2) in oracles.materialized_support(a) & oracles.materialized_support(b)
-    assert pipeline._meet(a, b) and pipeline._meet(b, a)
+def test_a_block_whose_jumps_lie_in_the_twisted_support_is_refused(monkeypatch):
+    dec = _refused_decomposition()
+    assert oracles.support_fractions(dec.B1.atoms[0]) == {Fraction(2, 5), Fraction(3, 5)}
+    assert witt.is_metabolic_classical(dec.B3[(3, 1)]) == (False, (Fraction(1, 15), 2))
+    assert witt.is_metabolic_classical(dec.B3[(3, 1)], dec.B3[(5, 1)].atoms) == (
+        False, (Fraction(2, 5), -2))
+    assert pipeline._witness(dec, 3, 1) == (True, None) == oracles.witness_by_union_scan(
+        dec, 3, 1)
+    nf = knots.normal_form(parse(J2), 5)
+    sets = index_sets(nf)
+    F = metabolizers.FormSpace(2, 5, 1)
+    L = next(iter(metabolizers.enumerate_invariant_metabolizers(F, 100)))
+    choice = metabolizers.construct_character(L, F, sets)
+    assert (choice.q, choice.s) == (3, 1)
+    with pytest.raises(pipeline._Uncertified) as refused:
+        pipeline._certify_metabolizer(L, F, nf, sets, {(choice.chi_a, choice.chi_b): dec})
+    assert str(refused.value) == ("level (3,1) block has no jump point off the twisted "
+                                  "support with a nonzero total jump")
+    # every prime of J2 chooses the level (3, 1), and so meets the same block
+    monkeypatch.setattr(pipeline, "decompose", lambda nf, chi_a, chi_b: dec)
+    verdict = obstruct(parse(J2))
+    assert verdict.kind == "INCONCLUSIVE" and not verdict.certificates
+    assert verdict.reason == "; ".join(f"r={r}: {refused.value}" for r in (5, 7))
 
 
 def _overlapping_batch_draws(seed: int, count: int) -> list:
@@ -612,23 +635,30 @@ def _overlapping_batch_draws(seed: int, count: int) -> list:
     return out
 
 
-def test_jump_decision_matches_the_oracles_on_overlapping_batch_draws(monkeypatch):
-    disjoint, metabolic = pipeline._disjointness_ok, witt.is_metabolic_classical
-    answers = set()
+def test_overlapping_batch_draws_obstruct_and_verify(monkeypatch):
+    # the disjointness check refused some of these as INCONCLUSIVE
+    witness = pipeline._witness
 
-    def checked_disjoint(dec, q, s):
-        answer = disjoint(dec, q, s)
-        assert answer == oracles.disjoint_by_intersection(dec, q, s)
-        answers.add(answer)
+    def checked(dec, q, s):
+        answer = witness(dec, q, s)
+        assert answer == oracles.witness_by_union_scan(dec, q, s)
         return answer
 
-    def checked_metabolic(W):
-        answer = metabolic(W)
-        assert answer == oracles.metabolic_by_union_scan(W)
-        return answer
+    monkeypatch.setattr(pipeline, "_witness", checked)
+    for text in _overlapping_batch_draws(11, 24):
+        verdict = obstruct(parse(text))
+        assert verdict.kind == "NOT_SLICE", verdict.reason
+        verify_verdict(json.loads(verdict.to_json()))
 
-    monkeypatch.setattr(pipeline, "_disjointness_ok", checked_disjoint)
-    monkeypatch.setattr(witt, "is_metabolic_classical", checked_metabolic)
-    kinds = {obstruct(parse(text)).kind for text in _overlapping_batch_draws(11, 24)}
-    # both answers of the disjointness test, and both verdicts they lead to
-    assert answers == {True, False} and kinds == {"NOT_SLICE", "INCONCLUSIVE"}
+
+@pytest.mark.parametrize("text,r,count", [
+    ("-T(2,3;2,5) # T(2,3;2,11) # 2*T(2,5) # -T(2,9;2,5) # T(2,9;2,11) # -2*T(2,11)", 5, 12),
+    ("-T(2,3;2,7) # T(2,3;2,11) # 2*T(2,7) # -T(2,9;2,7) # T(2,9;2,11) # -2*T(2,11)", 7, 16),
+    ("-T(2,3;2,9;2,7) # T(2,3;2,9;2,11) # T(2,5;2,7) # -T(2,5;2,11) # -T(2,9;2,5;2,7) "
+     "# T(2,9;2,5;2,11) # T(2,9;2,7) # -T(2,9;2,11)", 7, 16),
+], ids=["r5", "r7", "three-deep"])
+def test_overlapping_levels_obstruct_and_verify(text, r, count):
+    # levels whose supports meet, once INCONCLUSIVE: "not isolated"
+    verdict = obstruct(parse(text))
+    assert (verdict.kind, verdict.r, len(verdict.certificates)) == ("NOT_SLICE", r, count)
+    verify_verdict(json.loads(verdict.to_json()))

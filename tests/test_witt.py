@@ -156,7 +156,7 @@ class TestMetabolic:
                 for _ in range(3)
             ]
             W = WittClass(atoms)
-            assert is_metabolic_classical(W + (-W))[0]
+            assert is_metabolic_classical(W + oracles.negate(W))[0]
 
     def test_witness_even_nonzero(self):
         W = WittClass([C(3, 4, 1, 5), C(3, 4, coeff=-3)])
@@ -194,5 +194,5 @@ def test_support_of_matches_the_table_pullback(atom):
 def test_is_metabolic_matches_the_union_scan(atoms, data):
     # minus a subset of the atoms, so that jumps cancel at some points
     cancelled = data.draw(st.lists(st.sampled_from(atoms), max_size=len(atoms)))
-    W = WittClass(atoms) + (-WittClass(cancelled))
+    W = WittClass(atoms) + oracles.negate(WittClass(cancelled))
     assert is_metabolic_classical(W) == oracles.metabolic_by_union_scan(W)
