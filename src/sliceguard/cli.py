@@ -132,7 +132,8 @@ def _cmd_alex(args) -> int:
     check_torus(args.p, args.q)
     d = (args.p - 1) * (args.q - 1)
     _refuse_long_listing(d, f"the Alexander polynomial of T({args.p},{args.q}) has degree {d}")
-    poly = seifert.alexander_poly(args.p, args.q)
+    from .presentations import alexander_poly
+    poly = alexander_poly(args.p, args.q)
     if args.json:
         print(json.dumps({"p": args.p, "q": args.q, "alexander": str(poly)}))
     else:

@@ -1,0 +1,232 @@
+"""Fox calculus on the torus knot group, and the closed form of its twisted
+Alexander polynomials: the two routes of ``twisted``, imported on first use.
+
+The torus knot group has the presentation <c1, c2 | c1^p = c2^q>.  For a
+zero-sum character chi = (a_1, ..., a_p) over Z_q the working
+representative of the metabelian representation sends
+
+    c2 |-> t * diag(xi^(a_1), ..., xi^(a_p)),      xi = e^(2 pi i / q),
+    c1 |-> A_p(t)^q,
+
+with A_p(t) the companion-style matrix whose p-th power is t * id.  Both
+images are monomial (one entry xi^a t^k per row), so words in c1, c2 are
+multiplied as (column, a mod q, k) triples in integer arithmetic, and only
+the results are expanded into Laurent polynomial matrices.
+
+The closed form depends only on the multiset of the character's values,
+so it is reduced once per multiset: by counting the roots of unity the
+two sides share and dividing each out exactly, with no polynomial gcd.
+Dividing by the extra (-1)^(p-1) (t - 1) gives the polynomial of the
+0-surgery.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+from .covers import Character
+from .cyclo import Cyclo, RootOfUnity
+from .knots import check_torus
+from .laurent import LaurentPoly, RationalFn
+
+Word = tuple[tuple[int, int], ...]  # ((generator, exponent), ...), reduced
+
+
+def word(*pairs) -> Word:
+    """Build a reduced word from (generator, exponent) pairs."""
+    out: list[list[int]] = []
+    for gen, exp in pairs:
+        if exp == 0:
+            continue
+        if out and out[-1][0] == gen:
+            out[-1][1] += exp
+            if out[-1][1] == 0:
+                out.pop()
+        else:
+            out.append([gen, exp])
+    return tuple((g, e) for g, e in out)
+
+
+def fox_derivative(w: Word, gen: int) -> list[tuple[int, Word]]:
+    """Free Fox derivative: d(uv) = du + u dv, d(g) = 1, d(g^-1) = -g^-1.
+
+    Returns a formal integer combination of group words; like terms are
+    collected so the result is canonical.
+    """
+    terms: list[tuple[int, Word]] = []
+    prefix: Word = ()
+    for g, e in w:
+        if g == gen:
+            if e > 0:
+                # d(g^e) = 1 + g + ... + g^(e-1)
+                for i in range(e):
+                    terms.append((1, word(*prefix, (g, i))))
+            else:
+                # d(g^e) = -(g^-1 + g^-2 + ... + g^e)
+                for i in range(1, -e + 1):
+                    terms.append((-1, word(*prefix, (g, -i))))
+        prefix = word(*prefix, (g, e))
+    collected: dict[Word, int] = {}
+    for c, u in terms:
+        collected[u] = collected.get(u, 0) + c
+    return [(c, u) for u, c in sorted(collected.items()) if c]
+
+
+# ---------------------------------------------------------------------------
+# The representation
+# ---------------------------------------------------------------------------
+
+# A monomial matrix over Z[xi, t^(+-1)], xi = e^(2 pi i / q): row i holds
+# its single nonzero entry xi^a * t^k, in column c, as (c, a mod q, k).
+Monomial = tuple[tuple[int, int, int], ...]
+
+
+def _mono_mul(M: Monomial, N: Monomial, q: int) -> Monomial:
+    return tuple((N[c][0], (a + N[c][1]) % q, k + N[c][2]) for c, a, k in M)
+
+
+def _mono_pow(M: Monomial, e: int, q: int) -> Monomial:
+    out = tuple((i, 0, 0) for i in range(len(M)))
+    while e:
+        if e & 1:
+            out = _mono_mul(out, M, q)
+        M = _mono_mul(M, M, q)
+        e >>= 1
+    return out
+
+
+def _monomial_companion(p: int, sign: int) -> Monomial:
+    """A_p(t) for sign 1, with ones on the superdiagonal and t in the
+    corner, so that A_p^p = t*id; its inverse for sign -1."""
+    if sign > 0:
+        return tuple((i + 1, 0, 0) for i in range(p - 1)) + ((0, 0, 1),)
+    return ((p - 1, 0, -1),) + tuple((i, 0, 0) for i in range(p - 1))
+
+
+def _dense(M: Monomial, q: int) -> list[list[LaurentPoly]]:
+    """The matrix of Laurent polynomials; each entry's coefficient is the
+    reduced root xi^a, so its conductor is the order of a/q."""
+    out = [[LaurentPoly.zero()] * len(M) for _ in M]
+    for i, (c, a, k) in enumerate(M):
+        out[i][c] = LaurentPoly(k, [RootOfUnity.normalized(a, q).as_cyclo()])
+    return out
+
+
+class TorusRep:
+    """Images of c1, c2 (and inverses) under the working representative,
+    as monomial matrices.  Every route of ``twisted`` builds one, so a
+    (p, q) that is not a torus knot is rejected here."""
+
+    def __init__(self, p: int, q: int, chi: Character):
+        check_torus(p, q)
+        if chi.p != p:
+            raise ValueError("character length must equal p")
+        if chi.r != q:
+            raise ValueError("character modulus must equal q")
+        self.p, self.q, self.chi = p, q, chi
+        self.images: dict[tuple[int, int], Monomial] = {
+            (1, 1): _mono_pow(_monomial_companion(p, 1), q, q),
+            (1, -1): _mono_pow(_monomial_companion(p, -1), q, q),
+            (2, 1): tuple((i, a, 1) for i, a in enumerate(chi.values)),
+            (2, -1): tuple((i, -a % q, -1) for i, a in enumerate(chi.values)),
+        }
+
+    def image_of_word(self, w: Word) -> Monomial:
+        out: Monomial = tuple((i, 0, 0) for i in range(self.p))
+        for g, e in w:
+            base = self.images[(g, 1 if e > 0 else -1)]
+            out = _mono_mul(out, _mono_pow(base, abs(e), self.q), self.q)
+        return out
+
+    def image_of_combination(self, terms):
+        out = [[LaurentPoly.zero()] * self.p for _ in range(self.p)]
+        for coeff, w in terms:
+            m = _dense(self.image_of_word(w), self.q)
+            for i in range(self.p):
+                for j in range(self.p):
+                    if not m[i][j].is_zero():
+                        out[i][j] = out[i][j] + m[i][j].scale(coeff)
+        return out
+
+
+def _det(rows):
+    """Determinant of a small matrix of Laurent polynomials (subset DP)."""
+    n = len(rows)
+    states = {0: LaurentPoly.one()}
+    for k in range(n):
+        new = {}
+        for subset, acc in states.items():
+            seen = 0  # chosen columns right of c: the inversions (k, c) adds
+            for c in reversed(range(n)):
+                bit = 1 << c
+                if subset & bit:
+                    seen += 1
+                    continue
+                entry = rows[k][c]
+                if entry.is_zero():
+                    continue
+                term = acc * entry if seen % 2 == 0 else -(acc * entry)
+                key = subset | bit
+                if key in new:
+                    new[key] = new[key] + term
+                else:
+                    new[key] = term
+        states = {s: v for s, v in new.items() if not v.is_zero()}
+    return states.get((1 << n) - 1, LaurentPoly.zero())
+
+
+RELATOR_DERIVATIVE_GEN = 1  # differentiate c1^p c2^-q with respect to c1
+
+
+@lru_cache(maxsize=None)
+def _fox_numerator(p: int, q: int) -> LaurentPoly:
+    """det of the image of d(c1^p c2^-q)/d c1; character independent since
+    the image of c1 is."""
+    rep = TorusRep(p, q, Character(q, tuple([0] * p)))
+    relator = word((1, p), (2, -q))
+    terms = fox_derivative(relator, RELATOR_DERIVATIVE_GEN)
+    return _det(rep.image_of_combination(terms))
+
+
+def _disagree(p: int, q: int, chi=None) -> ArithmeticError:
+    where = f"p={p}, q={q}" + ("" if chi is None else f", chi={chi}")
+    return ArithmeticError(f"Fox-calculus and closed-form twisted polynomials disagree for {where}")
+
+
+@lru_cache(maxsize=None)
+def _closed_numerator(p: int, q: int) -> LaurentPoly:
+    """(1 - t^q)^(p-1), each q-th root of unity with multiplicity p - 1,
+    checked against the Fox numerator; neither depends on the character."""
+    closed = (LaurentPoly.one() - LaurentPoly.from_ints([1], q)) ** (p - 1)
+    if not _fox_numerator(p, q).eq_up_to_units(closed):
+        raise _disagree(p, q)
+    return closed
+
+
+@lru_cache(maxsize=None)
+def _closed_form(p: int, q: int, values: tuple) -> tuple[LaurentPoly, RationalFn, RationalFn]:
+    """The closed denominator prod_i (t xi^(a_i) - 1) and the reduced
+    exterior and 0-surgery polynomials, for the sorted character values
+    ``values``: none of them depends on the order of the values.
+
+    The root xi^(-a) is common to (1 - t^q)^(p-1) and the denominator
+    min(#{i : a_i = a}, p - 1) times, and is divided out exactly.  The
+    reduced exterior fraction can then only cancel the new (t - 1) of the
+    surgery, and its numerator keeps the root 1 when fewer than p - 1
+    values are 0.
+    """
+    den = LaurentPoly.one()
+    for a in values:
+        den = den * LaurentPoly(0, [Cyclo.from_fraction(-1), RootOfUnity.normalized(a, q).as_cyclo()])
+    num, red = _closed_numerator(p, q), den
+    for a in sorted(set(values)):
+        root = RootOfUnity.normalized(-a, q)
+        for _ in range(min(values.count(a), p - 1)):
+            num, red = num.divide_linear(root), red.divide_linear(root)
+    ext = RationalFn(num, red)
+    num = ext.num.scale(1 if (p - 1) % 2 == 0 else -1)
+    if values.count(0) < p - 1:
+        surgery = RationalFn(num.divide_linear(RootOfUnity.one()), ext.den)
+    else:
+        surgery = RationalFn(num, ext.den * LaurentPoly.from_ints([-1, 1]))
+    return den, ext, surgery

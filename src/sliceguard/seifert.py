@@ -1,29 +1,5 @@
-"""Seifert data of torus knots: matrices, Alexander polynomials,
-Levine-Tristram signatures, and branched cyclic covers with linking forms.
-
-The Seifert matrix comes from Seifert's algorithm on the closed positive
-braid (s_1 s_2 ... s_{p-1})^q: one disk per strand, one band per letter,
-and one homology cycle for each pair of consecutive bands on the same
-strand pair.  Writing e(i, j) for the cycle through occurrences j and
-j+1 of letter i, the linking numbers reduce to a four-line rule:
-
-  * lk(e, e+) = -1 for every cycle (two positively twisted bands);
-  * consecutive cycles on the same pair: lk(e(i,j), e(i,j+1)+) = 1
-    and lk(e(i,j+1), e(i,j)+) = 0 (they meet once, in the shared band);
-  * cycles on adjacent pairs never link the pushoff of the lower one
-    (the pushoff leaves the slab between the disks), and the lower cycle
-    links the upper pushoff by +1 or -1 according to which of the two
-    interleaving patterns the four band positions form;
-  * everything else is 0.
-
-The construction is validated once per (p, q): det(V - t V^T) must give
-the torus-knot Alexander polynomial, and its value at t = 1, which is
-det(V - V^T), must be a unit, so a convention slip cannot propagate
-silently.  The determinant is one fraction-free Bareiss elimination over
-Z[t] on integer coefficient lists; every division in it is exact by
-Sylvester's identity and is checked to be, by ``cyclo.int_poly_div_exact``.
-``alexander_poly`` and the ``alex`` command read the closed form
-(t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)) that this check compares against.
+"""Signature jumps of torus knots, and the entry points of their Seifert
+presentations.
 
 The verdict path needs only closed forms, and ``jump_at`` is the one jump
 rule.  Litherland ("Signatures of iterated torus knots", 1979) puts a jump
@@ -32,38 +8,21 @@ of +2 at s = i/p + j/q when s < 1 and of -2 at s - 1 when s > 1, for
 j = k/p mod q, the jumps sit exactly at the Alexander roots k/pq, p and q
 not dividing k, each simple, and are +2 exactly when iq + jp < pq.
 
-Branched covers serve the ``homology`` command and the tests' oracles,
-and Seifert matrices their linking forms.  The Alexander module of a
-torus knot is cyclic, so H_1 of the n-fold branched cover is
-Z[t]/(Delta, 1 + t + ... + t^(n-1)): its divisors are the elementary
-divisors of the d x d matrix of multiplication by 1 + t + ... + t^(n-1)
-on Z[t]/Delta, d = deg Delta.  When every divisor is the prime r = q,
-the module comes from the symmetric presentation Y of the cover, with
-T^T Y T = Y for the block shift T.  x -> Yx/r maps ker(Y mod r) onto the
-r-torsion of coker Y, so on a basis of that kernel the linking form is
-lambda(x, z) = x^T Y z / r^2 mod 1, and the deck action a -> T^T a pulls
-back to x -> T^-1 x.  The kernel's dimension must equal the number of
-divisors, which ties the Alexander route to the Seifert presentation,
-and the module must pass ``covers.validate_module`` at n, as the model
-modules do at n = p.  ``homology`` answers or refuses in bounded time: d
-and the N = (n-1)d rows of Y may not exceed ``MAX_PRESENTATION_ROWS``
-(``BudgetExceeded``), d before the Smith form and N before Y is built.
+``seifert_matrix`` and ``branched_cover`` import their routes from
+``presentations`` on a cache miss.  ``homology`` answers or refuses in
+bounded time: d = deg Delta and the N = (n-1)d rows of the cover
+presentation may not exceed ``MAX_PRESENTATION_ROWS``
+(``BudgetExceeded``), d before the Smith form and N before it is built.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, prod
-from operator import mul
 
-from . import modp
-from .covers import ConventionError, CoverModule, validate_module
-from .cyclo import int_poly_div_exact
+from .covers import ConventionError
 from .knots import check_torus, prime_power_exponent
-from .laurent import LaurentPoly
 from .metabolizers import BudgetExceeded
 
 # the most rows of the Smith form (d) and of Y (N) in ``branched_cover``;
@@ -72,48 +31,15 @@ MAX_PRESENTATION_ROWS = 500
 
 
 # ---------------------------------------------------------------------------
-# Seifert matrices from the positive braid
+# Seifert matrices and branched covers, from ``presentations``
 # ---------------------------------------------------------------------------
-
-
-def braid_word(p: int, q: int) -> list[int]:
-    """The positive word (s_1 s_2 ... s_{p-1})^q on p strands."""
-    return [i for _ in range(q) for i in range(1, p)]
-
-
-def _band_cycles(word: list[int], strands: int):
-    occurrences: dict[int, list[int]] = {i: [] for i in range(1, strands)}
-    for pos, letter in enumerate(word):
-        occurrences[letter].append(pos)
-    cycles = []
-    for letter in range(1, strands):
-        pos = occurrences[letter]
-        cycles.extend((letter, pos[j], pos[j + 1]) for j in range(len(pos) - 1))
-    return cycles
-
-
-def _seifert_matrix_raw(p: int, q: int) -> tuple[tuple[int, ...], ...]:
-    cycles = _band_cycles(braid_word(p, q), p)
-    n = len(cycles)
-    V = [[0] * n for _ in range(n)]
-    for a in range(n):
-        V[a][a] = -1
-    for a, b in itertools.permutations(range(n), 2):
-        (i, s, t), (k, u, v) = cycles[a], cycles[b]
-        if k == i and t == u:
-            V[a][b] = 1
-        elif k == i + 1:
-            if s < u < t < v:
-                V[b][a] = 1
-            elif u < s < v < t:
-                V[b][a] = -1
-    return tuple(tuple(row) for row in V)
 
 
 @lru_cache(maxsize=None)
 def seifert_matrix(p: int, q: int) -> tuple[tuple[int, ...], ...]:
     """Validated Seifert matrix of T(p, q), size (p-1)(q-1)."""
     check_torus(p, q)
+    from .presentations import _poly_det, _poly_trim, _seifert_matrix_raw, _torus_alexander_reference
     V = _seifert_matrix_raw(p, q)
     n = len(V)
     if n != (p - 1) * (q - 1):
@@ -134,73 +60,45 @@ def seifert_matrix(p: int, q: int) -> tuple[tuple[int, ...], ...]:
     return V
 
 
-# Integer polynomials are coefficient lists, lowest degree first, with no
-# trailing zeros; the zero polynomial is the empty list.
-
-
-def _poly_trim(a: list) -> list:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _poly_mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return out
-
-
-def _poly_sub(a: list, b: list) -> list:
-    return _poly_trim([x - y for x, y in itertools.zip_longest(a, b, fillvalue=0)])
-
-
-def _poly_det(rows) -> list:
-    """Determinant over Z[t] by Bareiss's fraction-free elimination: every
-    division is exact by the Sylvester identity, which doubles as a
-    consistency check."""
-    M = [list(row) for row in rows]
-    n = len(M)
-    sign = 1
-    prev = [1]
-    for k in range(n - 1):
-        if not M[k][k]:
-            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
-            if swap is None:
-                return []
-            M[k], M[swap] = M[swap], M[k]
-            sign = -sign
-        pivot, row_k = M[k][k], M[k]
-        for i in range(k + 1, n):
-            row_i = M[i]
-            a_ik = row_i[k]
-            for j in range(k + 1, n):
-                num = _poly_sub(_poly_mul(row_i[j], pivot), _poly_mul(a_ik, row_k[j]))
-                row_i[j] = int_poly_div_exact(num, prev)
-        prev = pivot
-    out = M[n - 1][n - 1]
-    return out if sign == 1 else [-c for c in out]
 
 
 @lru_cache(maxsize=None)
-def _torus_alexander_reference(p: int, q: int) -> list:
-    # (t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)), exact integer division
-    def cyc(k):
-        return [-1] + [0] * (k - 1) + [1]
+def branched_cover(p: int, q: int, n: int):
+    """Homology of the n-fold cyclic branched cover of T(p, q), with its
+    deck action and linking form when every divisor is the prime q, as a
+    ``presentations.CoverHomology``.
 
-    num = _poly_mul(cyc(p * q), cyc(1))
-    return int_poly_div_exact(int_poly_div_exact(num, cyc(p)), cyc(q))
-
-
-def alexander_poly(p: int, q: int) -> LaurentPoly:
-    """The Alexander polynomial of T(p, q) from its closed form, in monic
-    low-0 normal form; ``seifert_matrix`` checks det(V - t V^T) against it."""
+    The divisors come from the cyclic Alexander module; a zero divisor
+    (infinite homology) is rejected, which catches non-prime-power n, and
+    d or N over ``MAX_PRESENTATION_ROWS`` raises BudgetExceeded; see the
+    module docstring.
+    """
+    if n < 2:
+        raise ValueError("cover degree must be at least 2")
     check_torus(p, q)
-    return LaurentPoly.from_ints(_torus_alexander_reference(p, q)).unit_normal()
+    d = (p - 1) * (q - 1)
+    if d > MAX_PRESENTATION_ROWS:
+        raise BudgetExceeded(f"the Alexander module of T({p},{q}) has rank {d}, "
+                             f"over the limit of {MAX_PRESENTATION_ROWS}")
+    from .presentations import CoverHomology, _norm_multiplication, _prime_module, elementary_divisors
+    divisors = elementary_divisors(_norm_multiplication(p, q, n))
+    if 0 in divisors:
+        raise ConventionError(
+            f"singular cover presentation for n={n}"
+            + ("" if prime_power_exponent(n) else " (n is not a prime power)")
+        )
+    torsion = tuple(d for d in divisors if d != 1)
+    module = None
+    if prime_power_exponent(q) == 1 and torsion and all(d == q for d in torsion):
+        rows = (n - 1) * d
+        if rows > MAX_PRESENTATION_ROWS:
+            raise BudgetExceeded(
+                f"the {n}-fold cover of T({p},{q}) has a presentation of {rows} "
+                f"rows, over the limit of {MAX_PRESENTATION_ROWS}"
+            )
+        module = _prime_module(seifert_matrix(p, q), n, q, len(torsion))
+    return CoverHomology(p=p, q=q, n=n, divisors=torsion, order=prod(torsion),
+                         module=module)
 
 
 # ---------------------------------------------------------------------------
@@ -254,202 +152,3 @@ def _jump_function_cached(p: int, q: int) -> tuple:
     check_torus(p, q)
     return tuple((Fraction(k, p * q), jump) for k in range(1, p * q)
                  if (jump := jump_at(p, q, k, p * q)))
-
-
-# ---------------------------------------------------------------------------
-# Branched cyclic covers
-# ---------------------------------------------------------------------------
-
-
-class CoverHomology(namedtuple("CoverHomology", "p q n divisors order module")):
-    """H_1 of the n-fold branched cover of T(p, q): its torsion ``divisors``
-    and ``order``, and its q-torsion ``module`` when q is prime and that is
-    all the torsion, else None."""
-
-    __slots__ = ()
-
-
-def elementary_divisors(rows) -> tuple:
-    """The diagonal d_1 | d_2 | ... of the integer Smith normal form, one
-    entry per row or column, whichever is fewer (zeros last)."""
-    A = [list(map(int, r)) for r in rows]
-    nrows, ncols = len(A), len(A[0])
-    rank = min(nrows, ncols)
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-
-    def smallest_entry(t):
-        # first entry of least absolute value in row-major order
-        best = None
-        for i in range(t, nrows):
-            row = A[i]
-            for j in range(t, ncols):
-                if row[j] and (best is None or abs(row[j]) < best[0]):
-                    best = (abs(row[j]), i, j)
-                    if best[0] == 1:
-                        return best
-        return best
-
-    def reduce_from(t):
-        while t < rank:
-            best = smallest_entry(t)
-            if best is None:
-                return
-            _, i0, j0 = best
-            A[t], A[i0] = A[i0], A[t]
-            swap_cols(t, j0)
-            dirty = True
-            while dirty:
-                dirty = False
-                for i in range(t + 1, nrows):
-                    if A[i][t]:
-                        c = A[i][t] // A[t][t]
-                        A[i] = [x - c * y for x, y in zip(A[i], A[t])]
-                        if A[i][t]:
-                            A[t], A[i] = A[i], A[t]
-                            dirty = True
-                for j in range(t + 1, ncols):
-                    if A[t][j]:
-                        c = A[t][j] // A[t][t]
-                        for row in A:
-                            row[j] -= c * row[t]
-                        if A[t][j]:
-                            swap_cols(t, j)
-                            dirty = True
-            t += 1
-
-    reduce_from(0)
-    # sign normalization and the divisibility chain
-    while True:
-        for i in range(rank):
-            A[i][i] = abs(A[i][i])
-        broken = next((i for i in range(rank - 1)
-                       if A[i][i] and A[i + 1][i + 1] % A[i][i]), None)
-        if broken is None:
-            return tuple(A[i][i] for i in range(rank))
-        A[broken] = [x + y for x, y in zip(A[broken], A[broken + 1])]
-        reduce_from(broken)
-
-
-def _norm_multiplication(p: int, q: int, n: int) -> list:
-    """Multiplication by 1 + t + ... + t^(n-1) on Z[t]/Delta in the basis
-    1, t, ..., t^(d-1): row j holds t^j (1 + ... + t^(n-1)) mod Delta."""
-    delta = _torus_alexander_reference(p, q)
-    d = len(delta) - 1
-    if delta[-1] != 1:
-        raise ConventionError("the Alexander polynomial is not monic")
-
-    def times_t(v):
-        return [(v[i - 1] if i else 0) - v[-1] * delta[i] for i in range(d)]
-
-    power, norm = [1] + [0] * (d - 1), [0] * d
-    for _ in range(n):
-        norm = [a + b for a, b in zip(norm, power)]
-        power = times_t(power)
-    rows = [norm]
-    for _ in range(d - 1):
-        rows.append(times_t(rows[-1]))
-    return rows
-
-
-def _symmetric_cover_presentation(V, n: int):
-    """The (n-1) x (n-1) block matrix with V + V^T on the diagonal, -V^T
-    above, -V below: the intersection form of the pushed-in Seifert
-    surface's n-fold cyclic cover, whose boundary linking form is the one
-    we want.  T is the block shift, with T^T Y T = Y."""
-    g2 = len(V)
-    N = (n - 1) * g2
-    Y = [[0] * N for _ in range(N)]
-    for k in range(n - 1):
-        for a in range(g2):
-            for b in range(g2):
-                Y[k * g2 + a][k * g2 + b] = V[a][b] + V[b][a]
-                if k + 1 < n - 1:
-                    Y[k * g2 + a][(k + 1) * g2 + b] = -V[b][a]
-                    Y[(k + 1) * g2 + a][k * g2 + b] = -V[a][b]
-    T = [[0] * N for _ in range(N)]
-    for k in range(n - 2):
-        for a in range(g2):
-            T[(k + 1) * g2 + a][k * g2 + a] = 1
-    for k in range(n - 1):
-        for a in range(g2):
-            T[k * g2 + a][(n - 2) * g2 + a] = -1
-    return Y, T
-
-
-@lru_cache(maxsize=None)
-def branched_cover(p: int, q: int, n: int) -> CoverHomology:
-    """Homology of the n-fold cyclic branched cover of T(p, q), with its
-    deck action and linking form when every divisor is the prime q.
-
-    The divisors come from the cyclic Alexander module; a zero divisor
-    (infinite homology) is rejected, which catches non-prime-power n, and
-    d or N over ``MAX_PRESENTATION_ROWS`` raises BudgetExceeded; see the
-    module docstring.
-    """
-    if n < 2:
-        raise ValueError("cover degree must be at least 2")
-    check_torus(p, q)
-    d = (p - 1) * (q - 1)
-    if d > MAX_PRESENTATION_ROWS:
-        raise BudgetExceeded(f"the Alexander module of T({p},{q}) has rank {d}, "
-                             f"over the limit of {MAX_PRESENTATION_ROWS}")
-    divisors = elementary_divisors(_norm_multiplication(p, q, n))
-    if 0 in divisors:
-        raise ConventionError(
-            f"singular cover presentation for n={n}"
-            + ("" if prime_power_exponent(n) else " (n is not a prime power)")
-        )
-    torsion = tuple(d for d in divisors if d != 1)
-    module = None
-    if prime_power_exponent(q) == 1 and torsion and all(d == q for d in torsion):
-        rows = (n - 1) * d
-        if rows > MAX_PRESENTATION_ROWS:
-            raise BudgetExceeded(
-                f"the {n}-fold cover of T({p},{q}) has a presentation of {rows} "
-                f"rows, over the limit of {MAX_PRESENTATION_ROWS}"
-            )
-        module = _prime_module(seifert_matrix(p, q), n, q, len(torsion))
-    return CoverHomology(p=p, q=q, n=n, divisors=torsion, order=prod(torsion),
-                         module=module)
-
-
-def _prime_module(V, n: int, r: int, dim: int) -> CoverModule:
-    """The r-torsion of coker Y on a basis of ker(Y mod r), x -> Yx/r."""
-    Y, T = _symmetric_cover_presentation(V, n)
-    basis, pivots = modp.rref(modp.nullspace(Y, r), r)
-    if len(basis) != dim:
-        raise ConventionError(
-            f"ker(Y mod {r}) has dimension {len(basis)}, but the Alexander "
-            f"module has {dim} divisors"
-        )
-
-    def dot(u, v):
-        return sum(map(mul, u, v))
-
-    # lambda(x, z) = x^T Y z / r^2 mod 1, stored times r
-    Yx = [[dot(row, x) for row in Y] for x in basis]
-    gram = []
-    for x in basis:
-        row = []
-        for y in Yx:
-            value, rem = divmod(dot(x, y), r)
-            if rem:
-                raise ConventionError(f"linking value x^T Y z is not divisible by {r}")
-            row.append(value % r)
-        gram.append(tuple(row))
-    # T^T (Yx / r) = Y (T^-1 x) / r: the deck action is the inverse of the
-    # block shift on the kernel, whose coordinates sit at the pivots
-    shift = []
-    for x in basis:
-        y = [dot(row, x) % r for row in T]
-        coords = [y[c] for c in pivots]
-        if list(modp.vec_mat(coords, basis, r)) != y:
-            raise ConventionError(f"the block shift leaves ker(Y mod {r})")
-        shift.append(coords)
-    module = CoverModule(r=r, action=modp.mat_inv(shift, r), gram=tuple(gram))
-    validate_module(module, n)
-    return module
-

@@ -56,7 +56,7 @@ from operator import mul
 
 from mpmath import iv
 
-from sliceguard import modp, seifert, witt
+from sliceguard import modp, presentations, seifert, witt
 from sliceguard.covers import Character, ConventionError, CoverModule, validate_module
 from sliceguard.cyclo import Cyclo, RootOfUnity
 from sliceguard.knots import KnotCombination, check_torus, prime_power_exponent
@@ -227,7 +227,7 @@ def seifert_cover(p: int, q: int, n: int) -> SeifertCover:
     V = seifert.seifert_matrix(p, q)
     circ = _circulant_presentation(V, n)
     circ_div = smith_normal_form(circ.matrix)[0]
-    Y, T = seifert._symmetric_cover_presentation(V, n)
+    Y, T = presentations._symmetric_cover_presentation(V, n)
     divisors, U, Uinv, W = smith_normal_form(Y)
     if 0 in divisors or 0 in circ_div:
         raise ConventionError(f"singular cover presentation for n={n}")
@@ -592,7 +592,7 @@ def product_walk(F) -> list:
 def cover_order_from_alexander(p: int, q: int, n: int) -> int:
     """|prod_{a=1}^{n-1} Delta(xi_n^a)|, the classical order formula for the
     homology of the n-fold branched cover; exact cyclotomic arithmetic."""
-    delta = seifert.alexander_poly(p, q)
+    delta = presentations.alexander_poly(p, q)
     value = Cyclo.one()
     for a in range(1, n):
         value = value * delta.evaluate_root(RootOfUnity.normalized(a, n))

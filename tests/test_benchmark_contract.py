@@ -12,7 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from sliceguard import expr, pipeline, twisted
+from sliceguard import expr, pipeline, seifert, twisted
 from sliceguard.covers import Character
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -106,3 +106,36 @@ def test_import_is_light_and_loads_every_module_perfbench_reads():
     wanted = _modules_perfbench_reads()
     assert {"sliceguard.seifert", "sliceguard.twisted", "sliceguard.witt"} <= wanted
     assert wanted <= loaded, wanted - loaded
+
+
+ROUTES_ON_USE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from sliceguard import expr, pipeline, seifert, twisted
+from sliceguard.covers import Character
+for text in sys.argv[2:]:
+    verdict = pipeline.obstruct(expr.parse(text))
+    assert verdict.kind == "NOT_SLICE", text
+    pipeline.verify_verdict(json.loads(verdict.to_json()))
+routes = {"sliceguard.presentations", "sliceguard.fox"}
+assert not routes & set(sys.modules), routes & set(sys.modules)
+print(seifert.branched_cover(5, 7, 5))
+print(twisted.twisted_alex_surgery(3, 5, Character(5, (1, 2, 2))))
+assert routes <= set(sys.modules), routes - set(sys.modules)
+"""
+
+
+def test_verdicts_leave_the_route_modules_uncompiled():
+    # a verdict and its check need neither the Seifert presentations nor the
+    # Fox calculus, so a fresh process compiles them only when an entry
+    # point that perfbench reads is first called
+    inputs = ["T(2,3;2,5) # -T(2,5) # -T(2,3;2,7) # T(2,7)",
+              "T(3,4;3,13) # -T(3,13) # -T(3,4;3,17) # T(3,17)"]
+    done = subprocess.run([sys.executable, "-S", "-c", ROUTES_ON_USE, str(ROOT / "src"), *inputs],
+                          env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        str(seifert.branched_cover(5, 7, 5)),
+        str(twisted.twisted_alex_surgery(3, 5, Character(5, (1, 2, 2)))),
+    ]

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sliceguard import (covers, knots, laurent, metabolizers, modp, pipeline, seifert, twisted,
-                        witt)
+from sliceguard import (covers, fox, knots, laurent, metabolizers, modp, pipeline, presentations,
+                        seifert, twisted, witt)
 from sliceguard.covers import Character, ConventionError
 from sliceguard.cyclo import normalize_root
 from sliceguard.expr import ParseError, parse
@@ -355,8 +355,9 @@ class TestVerification:
     def test_verdict_path_uses_no_numeric_route(self, monkeypatch):
         # signatures, root isolation, the twisted polynomials, the
         # Seifert-presented cover and the jump table serve only the
-        # inspection commands and the tests: patch every binding of them to
-        # raise, and the verdicts still come out and verify
+        # inspection commands and the tests: patch every binding of them,
+        # and of every definition in their route modules, to raise, and the
+        # verdicts still come out and verify
         def forbidden(*args, **kwargs):
             raise AssertionError("numeric route called on the verdict path")
 
@@ -364,8 +365,11 @@ class TestVerification:
         numeric = (lt_signature, laurent.unit_circle_roots,
                    twisted.twisted_alex_exterior, twisted.twisted_alex_surgery,
                    seifert.seifert_matrix, seifert.branched_cover,
-                   seifert.elementary_divisors, seifert.jump_function,
-                   seifert._jump_function_cached)
+                   seifert.jump_function, seifert._jump_function_cached)
+        numeric += tuple(value for module in (fox, presentations)
+                         for value in vars(module).values()
+                         if callable(value) and getattr(value, "__module__", None) == module.__name__)
+        assert presentations.elementary_divisors in numeric and fox._det in numeric
         for name, module in list(sys.modules.items()):
             if name == "sliceguard" or name.startswith("sliceguard."):
                 for attr, value in list(vars(module).items()):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from sliceguard import covers, modp, seifert
+from sliceguard import covers, modp, presentations, seifert
 from sliceguard.cyclo import normalize_root
 from sliceguard.laurent import LaurentPoly, unit_circle_roots
 
@@ -83,18 +83,18 @@ class TestAlexander:
         # the closed form alexander_poly reads, both against sympy's det
         V = seifert.seifert_matrix(p, q)
         ref = _normalize_int_poly(_sympy_seifert_det_oracle(V))
-        bareiss = seifert._poly_det([[seifert._poly_trim([V[i][j], -V[j][i]])
+        bareiss = presentations._poly_det([[presentations._poly_trim([V[i][j], -V[j][i]])
                                       for j in range(len(V))] for i in range(len(V))])
         assert _normalize_int_poly(bareiss) == ref
         got = _normalize_int_poly(
-            [c.to_fraction() for c in seifert.alexander_poly(p, q).coeffs]
+            [c.to_fraction() for c in presentations.alexander_poly(p, q).coeffs]
         )
         assert got == ref or got == ref[::-1]
 
     def test_small_cases(self):
-        assert seifert.alexander_poly(2, 3) == LaurentPoly.from_ints([1, -1, 1])
-        assert seifert.alexander_poly(2, 5) == LaurentPoly.from_ints([1, -1, 1, -1, 1])
-        assert seifert.alexander_poly(3, 2) == seifert.alexander_poly(2, 3)
+        assert presentations.alexander_poly(2, 3) == LaurentPoly.from_ints([1, -1, 1])
+        assert presentations.alexander_poly(2, 5) == LaurentPoly.from_ints([1, -1, 1, -1, 1])
+        assert presentations.alexander_poly(3, 2) == presentations.alexander_poly(2, 3)
 
     @pytest.mark.parametrize("p,q", [(2, 3), (2, 5), (3, 4), (3, 5)])
     def test_root_characterization(self, p, q):
@@ -109,7 +109,7 @@ class TestAlexander:
 
     @pytest.mark.parametrize("p,q", CLOSED_FORM_PAIRS)
     def test_closed_form_roots_match_root_isolation(self, p, q):
-        isolated = unit_circle_roots(seifert.alexander_poly(p, q), {p * q})
+        isolated = unit_circle_roots(presentations.alexander_poly(p, q), {p * q})
         assert oracles.alexander_roots(p, q) == isolated
 
 
@@ -325,8 +325,8 @@ def test_poly_bareiss_matches_sympy(rows):
     ref = sympy.Poly(dM.domain.to_sympy(dM.det()), t).all_coeffs()[::-1]
     while ref and ref[-1] == 0:
         ref.pop()
-    trimmed = [[seifert._poly_trim(list(entry)) for entry in row] for row in rows]
-    assert seifert._poly_det(trimmed) == ref
+    trimmed = [[presentations._poly_trim(list(entry)) for entry in row] for row in rows]
+    assert presentations._poly_det(trimmed) == ref
 
 
 ACCEPTANCE_COVERS = [
@@ -341,7 +341,7 @@ def test_linking_form_matches_fraction_inverse_route(p, q, n):
     # the oracle's gram read off W D^-1 equals u^T Y^-1 v with Y inverted
     # over Q, and the tracked Uinv equals the rational inverse of U
     cover = oracles.seifert_cover(p, q, n)
-    Y, _ = seifert._symmetric_cover_presentation(seifert.seifert_matrix(p, q), n)
+    Y, _ = presentations._symmetric_cover_presentation(seifert.seifert_matrix(p, q), n)
     divisors, U, Uinv, _ = oracles.smith_normal_form(Y)
     assert [list(map(Fraction, row)) for row in Uinv] == _fraction_inverse(U)
     if cover.module is None:
@@ -367,7 +367,7 @@ def test_linking_form_matches_fraction_inverse_route(p, q, n):
 @given(_int_matrices())
 @settings(max_examples=150, deadline=None)
 def test_elementary_divisors_match_the_tracked_route(A):
-    assert seifert.elementary_divisors(A) == oracles.smith_normal_form(A)[0]
+    assert presentations.elementary_divisors(A) == oracles.smith_normal_form(A)[0]
 
 
 # every (p, q, n) with p <= 5, q <= 13 and n <= 5 whose Smith route takes

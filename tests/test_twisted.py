@@ -5,18 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sliceguard import twisted
+from sliceguard import fox
 from sliceguard.covers import Character, characters
 from sliceguard.cyclo import Cyclo, normalize_root
 from sliceguard.laurent import LaurentPoly, RationalFn, unit_circle_roots
-from sliceguard.twisted import (
-    TorusRep,
-    fox_derivative,
-    rep_images,
-    twisted_alex_exterior,
-    twisted_alex_surgery,
-    word,
-)
+from sliceguard.fox import TorusRep, fox_derivative, word
+from sliceguard.twisted import rep_images, twisted_alex_exterior, twisted_alex_surgery
 
 from oracles import reduced_fraction
 
@@ -161,16 +155,16 @@ class TestRepresentation:
         p, q, chi, e = case
         rep = TorusRep(p, q, chi)
         bases = [
-            (twisted._monomial_companion(p, 1), _companion(p)),
-            (twisted._monomial_companion(p, -1), _companion_inv(p)),
+            (fox._monomial_companion(p, 1), _companion(p)),
+            (fox._monomial_companion(p, -1), _companion_inv(p)),
             (rep.images[(2, 1)], _diagonal(chi, 1)),
             (rep.images[(2, -1)], _diagonal(chi, -1)),
         ]
         for mono, dense in bases:
-            assert twisted._dense(mono, q) == dense
-            assert twisted._dense(twisted._mono_pow(mono, e, q), q) == _mat_pow(dense, e)
-        assert twisted._dense(rep.images[(1, 1)], q) == _mat_pow(_companion(p), q)
-        assert twisted._dense(rep.images[(1, -1)], q) == _mat_pow(_companion_inv(p), q)
+            assert fox._dense(mono, q) == dense
+            assert fox._dense(fox._mono_pow(mono, e, q), q) == _mat_pow(dense, e)
+        assert fox._dense(rep.images[(1, 1)], q) == _mat_pow(_companion(p), q)
+        assert fox._dense(rep.images[(1, -1)], q) == _mat_pow(_companion_inv(p), q)
 
     @pytest.mark.parametrize("p,q", [(2, 3), (3, 4), (4, 9), (5, 6), (6, 7)])
     def test_images_print_as_dense_powers(self, p, q):
@@ -186,7 +180,7 @@ class TestRepresentation:
             for perm in itertools.permutations(range(n)):
                 rows = [[one if perm[i] == j else zero for j in range(n)] for i in range(n)]
                 inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-                assert twisted._det(rows) == (-1) ** inversions
+                assert fox._det(rows) == (-1) ** inversions
 
 
 class TestTwistedPolynomials:
@@ -276,17 +270,17 @@ class TestReduction:
 
     @pytest.mark.parametrize("p,q", [(2, 5), (3, 7), (4, 3)])
     def test_fox_numerator_is_checked_up_to_units(self, p, q, monkeypatch):
-        real = twisted._fox_numerator(p, q)
+        real = fox._fox_numerator(p, q)
         expected = [str(twisted_alex_exterior(p, q, chi)) for chi in characters(p, q)]
 
-        def run(fox):
-            monkeypatch.setattr(twisted, "_fox_numerator", lambda p, q: fox)
-            twisted._closed_numerator.cache_clear()
+        def run(numerator):
+            monkeypatch.setattr(fox, "_fox_numerator", lambda p, q: numerator)
+            fox._closed_numerator.cache_clear()
             twisted_alex_exterior.cache_clear()
             try:
                 return [str(twisted_alex_exterior(p, q, chi)) for chi in characters(p, q)]
             finally:
-                twisted._closed_numerator.cache_clear()
+                fox._closed_numerator.cache_clear()
                 twisted_alex_exterior.cache_clear()
 
         # a unit, such as the sign a determinant convention gives, is allowed
@@ -297,8 +291,8 @@ class TestReduction:
             run(real.scale(2) + LaurentPoly.one())
 
     def test_denominator_is_checked(self, monkeypatch):
-        twisted._closed_numerator(3, 5)  # the numerator check passes first
-        monkeypatch.setattr(twisted, "_det", lambda rows: LaurentPoly.from_ints([1, 1]))
+        fox._closed_numerator(3, 5)  # the numerator check passes first
+        monkeypatch.setattr(fox, "_det", lambda rows: LaurentPoly.from_ints([1, 1]))
         twisted_alex_exterior.cache_clear()
         try:
             with pytest.raises(ArithmeticError):
@@ -310,7 +304,7 @@ class TestReduction:
         # the reduced closed form is shared by (1, 2, 2) and its
         # permutations, but the Fox denominator check is not
         twisted_alex_exterior(3, 5, Character(5, (1, 2, 2)))
-        monkeypatch.setattr(twisted, "_det", lambda rows: LaurentPoly.from_ints([1, 1]))
+        monkeypatch.setattr(fox, "_det", lambda rows: LaurentPoly.from_ints([1, 1]))
         twisted_alex_exterior.cache_clear()
         try:
             with pytest.raises(ArithmeticError):
@@ -341,7 +335,7 @@ def test_polynomials_depend_only_on_the_value_multiset(case):
         return str(twisted_alex_exterior(p, q, c)), str(twisted_alex_surgery(p, q, c))
 
     first, second = both(chi), both(permuted)
-    for fn in (twisted_alex_exterior, twisted_alex_surgery, twisted._closed_form,
-               twisted._closed_numerator, twisted._fox_numerator):
+    for fn in (twisted_alex_exterior, twisted_alex_surgery, fox._closed_form,
+               fox._closed_numerator, fox._fox_numerator):
         fn.cache_clear()
     assert first == second == both(permuted)

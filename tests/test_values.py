@@ -14,7 +14,7 @@ from sliceguard.knots import IndexSets, IteratedTorusKnot, NormalForm
 from sliceguard.metabolizers import (CharacterChoice, FormSpace, Isometry, NotAGraph,
                                      NotSimplifiedWitness)
 from sliceguard.pipeline import Certificate, Decomposition, Options, Verdict, verify_verdict
-from sliceguard.seifert import CoverHomology
+from sliceguard.presentations import CoverHomology
 from sliceguard.witt import Classical, Twisted, WittClass
 
 CHI = Character(5, (1, 3, 1))

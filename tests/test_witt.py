@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sliceguard import covers, seifert
+from sliceguard import covers, presentations, seifert
 from sliceguard.covers import Character
 from sliceguard.cyclo import normalize_root
 from sliceguard.laurent import LaurentPoly, unit_circle_roots
@@ -30,7 +30,7 @@ def C(p, q, num=0, den=1, power=1, coeff=1):
 
 def _classical_order(atom):
     """Delta_{T(p,q)}(xi^twist * t^power), the order the support summarises."""
-    return substitute(seifert.alexander_poly(atom.p, atom.q), atom.twist, atom.power)
+    return substitute(presentations.alexander_poly(atom.p, atom.q), atom.twist, atom.power)
 
 
 def _isolated_support(orders, *polys):
