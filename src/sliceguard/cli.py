@@ -60,6 +60,20 @@ def _prime(text: str) -> int:
     return value
 
 
+def _point(text: str) -> Fraction:
+    """A rational point a or a/b, each of a and b below 2**31 in size like
+    every integer the parser takes, and b nonzero; anything else is an
+    input error, before any work."""
+    parts = text.removeprefix("-").split("/")
+    if len(parts) <= 2 and all(part.isascii() and part.isdigit() and len(part) <= 10
+                               and int(part) < 2**31 for part in parts):
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            pass
+    raise ValueError(f"{text!r} is not a rational point")
+
+
 def _options(args) -> pipeline.Options:
     return pipeline.Options(r=args.r, budget=args.budget)
 
@@ -142,7 +156,11 @@ def _cmd_alex(args) -> int:
 
 
 def _parse_character(text: str, r: int) -> Character:
-    values = tuple(int(v) % r for v in text.split(","))
+    try:
+        values = tuple(int(v) % r for v in text.split(","))
+    except ValueError:
+        raise ValueError(
+            f"character values must be comma-separated integers, got {text!r}") from None
     return Character(r, values)
 
 
@@ -225,10 +243,7 @@ def _cmd_signature(args) -> int:
     if args.x is None:
         print("a rational point or --jumps is required", file=sys.stderr)
         return 1
-    try:
-        x = Fraction(args.x)
-    except ZeroDivisionError:
-        raise ValueError(f"{args.x!r} is not a rational point") from None
+    x = _point(args.x)
     sig = seifert.lt_signature(args.p, args.q, x)
     if args.json:
         print(json.dumps({"p": args.p, "q": args.q, "x": str(x), "signature": sig}))

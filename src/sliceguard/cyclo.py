@@ -13,15 +13,18 @@ the product of the other Galois conjugates over the rational norm, read
 off the conductor's table of powers of zeta, so no polynomial arithmetic
 over Q is needed.  ``int_poly_div_exact`` is the package's one exact
 division in Z[t]; it builds the cyclotomic polynomials here and checks the
-Bareiss elimination in ``seifert``.
+Bareiss elimination in ``presentations``.  Roots of unity themselves are
+``knots.RootOfUnity``, a value class the verdict path uses without loading
+this module; ``Cyclo.from_root`` embeds one.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+
+from .knots import RootOfUnity
 
 
 def euler_phi(n: int) -> int:
@@ -130,59 +133,6 @@ def _lcm(a: int, b: int) -> int:
     return a // gcd(a, b) * b
 
 
-class RootOfUnity(namedtuple("RootOfUnity", "frac")):
-    """The point e^(2*pi*i*k/N) on the unit circle, as a reduced fraction.
-
-    Multiplication of roots is addition of fractions mod 1.  Like every
-    value class of the package it is a namedtuple: immutable, hashed and
-    ordered as its field tuple.
-
-    >>> RootOfUnity.normalized(2, 6)
-    RootOfUnity(1/3)
-    >>> RootOfUnity.normalized(1, 3) * RootOfUnity.normalized(1, 2)
-    RootOfUnity(5/6)
-    """
-
-    __slots__ = ()
-
-    @staticmethod
-    def normalized(k: int, n: int) -> "RootOfUnity":
-        if n < 1:
-            raise ValueError("root order must be positive")
-        return RootOfUnity(Fraction(k, n) % 1)
-
-    @staticmethod
-    def one() -> "RootOfUnity":
-        return RootOfUnity(Fraction(0, 1))
-
-    @property
-    def order(self) -> int:
-        return self.frac.denominator
-
-    @property
-    def numer(self) -> int:
-        return self.frac.numerator
-
-    def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        return RootOfUnity((self.frac + other.frac) % 1)
-
-    def __pow__(self, e: int) -> "RootOfUnity":
-        return RootOfUnity((self.frac * e) % 1)
-
-    def inverse(self) -> "RootOfUnity":
-        return RootOfUnity((-self.frac) % 1)
-
-    def as_cyclo(self) -> "Cyclo":
-        n = self.order
-        return Cyclo(n, _conductor(n).power[self.numer % n], 1)
-
-    def __repr__(self):
-        return f"RootOfUnity({self.frac})"
-
-    def __str__(self):
-        return f"{self.numer}/{self.order}"
-
-
 def normalize_root(k: int, n: int) -> RootOfUnity:
     """Reduced representative of k/N mod 1; e.g. (9, 6) -> 1/2."""
     return RootOfUnity.normalized(k, n)
@@ -220,6 +170,11 @@ class Cyclo:
         return Cyclo(1, (f.numerator,), f.denominator)
 
     @staticmethod
+    def from_root(root: RootOfUnity) -> "Cyclo":
+        n = root.order
+        return Cyclo(n, _conductor(n).power[root.numer % n], 1)
+
+    @staticmethod
     def zero() -> "Cyclo":
         return Cyclo(1, (0,), 1)
 
@@ -255,7 +210,7 @@ class Cyclo:
         if isinstance(x, (int, Fraction)):
             return Cyclo.from_fraction(x)
         if isinstance(x, RootOfUnity):
-            return x.as_cyclo()
+            return Cyclo.from_root(x)
         return NotImplemented
 
     # -- predicates --------------------------------------------------------

@@ -108,7 +108,7 @@ def _dense(M: Monomial, q: int) -> list[list[LaurentPoly]]:
     reduced root xi^a, so its conductor is the order of a/q."""
     out = [[LaurentPoly.zero()] * len(M) for _ in M]
     for i, (c, a, k) in enumerate(M):
-        out[i][c] = LaurentPoly(k, [RootOfUnity.normalized(a, q).as_cyclo()])
+        out[i][c] = LaurentPoly(k, [Cyclo.from_root(RootOfUnity.normalized(a, q))])
     return out
 
 
@@ -217,7 +217,8 @@ def _closed_form(p: int, q: int, values: tuple) -> tuple[LaurentPoly, RationalFn
     """
     den = LaurentPoly.one()
     for a in values:
-        den = den * LaurentPoly(0, [Cyclo.from_fraction(-1), RootOfUnity.normalized(a, q).as_cyclo()])
+        z = Cyclo.from_root(RootOfUnity.normalized(a, q))
+        den = den * LaurentPoly(0, [Cyclo.from_fraction(-1), z])
     num, red = _closed_numerator(p, q), den
     for a in sorted(set(values)):
         root = RootOfUnity.normalized(-a, q)

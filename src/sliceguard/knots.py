@@ -8,12 +8,15 @@ sum), all sharing the same p; the empty combination stands for the unknot.
 The torus-knot summands of the s-th companion level drive the algebraic
 sliceness test: a combination is algebraically slice exactly when every
 level cancels completely, which reduces the decision to bookkeeping on
-the cabling sequences.
+the cabling sequences.  ``RootOfUnity``, the twist of a Blanchfield
+atom, is a value class here too, so that the verdict path never loads the
+cyclotomic arithmetic of ``cyclo``.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from fractions import Fraction
 from math import gcd
 
 
@@ -39,6 +42,55 @@ def check_torus(p: int, q: int) -> None:
         raise ValueError(
             f"T({p},{q}) is not a torus knot: p and q must be at least 2 and coprime"
         )
+
+
+class RootOfUnity(namedtuple("RootOfUnity", "frac")):
+    """The point e^(2*pi*i*k/N) on the unit circle, as a reduced fraction.
+
+    Multiplication of roots is addition of fractions mod 1.  Like every
+    value class of the package it is a namedtuple: immutable, hashed and
+    ordered as its field tuple.
+
+    >>> RootOfUnity.normalized(2, 6)
+    RootOfUnity(1/3)
+    >>> RootOfUnity.normalized(1, 3) * RootOfUnity.normalized(1, 2)
+    RootOfUnity(5/6)
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def normalized(k: int, n: int) -> "RootOfUnity":
+        if n < 1:
+            raise ValueError("root order must be positive")
+        return RootOfUnity(Fraction(k, n) % 1)
+
+    @staticmethod
+    def one() -> "RootOfUnity":
+        return RootOfUnity(Fraction(0, 1))
+
+    @property
+    def order(self) -> int:
+        return self.frac.denominator
+
+    @property
+    def numer(self) -> int:
+        return self.frac.numerator
+
+    def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
+        return RootOfUnity((self.frac + other.frac) % 1)
+
+    def __pow__(self, e: int) -> "RootOfUnity":
+        return RootOfUnity((self.frac * e) % 1)
+
+    def inverse(self) -> "RootOfUnity":
+        return RootOfUnity((-self.frac) % 1)
+
+    def __repr__(self):
+        return f"RootOfUnity({self.frac})"
+
+    def __str__(self):
+        return f"{self.numer}/{self.order}"
 
 
 class IteratedTorusKnot(namedtuple("IteratedTorusKnot", "p qs")):

@@ -219,13 +219,13 @@ class LaurentPoly:
         return acc
 
     def evaluate_root(self, root: RootOfUnity) -> Cyclo:
-        return self.evaluate(root.as_cyclo())
+        return self.evaluate(Cyclo.from_root(root))
 
     # -- division ----------------------------------------------------------
 
     def divide_linear(self, root: RootOfUnity) -> "LaurentPoly":
         """Exact division by (t - root); raises if root is not a root."""
-        z = root.as_cyclo()
+        z = Cyclo.from_root(root)
         n = len(self.coeffs)
         if n == 0:
             raise ArithmeticError("dividing the zero polynomial")

@@ -60,8 +60,8 @@ from functools import lru_cache
 
 from . import covers, knots, metabolizers, witt
 from .covers import Character
-from .cyclo import RootOfUnity
-from .knots import IndexSets, KnotCombination, NormalForm, index_sets, prime_power_exponent
+from .knots import (IndexSets, KnotCombination, NormalForm, RootOfUnity, index_sets,
+                    prime_power_exponent)
 from .metabolizers import DEFAULT_BUDGET, BudgetExceeded, FormSpace, NotSimplifiedWitness
 from .modp import Subspace
 from .witt import Classical, Twisted, WittClass

@@ -5,6 +5,9 @@ Fox calculus on the relator (a determinant quotient) and once from the
 closed product formula.  The two numerators must agree up to units, and so
 must the two denominators, for every character.  Both routes are in
 ``fox``, which each entry point here imports on a call or a cache miss.
+``laurent`` is imported the same way by ``twisted_alex_exterior``, the one
+function that builds a polynomial itself; ``RationalFn`` appears here only
+in annotations.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .covers import Character
-from .laurent import LaurentPoly, RationalFn
 
 
 def rep_images(p: int, q: int, chi: Character):
@@ -38,6 +40,7 @@ def twisted_alex_exterior(p: int, q: int, chi: Character) -> RationalFn:
     bookkeeping once per multiset of values (``_closed_form``).
     """
     from .fox import TorusRep, _closed_form, _closed_numerator, _dense, _det, _disagree
+    from .laurent import LaurentPoly
     _closed_numerator(p, q)  # the numerator check, whether or not _closed_form is cached
     c2 = _dense(TorusRep(p, q, chi).images[(2, 1)], q)
     for i in range(p):

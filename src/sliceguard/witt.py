@@ -35,8 +35,15 @@ from fractions import Fraction
 from math import lcm
 
 from . import seifert
-# unused here: perfbench/spans.py wraps witt.unit_circle_roots by this name
-from .laurent import unit_circle_roots  # noqa: F401
+
+
+def __getattr__(name):
+    # unused here: perfbench/spans.py wraps witt.unit_circle_roots by this
+    # name, so laurent loads when the name is first asked for, not before
+    if name == "unit_circle_roots":
+        from .laurent import unit_circle_roots
+        return unit_circle_roots
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class Classical(namedtuple("Classical", "p q twist power coefficient", defaults=(1,))):

@@ -382,8 +382,8 @@ def exact_signature(V, x: Fraction) -> int:
     """Exact route: characteristic polynomial over the cyclotomic field,
     certified coefficient signs, Descartes count (exact for real spectra)."""
     size = len(V)
-    w = RootOfUnity(x).as_cyclo()
-    wbar = RootOfUnity(x).inverse().as_cyclo()
+    w = Cyclo.from_root(RootOfUnity(x))
+    wbar = Cyclo.from_root(RootOfUnity(x).inverse())
     one = Cyclo.one()
     a = one - w
     b = one - wbar
@@ -525,7 +525,7 @@ def substitute(f: LaurentPoly, c: RootOfUnity, m: int) -> LaurentPoly:
     out = [Cyclo.zero()] * (m * (len(f.coeffs) - 1) + 1)
     for i, a in enumerate(f.coeffs):
         if not a.is_zero():
-            out[m * i] = a * (c ** (f.low + i)).as_cyclo()
+            out[m * i] = a * Cyclo.from_root(c ** (f.low + i))
     return LaurentPoly(m * f.low, out)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from sliceguard import covers, knots, modp, pipeline, seifert
-from sliceguard.cyclo import normalize_root
+from sliceguard.cyclo import Cyclo, normalize_root
 from sliceguard.expr import parse
 from sliceguard.laurent import LaurentPoly, RationalFn
 from sliceguard.metabolizers import (
@@ -92,8 +92,8 @@ def test_criterion_01_and_02_two_route_twisted_polynomials():
                     for a in chi.values:
                         den = den * LaurentPoly(
                             0,
-                            [normalize_root(0, 1).as_cyclo() * -1,
-                             normalize_root(a, q).as_cyclo()],
+                            [Cyclo.from_root(normalize_root(0, 1)) * -1,
+                             Cyclo.from_root(normalize_root(a, q))],
                         )
                     assert (sur.num * den).eq_up_to_units(
                         num * sur.den

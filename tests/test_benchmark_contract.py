@@ -1,9 +1,8 @@
 """The benchmark in perfbench/ reads sliceguard from outside: it checks
 verdict digests against perfbench/expected.json and wraps functions by
-name.  These tests keep the package to that contract; they only read
-perfbench/."""
+name.  These tests keep the package to that contract, and its lazily
+resolved public names working; they only read perfbench/."""
 
-import ast
 import hashlib
 import importlib.util
 import json
@@ -81,20 +80,7 @@ def test_worker_caches_and_spans_resolve():
     assert done.returncode == 0, done.stderr
 
 
-def _modules_perfbench_reads() -> set:
-    """The sliceguard modules that worker.CACHED reads from sys.modules and
-    that spans.install imports."""
-    names = {dotted.split(".")[0] for dotted in _load("worker").CACHED}
-    tree = ast.parse((PERFBENCH / "spans.py").read_text())
-    install = next(node for node in tree.body
-                   if isinstance(node, ast.FunctionDef) and node.name == "install")
-    names |= {alias.name for node in ast.walk(install)
-              if isinstance(node, ast.ImportFrom) and node.module == "sliceguard"
-              for alias in node.names}
-    return {f"sliceguard.{name}" for name in names}
-
-
-def test_import_is_light_and_loads_every_module_perfbench_reads():
+def test_import_is_light_and_loads_the_modules_the_worker_reads():
     # every command and every benchmark worker is a fresh process that pays
     # for the import; without site, nothing but sliceguard loads modules
     code = "import sys; sys.path.insert(0, sys.argv[1]); import sliceguard; print(*sys.modules)"
@@ -103,9 +89,42 @@ def test_import_is_light_and_loads_every_module_perfbench_reads():
     assert done.returncode == 0, done.stderr
     loaded = set(done.stdout.split())
     assert not loaded & {"dataclasses", "inspect", "ast", "dis"}
-    wanted = _modules_perfbench_reads()
-    assert {"sliceguard.seifert", "sliceguard.twisted", "sliceguard.witt"} <= wanted
-    assert wanted <= loaded, wanted - loaded
+    # the worker reads its caches from sys.modules right after the import;
+    # spans.install imports every other module it wraps itself
+    cached = {f"sliceguard.{dotted.split('.')[0]}" for dotted in _load("worker").CACHED}
+    assert {"sliceguard.seifert", "sliceguard.twisted"} <= cached
+    assert cached <= loaded, cached - loaded
+    # the cyclotomic and Laurent arithmetic serve only twisted polynomials
+    # and the inspection commands
+    assert not loaded & {"sliceguard.cyclo", "sliceguard.laurent", "mpmath"}
+
+
+PUBLIC_NAMES = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import sliceguard
+lazy = {"Cyclo", "normalize_root", "LaurentPoly", "RationalFn", "unit_circle_roots"}
+assert lazy <= set(dir(sliceguard)), lazy - set(dir(sliceguard))
+assert not hasattr(sliceguard, "nope")
+for name in sliceguard.__all__:
+    getattr(sliceguard, name)
+namespace = {}
+exec("from sliceguard import *", namespace)
+assert set(sliceguard.__all__) <= set(namespace)
+from sliceguard import cyclo, knots, laurent, witt
+assert sliceguard.Cyclo is cyclo.Cyclo
+assert sliceguard.normalize_root is cyclo.normalize_root
+assert sliceguard.LaurentPoly is laurent.LaurentPoly
+assert sliceguard.RootOfUnity is cyclo.RootOfUnity is knots.RootOfUnity
+assert witt.unit_circle_roots is laurent.unit_circle_roots
+"""
+
+
+def test_public_names_resolve_with_cyclo_and_laurent_loaded_on_use():
+    done = subprocess.run([sys.executable, "-S", "-c", PUBLIC_NAMES, str(ROOT / "src")],
+                          env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 ROUTES_ON_USE = """
@@ -117,18 +136,19 @@ for text in sys.argv[2:]:
     verdict = pipeline.obstruct(expr.parse(text))
     assert verdict.kind == "NOT_SLICE", text
     pipeline.verify_verdict(json.loads(verdict.to_json()))
-routes = {"sliceguard.presentations", "sliceguard.fox"}
-assert not routes & set(sys.modules), routes & set(sys.modules)
+on_use = {"sliceguard.presentations", "sliceguard.fox", "sliceguard.cyclo", "sliceguard.laurent"}
+assert not on_use & set(sys.modules), on_use & set(sys.modules)
 print(seifert.branched_cover(5, 7, 5))
 print(twisted.twisted_alex_surgery(3, 5, Character(5, (1, 2, 2))))
-assert routes <= set(sys.modules), routes - set(sys.modules)
+assert on_use <= set(sys.modules), on_use - set(sys.modules)
 """
 
 
 def test_verdicts_leave_the_route_modules_uncompiled():
     # a verdict and its check need neither the Seifert presentations nor the
-    # Fox calculus, so a fresh process compiles them only when an entry
-    # point that perfbench reads is first called
+    # Fox calculus, nor the cyclotomic and Laurent arithmetic under them, so
+    # a fresh process compiles them only when an entry point that perfbench
+    # reads is first called
     inputs = ["T(2,3;2,5) # -T(2,5) # -T(2,3;2,7) # T(2,7)",
               "T(3,4;3,13) # -T(3,13) # -T(3,4;3,17) # T(3,17)"]
     done = subprocess.run([sys.executable, "-S", "-c", ROUTES_ON_USE, str(ROOT / "src"), *inputs],

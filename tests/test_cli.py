@@ -296,6 +296,12 @@ def test_signature_at_a_large_index():
     assert json.loads(done.stdout)["signature"] == -2 * (5 * LARGE_Q // 6 - LARGE_Q // 2)
 
 
+def test_signature_point_with_a_huge_exponent_is_refused_at_once():
+    # Fraction("1e-100000000") ran past 20 s building 10**100000000
+    done = _child("signature", "3", "4", "1e-100000000", timeout=10)
+    _one_line_refusal(done, 1, "error: '1e-100000000' is not a rational point")
+
+
 def test_homology_large_rank_refused_before_the_smith_form():
     # d = 3000: the d x d Smith form once ran first, for seconds growing with q
     done = _child("homology", "2", "3001", "3", timeout=10)
@@ -461,6 +467,16 @@ def test_usage_errors_exit_1_with_one_line(capsys, argv):
     (["obstruct", J2, "--r", "-5"], "--r"),
     (["obstruct", J2, "--r", "4"], "--r"),
     (["obstruct", J2, "--r", "1000000000000000003"], "--r"),  # prime, but no trial division
+    # Fraction built 10**100000000 for the first, and refused the second
+    # only after parsing it, with Python's integer-conversion limit
+    (["signature", "3", "4", "1e-100000000"], "'1e-100000000' is not a rational point"),
+    (["signature", "3", "4", "1e-1000000"], "'1e-1000000' is not a rational point"),
+    (["signature", "3", "4", "abc"], "'abc' is not a rational point"),
+    (["signature", "3", "4", "0.5"], "'0.5' is not a rational point"),
+    (["signature", "3", "4", "2147483648/3"], "'2147483648/3' is not a rational point"),
+    (["talex", "3", "5", "a,b,c"],
+     "character values must be comma-separated integers, got 'a,b,c'"),
+    (["talex", "3", "5", ""], "character values must be comma-separated integers, got ''"),
 ])
 def test_bad_bounds_and_points_are_input_errors(capsys, monkeypatch, argv, needle):
     # each is refused before any work, as one line with exit 1
@@ -471,6 +487,7 @@ def test_bad_bounds_and_points_are_input_errors(capsys, monkeypatch, argv, needl
         monkeypatch.setattr(pipeline, name, no_work)
     monkeypatch.setattr(metabolizers, "enumerate_invariant_metabolizers", no_work)
     monkeypatch.setattr(seifert, "lt_signature", no_work)
+    monkeypatch.setattr(cli, "twisted_alex_exterior", no_work)
     try:
         code = main(argv)
     except SystemExit as exc:

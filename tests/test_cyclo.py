@@ -62,7 +62,7 @@ def test_cyclotomic_product_is_t_n_minus_1():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 12, 30])
 def test_root_embedding_matches_numeric(n):
     for k in range(n):
-        z = normalize_root(k, n).as_cyclo()
+        z = Cyclo.from_root(normalize_root(k, n))
         expect = complex(mpmath.exp(2j * mpmath.pi * k / n))
         assert abs(numeric(z) - expect) < 1e-9
 
@@ -118,16 +118,16 @@ def test_inverse(case):
 
 
 def test_cross_conductor_equality():
-    z6sq = normalize_root(2, 6).as_cyclo()
-    z3 = normalize_root(1, 3).as_cyclo()
+    z6sq = Cyclo.from_root(normalize_root(2, 6))
+    z3 = Cyclo.from_root(normalize_root(1, 3))
     assert z6sq == z3
-    assert normalize_root(3, 6).as_cyclo() == Cyclo.from_fraction(-1)
+    assert Cyclo.from_root(normalize_root(3, 6)) == Cyclo.from_fraction(-1)
 
 
 def test_hash_agrees_with_equality_across_conductors():
-    z3 = normalize_root(1, 3).as_cyclo()
+    z3 = Cyclo.from_root(normalize_root(1, 3))
     lifted = z3._lift(6)
-    minus_one = normalize_root(1, 2).as_cyclo()
+    minus_one = Cyclo.from_root(normalize_root(1, 2))
     detour = z3 * minus_one * minus_one  # comes out at conductor 6
     assert lifted.n == detour.n == 6
     for other in (lifted, detour):
@@ -145,7 +145,7 @@ def test_hash_survives_lifting(n, k, coeffs):
 
 
 def test_certified_sign():
-    z = normalize_root(1, 5).as_cyclo()
+    z = Cyclo.from_root(normalize_root(1, 5))
     # 2*cos(2*pi/5) = z + z^-1 > 0
     assert certified_sign(z + z**-1) == 1
     # 2*cos(4*pi/5) < 0
@@ -160,6 +160,6 @@ def test_certified_sign():
 
 
 def test_rendering():
-    z = normalize_root(1, 5).as_cyclo()
+    z = Cyclo.from_root(normalize_root(1, 5))
     x = z * Fraction(1, 2) + 2
     assert str(x) == "2 + 1/2*z5"

@@ -66,7 +66,7 @@ def _companion_inv(p):
 def _diagonal(chi, sign):
     """t^sign * diag(xi^(sign * a_i))."""
     p, q = chi.p, chi.r
-    return [[LaurentPoly(sign, [normalize_root(sign * a, q).as_cyclo()]) if i == j
+    return [[LaurentPoly(sign, [Cyclo.from_root(normalize_root(sign * a, q))]) if i == j
              else LaurentPoly.zero() for j in range(p)] for i, a in enumerate(chi.values)]
 
 
@@ -75,7 +75,7 @@ def _closed_form(p, q, chi):
     num = (LaurentPoly.one() - LaurentPoly.from_ints([1], q)) ** (p - 1)
     den = LaurentPoly.one()
     for a in chi.values:
-        den = den * LaurentPoly(0, [Cyclo.from_fraction(-1), normalize_root(a, q).as_cyclo()])
+        den = den * LaurentPoly(0, [Cyclo.from_fraction(-1), Cyclo.from_root(normalize_root(a, q))])
     return num, den
 
 
@@ -134,7 +134,7 @@ class TestRepresentation:
         chi = Character(3, (1, 2))
         c1, c2 = rep_images(2, 3, chi)
         t = LaurentPoly.t()
-        z3 = normalize_root(1, 3).as_cyclo()
+        z3 = Cyclo.from_root(normalize_root(1, 3))
         assert c1[0][0].is_zero() and c1[0][1] == t
         assert c1[1][0] == t * t and c1[1][1].is_zero()
         assert c2[0][0] == LaurentPoly(1, [z3])
@@ -218,7 +218,7 @@ class TestTwistedPolynomials:
         den = LaurentPoly.one()
         for a in (1, 4):
             den = den * LaurentPoly(
-                0, [-1 + 0 * normalize_root(a, 5).as_cyclo(), normalize_root(a, 5).as_cyclo()]
+                0, [-1 + 0 * Cyclo.from_root(normalize_root(a, 5)), Cyclo.from_root(normalize_root(a, 5))]
             )
         den = den * LaurentPoly.from_ints([-1, 1])
         assert out.eq_up_to_units(RationalFn(num, den))

@@ -9,8 +9,7 @@ import pytest
 
 from sliceguard import metabolizers
 from sliceguard.covers import Character, CoverModule
-from sliceguard.cyclo import RootOfUnity
-from sliceguard.knots import IndexSets, IteratedTorusKnot, NormalForm
+from sliceguard.knots import IndexSets, IteratedTorusKnot, NormalForm, RootOfUnity
 from sliceguard.metabolizers import (CharacterChoice, FormSpace, Isometry, NotAGraph,
                                      NotSimplifiedWitness)
 from sliceguard.pipeline import Certificate, Decomposition, Options, Verdict, verify_verdict

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sliceguard import covers, presentations, seifert
 from sliceguard.covers import Character
-from sliceguard.cyclo import normalize_root
+from sliceguard.cyclo import Cyclo, normalize_root
 from sliceguard.laurent import LaurentPoly, unit_circle_roots
 from sliceguard.twisted import twisted_alex_surgery
 from sliceguard.witt import (
@@ -61,7 +61,7 @@ class TestOrders:
 
     def test_classical_twisted(self):
         out = _classical_order(C(2, 3, 1, 3))
-        z3 = normalize_root(1, 3).as_cyclo()
+        z3 = Cyclo.from_root(normalize_root(1, 3))
         expected = LaurentPoly(0, [1 + 0 * z3, -z3, z3 * z3])
         assert out == expected
         rng = random.Random(5)
