@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import covers, metabolizers, pipeline, seifert
 from .covers import Character
@@ -60,10 +59,11 @@ def _prime(text: str) -> int:
     return value
 
 
-def _point(text: str) -> Fraction:
-    """A rational point a or a/b, each of a and b below 2**31 in size like
-    every integer the parser takes, and b nonzero; anything else is an
-    input error, before any work."""
+def _point(text: str):
+    """A rational point a or a/b, as a Fraction, each of a and b below 2**31
+    in size like every integer the parser takes, and b nonzero; anything
+    else is an input error, before any work."""
+    from fractions import Fraction
     parts = text.removeprefix("-").split("/")
     if len(parts) <= 2 and all(part.isascii() and part.isdigit() and len(part) <= 10
                                and int(part) < 2**31 for part in parts):
@@ -155,13 +155,12 @@ def _cmd_alex(args) -> int:
     return 0
 
 
-def _parse_character(text: str, r: int) -> Character:
+def _character_values(text: str, r: int) -> tuple[int, ...]:
     try:
-        values = tuple(int(v) % r for v in text.split(","))
+        return tuple(int(v) % r for v in text.split(","))
     except ValueError:
         raise ValueError(
             f"character values must be comma-separated integers, got {text!r}") from None
-    return Character(r, values)
 
 
 def _cmd_talex(args) -> int:
@@ -169,10 +168,12 @@ def _cmd_talex(args) -> int:
     # time grows as 2^p and about as (pq)^3; T(2,251) takes 1.3 s on 2 x86 CPUs
     if args.p > 12 or args.p * args.q > 512:
         raise BudgetExceeded(f"talex takes p <= 12 and pq <= 512, got T({args.p},{args.q})")
-    chi = _parse_character(args.character, args.q)
-    if chi.p != args.p:
+    values = _character_values(args.character, args.q)
+    # the count before the character, whose constructor checks the sum
+    if len(values) != args.p:
         print(f"character needs {args.p} entries", file=sys.stderr)
         return 1
+    chi = Character(args.q, values)
     fn = twisted_alex_surgery if args.surgery else twisted_alex_exterior
     poly = fn(args.p, args.q, chi)
     kind = "surgery" if args.surgery else "exterior"

@@ -9,14 +9,14 @@ The torus-knot summands of the s-th companion level drive the algebraic
 sliceness test: a combination is algebraically slice exactly when every
 level cancels completely, which reduces the decision to bookkeeping on
 the cabling sequences.  ``RootOfUnity``, the twist of a Blanchfield
-atom, is a value class here too, so that the verdict path never loads the
-cyclotomic arithmetic of ``cyclo``.
+atom and the witness point of a certificate, is a value class here too,
+an integer pair, so that the verdict path loads neither the cyclotomic
+arithmetic of ``cyclo`` nor ``fractions``.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import gcd
 
 
@@ -44,12 +44,13 @@ def check_torus(p: int, q: int) -> None:
         )
 
 
-class RootOfUnity(namedtuple("RootOfUnity", "frac")):
-    """The point e^(2*pi*i*k/N) on the unit circle, as a reduced fraction.
+class RootOfUnity(namedtuple("RootOfUnity", "numer order")):
+    """The point e^(2*pi*i*k/N) on the unit circle, as the reduced integer
+    pair (k mod N, N) of the fraction k/N mod 1, which ``normalized`` builds.
 
     Multiplication of roots is addition of fractions mod 1.  Like every
-    value class of the package it is a namedtuple: immutable, hashed and
-    ordered as its field tuple.
+    value class of the package it is a namedtuple: immutable and hashed
+    as its field tuple; it orders by value, as the fraction does.
 
     >>> RootOfUnity.normalized(2, 6)
     RootOfUnity(1/3)
@@ -63,31 +64,45 @@ class RootOfUnity(namedtuple("RootOfUnity", "frac")):
     def normalized(k: int, n: int) -> "RootOfUnity":
         if n < 1:
             raise ValueError("root order must be positive")
-        return RootOfUnity(Fraction(k, n) % 1)
+        k %= n
+        g = gcd(k, n)
+        return RootOfUnity(k // g, n // g)
 
     @staticmethod
     def one() -> "RootOfUnity":
-        return RootOfUnity(Fraction(0, 1))
+        return RootOfUnity(0, 1)
 
     @property
-    def order(self) -> int:
-        return self.frac.denominator
-
-    @property
-    def numer(self) -> int:
-        return self.frac.numerator
+    def frac(self):
+        """The fraction k/N, built on read: the verdict path never reads
+        it, and so never loads ``fractions``."""
+        from fractions import Fraction
+        return Fraction(self.numer, self.order)
 
     def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        return RootOfUnity((self.frac + other.frac) % 1)
+        return RootOfUnity.normalized(self.numer * other.order + other.numer * self.order,
+                                      self.order * other.order)
 
     def __pow__(self, e: int) -> "RootOfUnity":
-        return RootOfUnity((self.frac * e) % 1)
+        return RootOfUnity.normalized(self.numer * e, self.order)
 
     def inverse(self) -> "RootOfUnity":
-        return RootOfUnity((-self.frac) % 1)
+        return RootOfUnity(-self.numer % self.order, self.order)
+
+    def __lt__(self, other: "RootOfUnity") -> bool:
+        return self.numer * other.order < other.numer * self.order
+
+    def __gt__(self, other: "RootOfUnity") -> bool:
+        return other < self
+
+    def __le__(self, other: "RootOfUnity") -> bool:
+        return not other < self
+
+    def __ge__(self, other: "RootOfUnity") -> bool:
+        return not self < other
 
     def __repr__(self):
-        return f"RootOfUnity({self.frac})"
+        return f"RootOfUnity({self if self.numer else 0})"
 
     def __str__(self):
         return f"{self.numer}/{self.order}"

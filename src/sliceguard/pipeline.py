@@ -109,12 +109,12 @@ def _lambda_block(p: int, q: int, r: int, chi: Character, s: int, sign: int) -> 
     )
 
 
-def decompose(nf: NormalForm, chi_a, chi_b) -> Decomposition:
+def decompose(nf: NormalForm, chi_a, chi_b, sets: IndexSets | None = None) -> Decomposition:
     """The blocks for the character pair (chi_a, chi_b) at the prime r of
-    ``nf``.  The pairs of the other primes' groups carry the trivial
-    character and contribute Twisted(p, r', theta, +1) and
-    Twisted(p, r', theta, -1) of one key each, which cancel in the Witt
-    group, so they have no block."""
+    ``nf``, given its ``index_sets`` as ``sets`` or building them.  The
+    pairs of the other primes' groups carry the trivial character and
+    contribute Twisted(p, r', theta, +1) and Twisted(p, r', theta, -1) of
+    one key each, which cancel in the Witt group, so they have no block."""
     p, r = nf.p, nf.r
     m1 = nf.m1
     if len(chi_a) != m1 or len(chi_b) != m1:
@@ -122,7 +122,7 @@ def decompose(nf: NormalForm, chi_a, chi_b) -> Decomposition:
     for chi in (*chi_a, *chi_b):
         if chi.r != r or chi.p != p:
             raise ValueError(f"character {chi} does not match p={p}, r={r}")
-    sets = index_sets(nf)
+    sets = sets or index_sets(nf)
     theta = Character(r, tuple([0] * p))
     B1 = WittClass(
         [Twisted(p, r, chi_a[i], +1) for i in range(m1)]
@@ -150,8 +150,9 @@ def decompose(nf: NormalForm, chi_a, chi_b) -> Decomposition:
 class Certificate(namedtuple("Certificate", "basis case chi_a chi_b q s "
                                             "witness_omega witness_jump")):
     """One metabolizer's certificate: its basis, the construction case, the
-    character pair, the level (q, s), and the witness point (a Fraction)
-    with its total jump, taken over every classical atom of every level."""
+    character pair, the level (q, s), and the witness point x, as the
+    RootOfUnity e^(2 pi i x) that prints as the reduced x = a/b, with its
+    total jump, taken over every classical atom of every level."""
 
     __slots__ = ()
 
@@ -165,7 +166,7 @@ class Certificate(namedtuple("Certificate", "basis case chi_a chi_b q s "
             },
             "qs": [self.q, self.s],
             "witness": {
-                "omega": f"{self.witness_omega.numerator}/{self.witness_omega.denominator}",
+                "omega": str(self.witness_omega),
                 "total_jump": self.witness_jump,
             },
         }
@@ -234,7 +235,7 @@ def _certify_metabolizer(L: Subspace, F: FormSpace, nf: NormalForm,
         )
     key = (choice.chi_a, choice.chi_b)
     if key not in dec_cache:
-        dec_cache[key] = decompose(nf, choice.chi_a, choice.chi_b)
+        dec_cache[key] = decompose(nf, choice.chi_a, choice.chi_b, sets)
     dec = dec_cache[key]
     metabolic, witness = _witness(dec, choice.q, choice.s)
     if metabolic:

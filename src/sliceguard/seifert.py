@@ -17,7 +17,6 @@ presentation may not exceed ``MAX_PRESENTATION_ROWS``
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import ceil, prod
 
@@ -125,6 +124,7 @@ def lt_signature(p: int, q: int, x) -> int:
     """Levine-Tristram signature of T(p, q) at e^(2 pi i x), x in (0, 1):
     the sum of the jumps below x, counted for each i of the smaller index.
     Rejects the roots of the Alexander polynomial, where it is undefined."""
+    from fractions import Fraction
     x = Fraction(x)
     if not 0 < x < 1:
         raise ValueError("evaluation point must be strictly between 0 and 1")
@@ -149,6 +149,7 @@ def jump_function(p: int, q: int) -> dict:
 
 @lru_cache(maxsize=None)
 def _jump_function_cached(p: int, q: int) -> tuple:
+    from fractions import Fraction
     check_torus(p, q)
     return tuple((Fraction(k, p * q), jump) for k in range(1, p * q)
                  if (jump := jump_at(p, q, k, p * q)))

@@ -16,7 +16,8 @@ the classical jumps at the others (``is_metabolic_classical``).
 Supports and jumps are closed-form integer arithmetic, with no table: an
 atom's support points are integer numerators over its ``denominator``
 (pq times the twist's order times the power for a classical atom, r for a
-twisted one), and a Fraction is built only for the witness point.  A
+twisted one), and the witness point is a ``RootOfUnity``, the reduced
+integer pair of the first such numerator that decides the scan.  A
 classical atom jumps at x where T(p, q) jumps at twist + power * x
 (``seifert.jump_at``, which takes the point unreduced), which is exactly
 on the atom's support, the simple Alexander roots pulled back.  A twisted
@@ -31,10 +32,10 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import namedtuple
-from fractions import Fraction
 from math import lcm
 
 from . import seifert
+from .knots import RootOfUnity
 
 
 def __getattr__(name):
@@ -52,7 +53,7 @@ class Classical(namedtuple("Classical", "p q twist power coefficient", defaults=
     __slots__ = ()
 
     def key(self):
-        return ("classical", self.p, self.q, self.twist.frac, self.power)
+        return ("classical", self.p, self.q, *self.twist, self.power)
 
     @property
     def denominator(self) -> int:
@@ -60,7 +61,7 @@ class Classical(namedtuple("Classical", "p q twist power coefficient", defaults=
 
     def __str__(self):
         arg = "t" if self.power == 1 else f"t^{self.power}"
-        if self.twist.frac:
+        if self.twist.numer:
             arg = f"z{self.twist.order}^{self.twist.numer}*{arg}"
         return f"{self.coefficient}*Bl(T({self.p},{self.q}))({arg})"
 
@@ -165,8 +166,8 @@ def is_metabolic_classical(W: WittClass, rest=()):
     over their common denominator, for the first point off the supports of
     the twisted atoms in ``rest`` at which the jumps of W's atoms and of
     the classical atoms in ``rest`` have a nonzero total; returns
-    (False, (point, total)), the point a Fraction, or (True, None) when
-    there is none."""
+    (False, (point, total)), the point x as the RootOfUnity e^(2 pi i x),
+    or (True, None) when there is none."""
     classical = [*W.atoms, *(a for a in rest if isinstance(a, Classical))]
     twisted = [a for a in rest if isinstance(a, Twisted)]
     den = lcm(*(a.denominator for a in W.atoms))
@@ -175,5 +176,5 @@ def is_metabolic_classical(W: WittClass, rest=()):
             continue
         total = sum(jump_of(a, x, den) for a in classical)
         if total:
-            return False, (Fraction(x, den), total)
+            return False, (RootOfUnity.normalized(x, den), total)
     return True, None

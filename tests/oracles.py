@@ -378,12 +378,18 @@ def interval_ldl_signature(V, k: int, n: int, prec: int):
         iv.prec = old
 
 
+def as_root(x: Fraction) -> RootOfUnity:
+    """The RootOfUnity e^(2 pi i x) of a Fraction x, the type the package
+    gives twists and witness points."""
+    return RootOfUnity.normalized(x.numerator, x.denominator)
+
+
 def exact_signature(V, x: Fraction) -> int:
     """Exact route: characteristic polynomial over the cyclotomic field,
     certified coefficient signs, Descartes count (exact for real spectra)."""
     size = len(V)
-    w = Cyclo.from_root(RootOfUnity(x))
-    wbar = Cyclo.from_root(RootOfUnity(x).inverse())
+    w = Cyclo.from_root(as_root(x))
+    wbar = Cyclo.from_root(as_root(x).inverse())
     one = Cyclo.one()
     a = one - w
     b = one - wbar
@@ -670,7 +676,7 @@ def metabolic_by_union_scan(W):
     for x in sorted(set().union(*tables)):
         total = sum(table.get(x, 0) for table in tables)
         if total:
-            return False, (x, total)
+            return False, (as_root(x), total)
     return True, None
 
 
@@ -686,7 +692,7 @@ def witness_by_union_scan(dec, q: int, s: int):
     for x in sorted(chosen - twisted):
         total = sum(table.get(x, 0) for table in tables)
         if total:
-            return False, (x, total)
+            return False, (as_root(x), total)
     return True, None
 
 

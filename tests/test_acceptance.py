@@ -345,7 +345,7 @@ def test_criterion_08_end_to_end():
 
             block = dec.B3[(c.q, c.s)] + dec.B4[(c.q, c.s)]
             omega = c.witness_omega
-            total = sum(witt.jump_of(a, omega.numerator, omega.denominator) for a in block.atoms)
+            total = sum(witt.jump_of(a, omega.numer, omega.order) for a in block.atoms)
             assert total == c.witness_jump
         reordered = obstruct(parse("T(2,7) # -T(2,3;2,7) # -T(2,5) # T(2,3;2,5)"))
         mirrored = obstruct(oracles.mirror(parse(J2)))

@@ -138,6 +138,12 @@ for text in sys.argv[2:]:
     pipeline.verify_verdict(json.loads(verdict.to_json()))
 on_use = {"sliceguard.presentations", "sliceguard.fox", "sliceguard.cyclo", "sliceguard.laurent"}
 assert not on_use & set(sys.modules), on_use & set(sys.modules)
+# twists and witness points are integer pairs: only the signature command,
+# the inspection routes and the tests build Fractions
+rational = {"fractions", "decimal", "numbers"}
+assert not rational & set(sys.modules), rational & set(sys.modules)
+seifert.lt_signature(3, 4, "1/2")
+assert "fractions" in sys.modules
 print(seifert.branched_cover(5, 7, 5))
 print(twisted.twisted_alex_surgery(3, 5, Character(5, (1, 2, 2))))
 assert on_use <= set(sys.modules), on_use - set(sys.modules)
@@ -148,7 +154,7 @@ def test_verdicts_leave_the_route_modules_uncompiled():
     # a verdict and its check need neither the Seifert presentations nor the
     # Fox calculus, nor the cyclotomic and Laurent arithmetic under them, so
     # a fresh process compiles them only when an entry point that perfbench
-    # reads is first called
+    # reads is first called; nor do they load fractions, decimal or numbers
     inputs = ["T(2,3;2,5) # -T(2,5) # -T(2,3;2,7) # T(2,7)",
               "T(3,4;3,13) # -T(3,13) # -T(3,4;3,17) # T(3,17)"]
     done = subprocess.run([sys.executable, "-S", "-c", ROUTES_ON_USE, str(ROOT / "src"), *inputs],

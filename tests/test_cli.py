@@ -208,6 +208,14 @@ def test_talex_rejects_non_torus_knot(capsys):
     assert err.count("\n") == 1 and "torus knot" in err
 
 
+@pytest.mark.parametrize("values", ["1,2", "1,4"])
+def test_talex_checks_the_entry_count_before_the_sum(capsys, values):
+    # 1,2 does not sum to 0 mod 5 and 1,4 does; both are one entry short
+    code, out, err = run(capsys, "talex", "3", "5", values)
+    assert code == 1 and out == ""
+    assert err == "character needs 3 entries\n"
+
+
 def test_budget_refusal_exit_2(capsys):
     code, out, err = run(capsys, "metabolizers", "3", "5", "--copies", "2")
     assert code == 2 and out == ""

@@ -9,7 +9,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sliceguard import (covers, fox, knots, laurent, metabolizers, modp, pipeline, presentations,
@@ -17,7 +17,7 @@ from sliceguard import (covers, fox, knots, laurent, metabolizers, modp, pipelin
 from sliceguard.covers import Character, ConventionError
 from sliceguard.cyclo import normalize_root
 from sliceguard.expr import ParseError, parse
-from sliceguard.knots import index_sets
+from sliceguard.knots import RootOfUnity, index_sets
 from sliceguard.metabolizers import BudgetExceeded
 from sliceguard.pipeline import (
     Options,
@@ -540,13 +540,31 @@ def _decompositions(draw):
                                   B4={key: block(*key) for key in keys})
 
 
+# a block whose support misses the rest of the class, and a level (3, 2)
+# block whose first jump, at 1/12, the level (15, 2) block cancels, so that
+# the witness moves to 1/4: each run sees both, whatever else is drawn
+_DISJOINT = pipeline.Decomposition(
+    B1=witt.WittClass([witt.Twisted(2, 3, Character(3, (1, 2)))]),
+    B3={(7, 1): witt.WittClass([Classical(2, 7, normalize_root(2, 3), 1, -2)])},
+    B4={(7, 1): witt.WittClass()})
+_MOVED = pipeline.Decomposition(
+    B1=witt.WittClass(),
+    B3={(3, 2): witt.WittClass(),
+        (15, 2): witt.WittClass([Classical(2, 15, normalize_root(0, 3), 2, 1)]),
+        (3, 1): witt.WittClass([Classical(2, 3, normalize_root(1, 3), 1, 1)])},
+    B4={(3, 2): witt.WittClass([Classical(2, 3, normalize_root(2, 3), 2, 1)]),
+        (15, 2): witt.WittClass(), (3, 1): witt.WittClass()})
+
+
 def test_witness_matches_the_union_scan_and_the_block_alone():
     # the point rule against its materialized route everywhere, and against
     # the block's own scan wherever the supports are disjoint
     seen = set()
 
     @given(_decompositions())
-    @settings(max_examples=150, deadline=None)
+    @example(_DISJOINT)
+    @example(_MOVED)
+    @settings(max_examples=150, deadline=None, derandomize=True)
     def check(dec):
         for q, s in dec.B3:
             witness = pipeline._witness(dec, q, s)
@@ -572,8 +590,8 @@ def test_another_level_cancels_the_blocks_first_jump():
         B3={(3, 1): witt.WittClass([Classical(2, 3, normalize_root(1, 3), 1, 1)]),
             (5, 1): witt.WittClass([Classical(2, 5, normalize_root(1, 5), 1, -1)])},
         B4={(3, 1): empty, (5, 1): empty})
-    assert witt.is_metabolic_classical(dec.B3[(3, 1)]) == (False, (Fraction(1, 2), 2))
-    assert pipeline._witness(dec, 3, 1) == (False, (Fraction(5, 6), -2))
+    assert witt.is_metabolic_classical(dec.B3[(3, 1)]) == (False, (RootOfUnity(1, 2), 2))
+    assert pipeline._witness(dec, 3, 1) == (False, (RootOfUnity(5, 6), -2))
     assert pipeline._witness(dec, 3, 1) == oracles.witness_by_union_scan(dec, 3, 1)
 
 
@@ -596,9 +614,9 @@ def _refused_decomposition():
 def test_a_block_whose_jumps_lie_in_the_twisted_support_is_refused(monkeypatch):
     dec = _refused_decomposition()
     assert oracles.support_fractions(dec.B1.atoms[0]) == {Fraction(2, 5), Fraction(3, 5)}
-    assert witt.is_metabolic_classical(dec.B3[(3, 1)]) == (False, (Fraction(1, 15), 2))
+    assert witt.is_metabolic_classical(dec.B3[(3, 1)]) == (False, (RootOfUnity(1, 15), 2))
     assert witt.is_metabolic_classical(dec.B3[(3, 1)], dec.B3[(5, 1)].atoms) == (
-        False, (Fraction(2, 5), -2))
+        False, (RootOfUnity(2, 5), -2))
     assert pipeline._witness(dec, 3, 1) == (True, None) == oracles.witness_by_union_scan(
         dec, 3, 1)
     nf = knots.normal_form(parse(J2), 5)
@@ -612,7 +630,7 @@ def test_a_block_whose_jumps_lie_in_the_twisted_support_is_refused(monkeypatch):
     assert str(refused.value) == ("level (3,1) block has no jump point off the twisted "
                                   "support with a nonzero total jump")
     # every prime of J2 chooses the level (3, 1), and so meets the same block
-    monkeypatch.setattr(pipeline, "decompose", lambda nf, chi_a, chi_b: dec)
+    monkeypatch.setattr(pipeline, "decompose", lambda nf, chi_a, chi_b, sets: dec)
     verdict = obstruct(parse(J2))
     assert verdict.kind == "INCONCLUSIVE" and not verdict.certificates
     assert verdict.reason == "; ".join(f"r={r}: {refused.value}" for r in (5, 7))

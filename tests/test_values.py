@@ -6,6 +6,8 @@ field tuple."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sliceguard import metabolizers
 from sliceguard.covers import Character, CoverModule
@@ -21,7 +23,7 @@ LEVEL = {(3, 1): frozenset({0})}
 
 # each class with its fields in order, and one field changed for inequality
 CASES = [
-    (RootOfUnity, dict(frac=Fraction(1, 3)), ("frac", Fraction(2, 3))),
+    (RootOfUnity, dict(numer=1, order=3), ("numer", 2)),
     (IteratedTorusKnot, dict(p=2, qs=(3, 5)), ("qs", (3, 7))),
     (NormalForm, dict(p=2, r=5, primes=(5,), groups=((((3, 5), (5,)),),)), ("r", 7)),
     (IndexSets, dict(pairs=(((3, 5), (5,)),), points=((3, 1),), I1=LEVEL, I2=LEVEL,
@@ -34,13 +36,13 @@ CASES = [
     (CharacterChoice, dict(case=1, chi_a=(CHI,), chi_b=(CHI,), q=3, s=1), ("case", 2)),
     (NotSimplifiedWitness, dict(k0=0, X=frozenset({1}), Y=frozenset({2})), ("k0", 1)),
     (CoverHomology, dict(p=2, q=5, n=2, divisors=(5,), order=5, module=None), ("n", 4)),
-    (Classical, dict(p=2, q=5, twist=RootOfUnity(Fraction(1, 3)), power=1, coefficient=-1),
+    (Classical, dict(p=2, q=5, twist=RootOfUnity(1, 3), power=1, coefficient=-1),
      ("power", 3)),
     (Twisted, dict(p=3, r=5, chi=CHI, coefficient=2), ("coefficient", -2)),
     (Options, dict(r=5, budget=6), ("budget", 7)),
     (Decomposition, dict(B1=WittClass(), B3={}, B4={}), ("B3", {(3, 1): WittClass()})),
     (Certificate, dict(basis=((1, 4),), case=1, chi_a=(CHI,), chi_b=(CHI,), q=3, s=1,
-                       witness_omega=Fraction(1, 10), witness_jump=2), ("witness_jump", -2)),
+                       witness_omega=RootOfUnity(1, 10), witness_jump=2), ("witness_jump", -2)),
     (Verdict, dict(kind="NOT_SLICE", p=2, input_str="T(2,3)", algebraically_slice=True,
                    witness=None, r=5, certificates=(), reason=None), ("r", 7)),
 ]
@@ -74,25 +76,42 @@ def test_representations():
         if cls not in (RootOfUnity, IteratedTorusKnot):
             shown = ", ".join(f"{name}={value!r}" for name, value in fields.items())
             assert repr(cls(**fields)) == f"{cls.__name__}({shown})"
-    assert repr(RootOfUnity(Fraction(1, 3))) == "RootOfUnity(1/3)"
-    assert str(RootOfUnity(Fraction(1, 3))) == "1/3"
+    assert repr(RootOfUnity(1, 3)) == "RootOfUnity(1/3)"
+    assert str(RootOfUnity(1, 3)) == "1/3"
     assert repr(IteratedTorusKnot(2, (3, 5))) == str(IteratedTorusKnot(2, (3, 5))) == "T(2,3;2,5)"
     assert str(CHI) == "(1,3,1)"
-    assert str(Classical(2, 5, RootOfUnity(Fraction(1, 3)), 3, -1)) == "-1*Bl(T(2,5))(z3^1*t^3)"
+    assert str(Classical(2, 5, RootOfUnity(1, 3), 3, -1)) == "-1*Bl(T(2,5))(z3^1*t^3)"
     assert str(Twisted(3, 5, CHI)) == "1*TwBl(T(3,5); chi=(1,3,1))"
 
 
 def test_order_of_the_ordered_classes():
-    roots = [RootOfUnity(Fraction(k, 6)) for k in (5, 0, 3, 1)]
+    roots = [RootOfUnity.normalized(k, 6) for k in (5, 0, 3, 1)]
     assert [r.frac for r in sorted(roots)] == [Fraction(k, 6) for k in (0, 1, 3, 5)]
     knots = [IteratedTorusKnot(3, (4, 5)), IteratedTorusKnot(2, (7,)),
              IteratedTorusKnot(2, (3, 5)), IteratedTorusKnot(2, (3,))]
     assert [str(k) for k in sorted(knots)] == ["T(2,3)", "T(2,3;2,5)", "T(2,7)", "T(3,4;3,5)"]
-    assert RootOfUnity(Fraction(1, 3)) < RootOfUnity(Fraction(1, 2))
+    assert RootOfUnity(1, 3) < RootOfUnity(1, 2)
+
+
+@given(st.integers(-10**9, 10**9), st.integers(1, 10**6), st.integers(-10**9, 10**9),
+       st.integers(1, 10**6), st.integers(-100, 100))
+def test_root_of_unity_is_the_fraction_mod_1(k, n, j, m, e):
+    # the integer pair against the Fraction class it replaced
+    x, y = Fraction(k, n) % 1, Fraction(j, m) % 1
+    a, b = RootOfUnity.normalized(k, n), RootOfUnity.normalized(j, m)
+    assert (a.numer, a.order) == (x.numerator, x.denominator) and a.frac == x
+    assert (a * b).frac == (x + y) % 1
+    assert (a ** e).frac == x * e % 1
+    assert a.inverse().frac == -x % 1
+    assert (a < b, a <= b, a > b, a >= b, a == b, a != b) == (
+        x < y, x <= y, x > y, x >= y, x == y, x != y)
+    assert (hash(a) == hash(b)) >= (a == b)
+    assert str(a) == f"{x.numerator}/{x.denominator}"
+    assert repr(a) == f"RootOfUnity({x})"
 
 
 def test_defaults():
-    assert Classical(2, 5, RootOfUnity(Fraction(0)), 1).coefficient == 1
+    assert Classical(2, 5, RootOfUnity.one(), 1).coefficient == 1
     assert Twisted(3, 5, CHI).coefficient == 1
     assert Options() == Options(None, 2_000_000) and Options(r=5).budget == 2_000_000
     assert Verdict("TRIVIAL_COMBINATION", 2, "0") == Verdict(
