@@ -4,8 +4,9 @@ Exit codes: 0 report, 1 input or usage error, 2 INCONCLUSIVE or budget
 refused, 3 internal check failed, 141 stdout closed by its reader (as in
 ``sliceguard alex 13 17 | head -c 100``; nothing is printed).  JSON goes
 to stdout; diagnostics, and every error as one line, to stderr.  ``obstruct --verify FILE`` is the
-library's ``verify_verdict`` under ``--budget``: it rebuilds the document
-once and requires it byte for byte.
+library's ``verify_verdict`` under ``--budget``: it checks the recorded
+bases against the closed-form count of metabolizers, certifies each, and
+requires the rebuilt document byte for byte.
 """
 
 from __future__ import annotations
@@ -306,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     ob.add_argument("--budget", type=_count, default=metabolizers.DEFAULT_BUDGET,
                     help="max subspaces to enumerate per form")
     ob.add_argument("--verify", metavar="FILE",
-                    help="re-derive a previously emitted JSON verdict and require it "
-                         "bit-for-bit")
+                    help="check a previously emitted JSON verdict's metabolizers, "
+                         "certify them again and require the document bit-for-bit")
     add_common(ob)
     ob.set_defaults(func=_cmd_obstruct)
 

@@ -149,6 +149,17 @@ class TorusRep:
         return out
 
 
+def rep_images(p: int, q: int, chi: Character):
+    """(image of c1, image of c2) as matrices of Laurent polynomials; the
+    defining relation c1^p = c2^q is re-checked on the monomial forms.  The
+    body of ``twisted.rep_images``."""
+    rep = TorusRep(p, q, chi)
+    c1, c2 = rep.images[(1, 1)], rep.images[(2, 1)]
+    if _mono_pow(c1, p, q) != _mono_pow(c2, q, q):
+        raise ArithmeticError("representation violates c1^p = c2^q")
+    return _dense(c1, q), _dense(c2, q)
+
+
 def _det(rows):
     """Determinant of a small matrix of Laurent polynomials (subset DP)."""
     n = len(rows)
@@ -231,3 +242,24 @@ def _closed_form(p: int, q: int, values: tuple) -> tuple[LaurentPoly, RationalFn
     else:
         surgery = RationalFn(num, ext.den * LaurentPoly.from_ints([-1, 1]))
     return den, ext, surgery
+
+
+def twisted_alex_exterior(p: int, q: int, chi: Character) -> RationalFn:
+    """Twisted Alexander polynomial of the knot exterior, by both routes;
+    the body of the cached ``twisted.twisted_alex_exterior``.
+
+    Route one is the Fox calculus torsion quotient
+    det(rep(d relator / d c1)) / det(rep(c2) - id); route two is the
+    closed form (1 - t^q)^(p-1) / prod_i (t xi^(a_i) - 1).  Numerators and
+    denominators must agree up to units, each on its own, and both checks
+    run for every character.  The closed form is reduced by root
+    bookkeeping once per multiset of values (``_closed_form``).
+    """
+    _closed_numerator(p, q)  # the numerator check, whether or not _closed_form is cached
+    c2 = _dense(TorusRep(p, q, chi).images[(2, 1)], q)
+    for i in range(p):
+        c2[i][i] = c2[i][i] - LaurentPoly.one()
+    den, exterior, _ = _closed_form(p, q, tuple(sorted(chi.values)))
+    if not _det(c2).eq_up_to_units(den):
+        raise _disagree(p, q, chi)
+    return exterior

@@ -37,6 +37,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from functools import lru_cache
+from math import gcd, prod
 from operator import mul
 
 from . import covers, modp
@@ -128,21 +129,12 @@ def is_invariant_metabolizer(L: Subspace, F: FormSpace) -> bool:
     return all(L.contains(modp.vec_mat(v, A, r)) for v in rows)
 
 
-def enumerate_invariant_metabolizers(F: FormSpace,
-                                     budget: int = DEFAULT_BUDGET) -> list[Subspace]:
-    """All invariant metabolizers, in the order of the Grassmannian oracle,
-    by the isotropic echelon walk: rows are filled first to last and
-    pivots in combinations order.  A row's pairings with the rows above
-    are linear in its free slots, so only the solutions of that system are
-    visited, and each is kept if it pairs to zero with itself.  The kept
-    rows are sorted, which is the product order of their free slots, so
-    the leaves come as in the walk that tried every row;
-    ``is_invariant_metabolizer`` checks each.
-
-    The budget counts every half-dimension subspace, walked or not, and a
-    shape over it is refused loudly before the module is built.  The count
-    is at least r^(k(n-k)); a shape whose bound alone has more than 4096
-    bits is refused from the bound, without the costly count."""
+def check_budget(F: FormSpace, budget: int) -> None:
+    """The one refusal rule for a form's size, shared by the enumeration
+    and the verifier: the budget counts every half-dimension subspace,
+    and a shape over it is refused loudly before the module is built.  The
+    count is at least r^(k(n-k)); a shape whose bound alone has more than
+    4096 bits is refused from the bound, without the costly count."""
     n, k, r = F.ambient_dim, F.half_dim, F.r
     exponent = k * (n - k)
     if exponent * (r.bit_length() - 1) > max(4096, budget.bit_length()):
@@ -155,6 +147,51 @@ def enumerate_invariant_metabolizers(F: FormSpace,
         raise BudgetExceeded(
             f"{total} half-dimension subspaces exceed the budget of {budget}"
         )
+
+
+def invariant_metabolizer_count(F: FormSpace) -> int:
+    """The number of invariant metabolizers, in closed form.
+
+    As r does not divide p, F_r[t]/(1 + ... + t^(p-1)) splits over the
+    irreducible factors of each Phi_d mod r, d | p, d > 1: phi(d)/o
+    factors of degree o = ord_d(r), each with a part F_(r^o)^(2 m1), and
+    the metabolizers are the direct sums of one choice per part
+    (Hedden-Kirk-Livingston).  The t = -1 part
+    takes a Lagrangian of a split orthogonal form, a self-dual factor
+    (r^(o/2) = -1 mod d) one of a split Hermitian form over F_(r^o)
+    (Taylor), and a pair (f, f*) any subspace U of V_f with ann(U).
+
+    >>> invariant_metabolizer_count(FormSpace(3, 5, 2))
+    756
+    """
+    p, r, m1 = F
+    count = 1
+    for d in (d for d in range(2, p + 1) if p % d == 0):
+        o = next(e for e in range(1, d) if pow(r, e, d) == 1)
+        factors = sum(gcd(a, d) == 1 for a in range(d)) // o
+        if d == 2:
+            count *= prod(r ** i + 1 for i in range(m1))
+        elif o % 2 == 0 and pow(r, o // 2, d) == d - 1:
+            count *= prod(r ** (o // 2 * (2 * i - 1)) + 1 for i in range(1, m1 + 1)) ** factors
+        else:
+            pair = sum(modp.subspace_count(2 * m1, k, r ** o) for k in range(2 * m1 + 1))
+            count *= pair ** (factors // 2)
+    return count
+
+
+def enumerate_invariant_metabolizers(F: FormSpace,
+                                     budget: int = DEFAULT_BUDGET) -> list[Subspace]:
+    """All invariant metabolizers, in the order of the Grassmannian oracle,
+    by the isotropic echelon walk: rows are filled first to last and
+    pivots in combinations order.  A row's pairings with the rows above
+    are linear in its free slots, so only the solutions of that system are
+    visited, and each is kept if it pairs to zero with itself.  The kept
+    rows are sorted, which is the product order of their free slots, so
+    the leaves come as in the walk that tried every row, increasing in
+    (pivots, rows); ``is_invariant_metabolizer`` checks each.  A shape
+    over the budget is refused first (``check_budget``)."""
+    check_budget(F, budget)
+    n, k, r = F.ambient_dim, F.half_dim, F.r
     G = F.gram()
     found = []
 

@@ -43,10 +43,15 @@ decides, and it refuses only when every point of the block with a
 nonzero total lies in the support of B1.
 
 Certificates record the metabolizer basis, the construction case, the
-character pair, the level (q, s), and the witness jump.  There is one
-certification path: ``verify_verdict`` re-derives a document through the
-same cheap-verdict and per-prime steps as ``obstruct`` and requires the
-regenerated JSON byte for byte.  The characters of every certificate are
+character pair, the level (q, s), and the witness jump.  ``obstruct`` and
+``verify_verdict`` share the cheap verdicts and the per-prime step, which
+certifies a list of metabolizers.  Under ``obstruct`` the list is the
+walk's, whose length must be the closed-form count
+(``metabolizers.invariant_metabolizer_count``).  Under ``verify_verdict``
+it is the document's bases, checked to be all the invariant metabolizers
+in canonical order against the same count, so the verifier never walks
+and does not share a fault of the walk; the rebuilt JSON must then equal
+the document byte for byte.  The characters of every certificate are
 checked from their values when the certificate is built
 (``metabolizers.check_characters``), under ``obstruct`` and
 ``verify_verdict`` alike; a failure there is a ``ConventionError``.
@@ -94,7 +99,9 @@ class Decomposition(namedtuple("Decomposition", "B1 B3 B4")):
     __slots__ = ()
 
 
-@lru_cache(maxsize=None)
+# a verdict reads at most a dozen blocks; the bound keeps a long-lived
+# process that obstructs many distinct inputs from keeping them all
+@lru_cache(maxsize=256)
 def _lambda_block(p: int, q: int, r: int, chi: Character, s: int, sign: int) -> tuple:
     power = p ** (s - 1)
     return tuple(
@@ -256,15 +263,18 @@ def _certify_metabolizer(L: Subspace, F: FormSpace, nf: NormalForm,
     )
 
 
-def _certify_prime(simplified: KnotCombination, r: int, budget: int):
+def _certify_prime(simplified: KnotCombination, r: int, budget: int, recorded=None):
     """The per-prime step shared by ``obstruct`` and ``verify_verdict``.
 
     Builds the normal form at r and its index sets (every level sum must
     cancel), the form space, and one certificate per invariant metabolizer,
-    in enumeration order, and returns the certificates.  Each certificate's
-    characters pass ``metabolizers.check_characters`` as they are built.
-    The enumeration checks the budget before the form space builds its
-    module.  Raises BudgetExceeded over budget, and _Uncertified when a
+    in (pivots, rows) order, and returns the certificates.  The
+    metabolizers are the enumeration's, whose length must be the closed-form
+    count (a ConventionError otherwise), or, given the document's
+    ``recorded`` metabolizer list, its bases (``_recorded_metabolizers``).
+    Each certificate's characters pass ``metabolizers.check_characters`` as
+    they are built.  The budget is checked before the form space builds
+    its module.  Raises BudgetExceeded over budget, and _Uncertified when a
     metabolizer has no certificate.
     """
     nf = knots.normal_form(simplified, r)
@@ -276,9 +286,52 @@ def _certify_prime(simplified: KnotCombination, r: int, budget: int):
                 "algebraically slice combination"
             )
     F = FormSpace(simplified.p, r, nf.m1)
-    mets = metabolizers.enumerate_invariant_metabolizers(F, budget)
+    if recorded is None:
+        mets = metabolizers.enumerate_invariant_metabolizers(F, budget)
+        count = metabolizers.invariant_metabolizer_count(F)
+        if len(mets) != count:
+            raise covers.ConventionError(
+                f"the enumeration found {len(mets)} invariant metabolizers, "
+                f"but the form has {count}"
+            )
+    else:
+        metabolizers.check_budget(F, budget)
+        mets = _recorded_metabolizers(recorded, F)
     dec_cache: dict = {}
     return tuple(_certify_metabolizer(L, F, nf, sets, dec_cache) for L in mets)
+
+
+def _recorded_metabolizers(recorded, F: FormSpace) -> list:
+    """The document's bases as subspaces, once they are shown to be all
+    the invariant metabolizers in canonical order: each basis is a list of
+    rows of ambient-length int lists in reduced echelon form, spans an
+    invariant metabolizer, and has a greater (pivots, rows) key than the
+    one before, and there are as many as the closed-form count.  Raises
+    VerificationError at the first failure."""
+    r, n = F.r, F.ambient_dim
+    mets = []
+    for i, entry in enumerate(recorded):
+        basis = entry.get("basis") if isinstance(entry, dict) else None
+        if not isinstance(basis, list):
+            raise VerificationError(f"metabolizer {i} has no basis list")
+        if not all(isinstance(row, list) and len(row) == n
+                   and all(type(x) is int for x in row) for row in basis):
+            raise VerificationError(f"a row of metabolizer {i} is not {n} integers")
+        L = Subspace(basis, r, n)
+        if list(map(list, L.rows)) != basis:
+            raise VerificationError(f"the basis of metabolizer {i} is not reduced")
+        if not metabolizers.is_invariant_metabolizer(L, F):
+            raise VerificationError(
+                f"metabolizer {i} does not span an invariant metabolizer")
+        if mets and (L.pivots, L.rows) <= (mets[-1].pivots, mets[-1].rows):
+            raise VerificationError(
+                f"metabolizer {i} does not follow metabolizer {i - 1} in order")
+        mets.append(L)
+    count = metabolizers.invariant_metabolizer_count(F)
+    if len(mets) != count:
+        raise VerificationError(
+            f"the document certifies {len(mets)} of the form's {count} invariant metabolizers")
+    return mets
 
 
 def _cheap_verdict(K: KnotCombination, source: str) -> Verdict | None:
@@ -341,17 +394,20 @@ def obstruct(K: KnotCombination, options: Options = Options(),
 
 
 def verify_verdict(doc: dict, *, budget: int = DEFAULT_BUDGET) -> None:
-    """Re-derive a verdict document and require it byte for byte.
+    """Rebuild a verdict document and require it byte for byte.
 
-    The input is parsed again and the verdict rebuilt through ``obstruct``'s
-    own steps: the cheap verdict, or else the per-prime step at the recorded
-    r.  ``budget`` bounds the enumeration as in ``obstruct``, the one
-    refusal rule for a form's size; a document produced under a larger
-    budget needs that budget here, or BudgetExceeded is raised.  The
-    rebuilt certificates' characters are checked as they are built, as
-    under ``obstruct``.  The document must equal the rebuilt one as sorted
-    JSON, so any changed, dropped, added, duplicated or reordered entry
-    fails, and so does ``1`` in place of ``true``.  The recorded p must be the
+    The input is parsed again and the verdict rebuilt: the cheap verdict
+    through ``obstruct``'s own steps, or else the per-prime step at the
+    recorded r on the document's own bases, which must be a list of all
+    the invariant metabolizers in canonical order, as many as the
+    closed-form count (``_recorded_metabolizers``); the enumeration never
+    runs.  ``budget`` bounds the form as in ``obstruct``, the one refusal
+    rule for a form's size; a document produced under a larger budget
+    needs that budget here, or BudgetExceeded is raised.  The rebuilt
+    certificates' characters are checked as they are built, as under
+    ``obstruct``.  The document must equal the rebuilt one as sorted JSON,
+    so any changed, dropped, added, duplicated or reordered entry fails,
+    and so does ``1`` in place of ``true``.  The recorded p must be the
     input's, and INCONCLUSIVE documents are refused.  Raises
     VerificationError at the first disagreement, and for a document that
     is not an object with a string input, an integer p and a string verdict.
@@ -378,8 +434,11 @@ def verify_verdict(doc: dict, *, budget: int = DEFAULT_BUDGET) -> None:
             raise VerificationError(f"recorded r={doc.get('r')} is not a final index")
         # the combination's own int, so a recorded 5.0 cannot pass as 5
         r = primes[primes.index(doc["r"])]
+        recorded = doc.get("metabolizers")
+        if not isinstance(recorded, list):
+            raise VerificationError("the document's metabolizers are not a list")
         try:
-            certificates = _certify_prime(simplified, r, budget)
+            certificates = _certify_prime(simplified, r, budget, recorded)
         except _Uncertified as exc:
             raise VerificationError(f"r={r}: {exc}") from None
         fresh = Verdict(

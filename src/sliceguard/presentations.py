@@ -40,6 +40,11 @@ back to x -> T^-1 x.  The kernel's dimension must equal the number of
 divisors, which ties the Alexander route to the Seifert presentation,
 and the module must pass ``covers.validate_module`` at n, as the model
 modules do at n = p.
+
+``homology`` answers or refuses in bounded time: d = deg Delta and the
+N = (n-1)d rows of the cover presentation may not exceed
+``MAX_PRESENTATION_ROWS`` (``BudgetExceeded``), d before the Smith form
+and N before it is built.
 """
 
 from __future__ import annotations
@@ -47,13 +52,19 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from functools import lru_cache
+from math import prod
 from operator import mul
 
-from . import modp
+from . import modp, seifert
 from .covers import ConventionError, CoverModule, validate_module
 from .cyclo import int_poly_div_exact
-from .knots import check_torus
+from .knots import check_torus, prime_power_exponent
 from .laurent import LaurentPoly
+from .metabolizers import BudgetExceeded
+
+# the most rows of the Smith form (d) and of Y (N) in ``branched_cover``;
+# (7, 13, 7), with N = 432, takes about 6 s on a 2-CPU x86 machine
+MAX_PRESENTATION_ROWS = 500
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +166,30 @@ def _torus_alexander_reference(p: int, q: int) -> list:
 
     num = _poly_mul(cyc(p * q), cyc(1))
     return int_poly_div_exact(int_poly_div_exact(num, cyc(p)), cyc(q))
+
+
+def seifert_matrix(p: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """Validated Seifert matrix of T(p, q), size (p-1)(q-1); the body of
+    the cached ``seifert.seifert_matrix``."""
+    check_torus(p, q)
+    V = _seifert_matrix_raw(p, q)
+    n = len(V)
+    if n != (p - 1) * (q - 1):
+        raise ConventionError("unexpected cycle count in the band basis")
+    delta = _poly_det([[_poly_trim([V[i][j], -V[j][i]]) for j in range(n)]
+                       for i in range(n)])
+    # det(V - V^T) is det(V - t V^T) at t = 1
+    if abs(sum(delta)) != 1:
+        raise ConventionError("det(V - V^T) is not a unit")
+    # det(V - t V^T) against the closed torus-knot Alexander polynomial
+    ref = _torus_alexander_reference(p, q)
+    while delta and not delta[0]:
+        delta = delta[1:]
+    if len(delta) != len(ref) or any(
+        a * ref[-1] != b * delta[-1] for a, b in zip(delta, ref)
+    ):
+        raise ConventionError("det(V - t V^T) does not match the Alexander polynomial")
+    return V
 
 
 def alexander_poly(p: int, q: int) -> LaurentPoly:
@@ -324,3 +359,39 @@ def _prime_module(V, n: int, r: int, dim: int) -> CoverModule:
     validate_module(module, n)
     return module
 
+
+def branched_cover(p: int, q: int, n: int) -> CoverHomology:
+    """Homology of the n-fold cyclic branched cover of T(p, q), with its
+    deck action and linking form when every divisor is the prime q; the
+    body of the cached ``seifert.branched_cover``.
+
+    The divisors come from the cyclic Alexander module; a zero divisor
+    (infinite homology) is rejected, which catches non-prime-power n, and
+    d or N over ``MAX_PRESENTATION_ROWS`` raises BudgetExceeded; see the
+    module docstring.
+    """
+    if n < 2:
+        raise ValueError("cover degree must be at least 2")
+    check_torus(p, q)
+    d = (p - 1) * (q - 1)
+    if d > MAX_PRESENTATION_ROWS:
+        raise BudgetExceeded(f"the Alexander module of T({p},{q}) has rank {d}, "
+                             f"over the limit of {MAX_PRESENTATION_ROWS}")
+    divisors = elementary_divisors(_norm_multiplication(p, q, n))
+    if 0 in divisors:
+        raise ConventionError(
+            f"singular cover presentation for n={n}"
+            + ("" if prime_power_exponent(n) else " (n is not a prime power)")
+        )
+    torsion = tuple(d for d in divisors if d != 1)
+    module = None
+    if prime_power_exponent(q) == 1 and torsion and all(d == q for d in torsion):
+        rows = (n - 1) * d
+        if rows > MAX_PRESENTATION_ROWS:
+            raise BudgetExceeded(
+                f"the {n}-fold cover of T({p},{q}) has a presentation of {rows} "
+                f"rows, over the limit of {MAX_PRESENTATION_ROWS}"
+            )
+        module = _prime_module(seifert.seifert_matrix(p, q), n, q, len(torsion))
+    return CoverHomology(p=p, q=q, n=n, divisors=torsion, order=prod(torsion),
+                         module=module)

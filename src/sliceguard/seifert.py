@@ -8,25 +8,17 @@ of +2 at s = i/p + j/q when s < 1 and of -2 at s - 1 when s > 1, for
 j = k/p mod q, the jumps sit exactly at the Alexander roots k/pq, p and q
 not dividing k, each simple, and are +2 exactly when iq + jp < pq.
 
-``seifert_matrix`` and ``branched_cover`` import their routes from
-``presentations`` on a cache miss.  ``homology`` answers or refuses in
-bounded time: d = deg Delta and the N = (n-1)d rows of the cover
-presentation may not exceed ``MAX_PRESENTATION_ROWS``
-(``BudgetExceeded``), d before the Smith form and N before it is built.
+``seifert_matrix`` and ``branched_cover`` are cached entry points whose
+bodies are in ``presentations``, imported on a cache miss.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import ceil, prod
+from math import ceil
 
-from .covers import ConventionError
-from .knots import check_torus, prime_power_exponent
-from .metabolizers import BudgetExceeded
-
-# the most rows of the Smith form (d) and of Y (N) in ``branched_cover``;
-# (7, 13, 7), with N = 432, takes about 6 s on a 2-CPU x86 machine
-MAX_PRESENTATION_ROWS = 500
+from .covers import ConventionError  # what the routes behind the entry points raise
+from .knots import check_torus
 
 
 # ---------------------------------------------------------------------------
@@ -37,67 +29,16 @@ MAX_PRESENTATION_ROWS = 500
 @lru_cache(maxsize=None)
 def seifert_matrix(p: int, q: int) -> tuple[tuple[int, ...], ...]:
     """Validated Seifert matrix of T(p, q), size (p-1)(q-1)."""
-    check_torus(p, q)
-    from .presentations import _poly_det, _poly_trim, _seifert_matrix_raw, _torus_alexander_reference
-    V = _seifert_matrix_raw(p, q)
-    n = len(V)
-    if n != (p - 1) * (q - 1):
-        raise ConventionError("unexpected cycle count in the band basis")
-    delta = _poly_det([[_poly_trim([V[i][j], -V[j][i]]) for j in range(n)]
-                       for i in range(n)])
-    # det(V - V^T) is det(V - t V^T) at t = 1
-    if abs(sum(delta)) != 1:
-        raise ConventionError("det(V - V^T) is not a unit")
-    # det(V - t V^T) against the closed torus-knot Alexander polynomial
-    ref = _torus_alexander_reference(p, q)
-    while delta and not delta[0]:
-        delta = delta[1:]
-    if len(delta) != len(ref) or any(
-        a * ref[-1] != b * delta[-1] for a, b in zip(delta, ref)
-    ):
-        raise ConventionError("det(V - t V^T) does not match the Alexander polynomial")
-    return V
-
-
+    from .presentations import seifert_matrix
+    return seifert_matrix(p, q)
 
 
 @lru_cache(maxsize=None)
 def branched_cover(p: int, q: int, n: int):
-    """Homology of the n-fold cyclic branched cover of T(p, q), with its
-    deck action and linking form when every divisor is the prime q, as a
-    ``presentations.CoverHomology``.
-
-    The divisors come from the cyclic Alexander module; a zero divisor
-    (infinite homology) is rejected, which catches non-prime-power n, and
-    d or N over ``MAX_PRESENTATION_ROWS`` raises BudgetExceeded; see the
-    module docstring.
-    """
-    if n < 2:
-        raise ValueError("cover degree must be at least 2")
-    check_torus(p, q)
-    d = (p - 1) * (q - 1)
-    if d > MAX_PRESENTATION_ROWS:
-        raise BudgetExceeded(f"the Alexander module of T({p},{q}) has rank {d}, "
-                             f"over the limit of {MAX_PRESENTATION_ROWS}")
-    from .presentations import CoverHomology, _norm_multiplication, _prime_module, elementary_divisors
-    divisors = elementary_divisors(_norm_multiplication(p, q, n))
-    if 0 in divisors:
-        raise ConventionError(
-            f"singular cover presentation for n={n}"
-            + ("" if prime_power_exponent(n) else " (n is not a prime power)")
-        )
-    torsion = tuple(d for d in divisors if d != 1)
-    module = None
-    if prime_power_exponent(q) == 1 and torsion and all(d == q for d in torsion):
-        rows = (n - 1) * d
-        if rows > MAX_PRESENTATION_ROWS:
-            raise BudgetExceeded(
-                f"the {n}-fold cover of T({p},{q}) has a presentation of {rows} "
-                f"rows, over the limit of {MAX_PRESENTATION_ROWS}"
-            )
-        module = _prime_module(seifert_matrix(p, q), n, q, len(torsion))
-    return CoverHomology(p=p, q=q, n=n, divisors=torsion, order=prod(torsion),
-                         module=module)
+    """Homology of the n-fold cyclic branched cover of T(p, q), as a
+    ``presentations.CoverHomology``; see ``presentations.branched_cover``."""
+    from .presentations import branched_cover
+    return branched_cover(p, q, n)
 
 
 # ---------------------------------------------------------------------------

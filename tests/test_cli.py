@@ -526,7 +526,9 @@ def test_help_exits_0(capsys):
     assert exc.value.code == 0 and "--verify" in capsys.readouterr().out
 
 
-def test_obstruct_verify_enumerates_once(tmp_path, capsys, monkeypatch):
+def test_obstruct_verify_never_enumerates(tmp_path, capsys, monkeypatch):
+    # --verify checks the recorded bases against the closed-form count and
+    # certifies each; it does not walk the metabolizers again
     code, out, _ = run(capsys, "obstruct", J2, "--json")
     path = tmp_path / "cert.json"
     path.write_text(out)
@@ -540,4 +542,4 @@ def test_obstruct_verify_enumerates_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(metabolizers, "enumerate_invariant_metabolizers", counted)
     code, out, _ = run(capsys, "obstruct", "--verify", str(path))
     assert code == 0 and "bit-for-bit" in out
-    assert len(calls) == 1
+    assert calls == []

@@ -12,6 +12,7 @@ from sliceguard.metabolizers import (
     construct_character,
     enumerate_invariant_metabolizers,
     graph_detect,
+    invariant_metabolizer_count,
     is_invariant_metabolizer,
 )
 from sliceguard.modp import Subspace
@@ -133,6 +134,41 @@ class TestEchelonWalk:
         solved, leaves[:] = leaves[:], []
         assert found == oracles.product_walk(F) and found
         assert solved == leaves
+
+
+# (p, m1, r) -> the invariant metabolizers of every shape whose walk ends
+# within seconds: t = -1, paired and Hermitian factors, and r = 2
+WALKED_COUNTS = {
+    (2, 1, 3): 2, (2, 1, 5): 2, (2, 1, 7): 2, (2, 2, 3): 8, (2, 2, 5): 12,
+    (2, 2, 7): 16, (2, 3, 3): 80, (2, 3, 5): 312, (3, 1, 2): 3, (3, 1, 5): 6,
+    (3, 1, 7): 10, (3, 1, 13): 16, (3, 2, 2): 27, (3, 2, 5): 756, (4, 1, 3): 8,
+    (4, 1, 5): 16, (4, 1, 7): 16, (5, 1, 2): 5, (5, 1, 3): 10,
+}
+# shapes the walk does not finish within 40 s: the closed form alone
+FORMULA_COUNTS = {(4, 2, 3): 896, (5, 1, 11): 196, (7, 1, 2): 11, (8, 1, 3): 96,
+                  (9, 1, 2): 27}
+
+
+class TestInvariantMetabolizerCount:
+    """The closed-form count against the walk and the Grassmannian filter."""
+
+    @pytest.mark.parametrize("p,m1,r", list(WALKED_COUNTS))
+    def test_count_is_the_walk_length(self, p, m1, r):
+        F = FormSpace(p, r, m1)
+        found = enumerate_invariant_metabolizers(F, budget=10**30)
+        assert invariant_metabolizer_count(F) == len(found) == WALKED_COUNTS[(p, m1, r)]
+
+    @pytest.mark.parametrize("p,r,m1", [shape for shape in _walk_shapes(limit=3000) if shape[2]])
+    def test_count_is_the_filter_length(self, p, r, m1):
+        F = FormSpace(p, r, m1)
+        assert invariant_metabolizer_count(F) == len(brute_force_invariant_metabolizers(F))
+
+    @pytest.mark.parametrize("p,m1,r", list(FORMULA_COUNTS))
+    def test_counts_beyond_the_walk(self, p, m1, r):
+        assert invariant_metabolizer_count(FormSpace(p, r, m1)) == FORMULA_COUNTS[(p, m1, r)]
+
+    def test_zero_copies(self):
+        assert invariant_metabolizer_count(FormSpace(2, 3, 0)) == 1
 
 
 class TestGraphDetection:

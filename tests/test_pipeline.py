@@ -38,6 +38,9 @@ M3 = ("T(2,3;2,5) # -T(2,3;2,11) # -3*T(2,5) # T(2,11) # 2*T(2,11;2,5) "
       "# -2*T(2,11;2,13) # 2*T(2,13)")
 R13 = "T(3,4;3,13) # -T(3,13) # -T(3,4;3,17) # T(3,17)"
 R17 = "T(2,3;2,17) # -T(2,17) # -T(2,3;2,19) # T(2,19)"
+# p = 3, m1 = 2: NOT_SLICE at r = 5 with 756 certificates, over the default
+# budget
+M12 = "T(3,2;3,5) # T(3,4;3,5) # -2*T(3,5) # -T(3,2;3,7) # -T(3,4;3,7) # 2*T(3,7)"
 P2003 = "T(2003,3;2003,5) # -T(2003,5) # -T(2003,3;2003,7) # T(2003,7)"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -110,6 +113,25 @@ class TestDecompose:
             decompose(nf, (Character(3, (1, 2)),), (Character(3, (2, 1)),))
         with pytest.raises(ValueError):
             decompose(nf, (), ())
+
+
+def test_verdict_caches_stay_bounded_over_many_inputs():
+    # a long-lived process that obstructs many distinct inputs keeps at
+    # most maxsize level blocks, which the verdicts need a dozen of at most;
+    # the other verdict-path caches are keyed by the form's shape alone
+    maxsize = pipeline._lambda_block.cache_info().maxsize
+    by_shape = (covers.model_module, metabolizers._block_diagonal,
+                metabolizers._coordinate_subspace)
+    before = [fn.cache_info().currsize for fn in by_shape]
+    primes = [q for q in range(3, 1000) if q not in (5, 7)
+              and all(q % d for d in range(2, int(q ** 0.5) + 1))][:120]
+    pipeline._lambda_block.cache_clear()
+    for q in primes:
+        verdict = obstruct(parse(f"T(2,{q};2,5) # -T(2,5) # -T(2,{q};2,7) # T(2,7)"))
+        assert verdict.kind == "NOT_SLICE"
+    info = pipeline._lambda_block.cache_info()
+    assert maxsize is not None and info.misses > maxsize and info.currsize <= maxsize
+    assert all(fn.cache_info().currsize - size <= 4 for fn, size in zip(by_shape, before))
 
 
 class TestObstruct:
@@ -508,6 +530,130 @@ class TestVerifierBoundary:
             verify_verdict(doc)
         except (VerificationError, ParseError, BudgetExceeded):
             pass
+
+
+@st.composite
+def _malformed_metabolizer_lists(draw):
+    """The J2 document with a malformed metabolizer list, and the one line
+    that refuses it."""
+    doc = json.loads(_J2_DOC)
+    mets = doc["metabolizers"]
+    i = draw(st.integers(0, len(mets) - 1))
+    row = mets[i]["basis"][0]
+    kind = draw(st.sampled_from(["missing", "not-a-list", "no-basis", "not-int",
+                                 "row-length", "not-reduced"]))
+    if kind == "missing":
+        del doc["metabolizers"]
+    elif kind == "not-a-list":
+        doc["metabolizers"] = draw(st.none() | st.integers() | st.text(max_size=3)
+                                   | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+    elif kind == "no-basis":
+        mets[i] = draw(st.none() | st.integers() | st.lists(st.integers(), max_size=2)
+                       | st.just({key: value for key, value in mets[i].items() if key != "basis"})
+                       | st.builds(lambda basis: {**mets[i], "basis": basis},
+                                   st.none() | st.integers() | st.text(max_size=3)))
+    elif kind == "not-int":
+        row[draw(st.integers(0, len(row) - 1))] = draw(
+            st.none() | st.booleans() | st.floats() | st.text(max_size=2)
+            | st.lists(st.integers(), max_size=1))
+    elif kind == "row-length":
+        if draw(st.booleans()):
+            row.extend(draw(st.lists(st.integers(0, 4), min_size=1, max_size=2)))
+        else:
+            del row[draw(st.integers(0, len(row) - 1)):]
+    else:
+        alter = draw(st.sampled_from(["scale", "shift", "zero-row", "repeat-row"]))
+        if alter == "scale":
+            row[:] = [draw(st.integers(2, 4)) * x for x in row]
+        elif alter == "shift":
+            row[draw(st.integers(0, len(row) - 1))] += draw(st.sampled_from([-5, 5, 10]))
+        else:
+            mets[i]["basis"].append([0] * len(row) if alter == "zero-row" else list(row))
+    reason = {
+        "missing": "the document's metabolizers are not a list",
+        "not-a-list": "the document's metabolizers are not a list",
+        "no-basis": f"metabolizer {i} has no basis list",
+        "not-int": f"a row of metabolizer {i} is not 2 integers",
+        "row-length": f"a row of metabolizer {i} is not 2 integers",
+        "not-reduced": f"the basis of metabolizer {i} is not reduced",
+    }[kind]
+    return doc, reason
+
+
+@settings(max_examples=100, deadline=None)
+@given(_malformed_metabolizer_lists())
+def test_a_malformed_metabolizer_list_is_refused_in_one_line(case):
+    doc, reason = case
+    with pytest.raises(VerificationError) as exc:
+        verify_verdict(doc)
+    assert str(exc.value) == reason
+
+
+@pytest.fixture(scope="module")
+def m12_document():
+    # about 7 s to obstruct; its check takes a fraction of a second
+    verdict = obstruct(parse(M12), Options(budget=10**30))
+    assert verdict.kind == "NOT_SLICE" and verdict.r == 5 and len(verdict.certificates) == 756
+    return verdict.to_json()
+
+
+class TestVerifyByCount:
+    """``verify_verdict`` checks the recorded bases and their number against
+    the closed-form count instead of walking the metabolizers again, so a
+    walk that loses a metabolizer cannot vouch for its own document."""
+
+    def test_the_check_never_enumerates(self, monkeypatch, m12_document):
+        docs = [obstruct(parse(expr)).to_json() for expr in (J2, J3)]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the metabolizer enumeration ran")
+
+        monkeypatch.setattr(metabolizers, "enumerate_invariant_metabolizers", forbidden)
+        for doc in docs:
+            verify_verdict(json.loads(doc))
+        verify_verdict(json.loads(m12_document), budget=10**30)
+        with pytest.raises(AssertionError, match="the metabolizer enumeration ran"):
+            obstruct(parse(J2))
+
+    def test_a_dropped_metabolizer_is_refused_by_the_count(self, monkeypatch):
+        # the walk loses its last metabolizer and obstruct's own count check
+        # is bypassed, so obstruct writes a short document; the walk stays
+        # faulty while the document is checked
+        walk = metabolizers.enumerate_invariant_metabolizers
+        count = metabolizers.invariant_metabolizer_count
+        monkeypatch.setattr(metabolizers, "enumerate_invariant_metabolizers",
+                            lambda F, budget: walk(F, budget)[:-1])
+        with monkeypatch.context() as bypass:
+            bypass.setattr(metabolizers, "invariant_metabolizer_count", lambda F: count(F) - 1)
+            verdict = obstruct(parse(J3))
+        assert verdict.kind == "NOT_SLICE" and len(verdict.certificates) == 5
+        with pytest.raises(VerificationError) as exc:
+            verify_verdict(json.loads(verdict.to_json()))
+        assert str(exc.value) == "the document certifies 5 of the form's 6 invariant metabolizers"
+
+    def test_the_count_checks_the_walk(self, monkeypatch):
+        walk = metabolizers.enumerate_invariant_metabolizers
+        monkeypatch.setattr(metabolizers, "enumerate_invariant_metabolizers",
+                            lambda F, budget: walk(F, budget)[:-1])
+        with pytest.raises(ConventionError,
+                           match="^the enumeration found 5 invariant metabolizers, but the form has 6$"):
+            obstruct(parse(J3))
+
+    @pytest.mark.parametrize("alter, reason", [
+        (lambda mets: mets.pop(), "the document certifies 1 of the form's 2 invariant metabolizers"),
+        (lambda mets: mets.append(mets[0]), "metabolizer 2 does not follow metabolizer 1 in order"),
+        (lambda mets: mets.reverse(), "metabolizer 1 does not follow metabolizer 0 in order"),
+        (lambda mets: mets[0].update(basis=[[1, 0]]),
+         "metabolizer 0 does not span an invariant metabolizer"),
+        (lambda mets: mets[1].update(basis=[[1, 2]]),
+         "metabolizer 1 does not span an invariant metabolizer"),
+    ], ids=["dropped", "duplicated", "reordered", "not-isotropic", "foreign"])
+    def test_each_fault_is_refused_in_its_own_terms(self, alter, reason):
+        doc = json.loads(_J2_DOC)
+        alter(doc["metabolizers"])
+        with pytest.raises(VerificationError) as exc:
+            verify_verdict(doc)
+        assert str(exc.value) == reason
 
 
 # ---------------------------------------------------------------------------
