@@ -2,10 +2,11 @@
 and its characters.
 
 A ``CoverModule`` is the r-torsion of H_1 of a branched cover with its
-deck action and linking form; the model below and the Seifert-side covers
-of ``seifert.branched_cover`` are both this record, and both must pass
-``validate_module`` at their cover degree.  Every failed self-check in
-the package raises the one ``ConventionError``.
+deck action and linking form; the model below and the covers of
+``seifert.branched_cover`` (the model of gcd(p, n), form scaled) are
+both this record, and both must pass ``validate_module`` at their cover
+degree.  Every failed self-check in the package raises the one
+``ConventionError``.
 
 The model module is F_r^(p-1) with the deck action given by the companion
 matrix of 1 + t + ... + t^(p-1); abstractly the homology is the cyclic
@@ -15,8 +16,8 @@ lambda(x_i, x_j) = c[(j - i) mod p] / r, the coefficients of
 t - 2 + t^-1, so c = (-2, 1, 0, ..., 0, 1) for p >= 3 and c = (1, -1)
 for p = 2 (cf. Borodzik-Friedl, "The unknotting number and classical
 invariants I", 2015).  The tests check it against the form of the
-Seifert-presented cover: the two agree up to an equivariant unit and a
-global scalar.
+Seifert-presented cover: the two agree up to an equivariant unit and the
+scalar that ``presentations`` derives.
 
 Characters are zero-sum vectors of length p over Z_r: the character sends
 the i-th orbit generator x_i = t^i x_0 to the (i+1)-st entry.  As

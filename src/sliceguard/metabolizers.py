@@ -249,14 +249,15 @@ def graph_detect(L: Subspace, F: FormSpace):
     half form; returns the isometry or reports which factor meets L."""
     D = F.half_dim
     r = F.r
-    X = [row[:D] for row in L.rows]
-    Y = [row[D:] for row in L.rows]
-    rank_x = modp.rank(X, r)
+    Y = tuple(row[D:] for row in L.rows)
+    # the basis is reduced, so X = L.rows[:, :D] has rank the number of
+    # pivots below D, and is the identity when that is D: then g = Y
+    rank_x = sum(pc < D for pc in L.pivots)
     rank_y = modp.rank(Y, r)
     if rank_x < D or rank_y < D:
         # ker(pr_1|_L) = L ∩ (0 ⊕ V2), ker(pr_2|_L) = L ∩ (V1 ⊕ 0)
         return NotAGraph(meets_first=rank_y < D, meets_second=rank_x < D)
-    g = modp.mat_mul(modp.mat_inv(X, r), Y, r)
+    g = Y
     Gh = F.half_gram()
     gG = modp.mat_mul(g, Gh, r)
     gGg = modp.mat_mul(gG, tuple(zip(*g)), r)
@@ -369,8 +370,8 @@ def _graph_case(L, F, sets, g, ginv, q, s, S1, S2, gS1):
         ca = _functional_killing(pre.rows, v, r, D)
         cb = tuple((-x) % r for x in modp.mat_vec(ginv, ca, r))
         return _finish(L, F, sets, 3, ca, cb, q, s)
-    # g(S1) properly contained in S2: pick v in S2 away from it
-    v = next((w for w in S2.vectors() if any(w) and not gS1.contains(w)), None)
+    # g(S1) properly contained in S2: the last echelon row of S2 outside it
+    v = next((w for w in reversed(S2.rows) if not gS1.contains(w)), None)
     if v is None:
         return None
     cb = _functional_killing(gS1.rows, v, r, D)

@@ -1,10 +1,9 @@
 """Small dense linear algebra over a prime field F_r.
 
 Vectors are tuples of ints in [0, r); matrices are tuples of row tuples.
-The forms of the verdict path have dimension under ~20; the largest
-matrices are the symmetric cover presentations that ``homology`` reduces,
-(n-1)(p-1)(q-1) rows (96 for the 5-fold cover of T(5, 7), 1200 for the
-11-fold cover of T(11, 13)).  The elimination is plain O(n^3) Python.
+The forms of the verdict path have dimension under ~20, and the cover
+modules of ``homology`` gcd(p, n) - 1.  The elimination is plain O(n^3)
+Python.
 The hot use is the metabolizer walk, which solves one small system per
 echelon row (``solve`` and ``nullspace``) instead of trying every row,
 so products are ``sum(map(mul, ...))`` over rows and columns.
@@ -12,7 +11,6 @@ so products are ``sum(map(mul, ...))`` over rows and columns.
 
 from __future__ import annotations
 
-import itertools
 from operator import mul
 
 
@@ -144,14 +142,6 @@ class Subspace:
 
     def __hash__(self):
         return hash((self.r, self.n, self.rows))
-
-    def vectors(self):
-        """All vectors of the subspace (small spaces only)."""
-        for coeffs in itertools.product(range(self.r), repeat=self.dim):
-            v = [0] * self.n
-            for c, row in zip(coeffs, self.rows):
-                v = [(x + c * y) % self.r for x, y in zip(v, row)]
-            yield tuple(v)
 
     def image(self, m) -> "Subspace":
         """Image of the subspace under the row-vector action v -> v @ m."""

@@ -1,6 +1,6 @@
-"""Seifert presentations of torus knots: Seifert matrices, Alexander
-polynomials and the homology of branched cyclic covers with linking forms,
-the routes of ``seifert``'s entry points, imported on first use.
+"""Seifert matrices and Alexander polynomials of torus knots, and the
+homology of their branched cyclic covers with linking forms: the routes
+of ``seifert``'s entry points, imported on first use.
 
 The Seifert matrix comes from Seifert's algorithm on the closed positive
 braid (s_1 s_2 ... s_{p-1})^q: one disk per strand, one band per letter,
@@ -26,25 +26,35 @@ Sylvester's identity and is checked to be, by ``cyclo.int_poly_div_exact``.
 ``alexander_poly`` and the ``alex`` command read the closed form
 (t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)) that this check compares against.
 
-Branched covers serve the ``homology`` command and the tests' oracles,
-and Seifert matrices their linking forms.  The Alexander module of a
-torus knot is cyclic, so H_1 of the n-fold branched cover is
-Z[t]/(Delta, 1 + t + ... + t^(n-1)): its divisors are the elementary
-divisors of the d x d matrix of multiplication by 1 + t + ... + t^(n-1)
-on Z[t]/Delta, d = deg Delta.  When every divisor is the prime r = q,
-the module comes from the symmetric presentation Y of the cover, with
-T^T Y T = Y for the block shift T.  x -> Yx/r maps ker(Y mod r) onto the
-r-torsion of coker Y, so on a basis of that kernel the linking form is
-lambda(x, z) = x^T Y z / r^2 mod 1, and the deck action a -> T^T a pulls
-back to x -> T^-1 x.  The kernel's dimension must equal the number of
-divisors, which ties the Alexander route to the Seifert presentation,
-and the module must pass ``covers.validate_module`` at n, as the model
-modules do at n = p.
+Branched covers serve the ``homology`` command.  The Alexander module of
+a torus knot is cyclic, so H_1 of the n-fold branched cover is
+Z[t]/(Delta, 1 + ... + t^(n-1)): its divisors are the elementary
+divisors of the d x d matrix of multiplication by 1 + ... + t^(n-1) on
+Z[t]/Delta, d = deg Delta, refused (``BudgetExceeded``) for d over
+``MAX_PRESENTATION_ROWS``.  When every divisor is the prime q, the module
+is F_q[t]/(Delta, 1 + ... + t^(n-1)) = F_q[t]/(1 + ... + t^(g-1)),
+g = gcd(p, n), with deck action t: Delta = (1 + ... + t^(p-1))^(q-1)
+mod q, and 1 + ... + t^(n-1) is squarefree mod q unless q | n, when the
+homology is infinite or g = 1.  That is ``covers.model_module(g, q)``.
 
-``homology`` answers or refuses in bounded time: d = deg Delta and the
-N = (n-1)d rows of the cover presentation may not exceed
-``MAX_PRESENTATION_ROWS`` (``BudgetExceeded``), d before the Smith form
-and N before it is built.
+Its form is the model's times s = pn/b mod q, b the model's value on its
+t = -1 eigenvector x_0 + x_2 + ... + x_(g-2) (1 for g = 2, -g for even
+g >= 4), and s = 1 for odd g.  Each irreducible factor occurs once in the
+module, so an equivariant form on it is fixed up to equivariant isometry
+by its square class on the t = -1 eigenline (a factor pair carries no
+invariant, a self-dual factor none as norms are onto); only even g has
+the line, and there p is even, n a power of 2, and the scaled model takes
+pn on it.  The cover takes the class (pn | q), by transfer, as a degree-k
+cover pi gives lk(pi^! x, pi^! y) = k lk(x, y) with pi^! injective on
+q-torsion for k prime to q:
+  * the n-fold cover over the double cover (k = n/2) carries the double
+    cover's Z/q onto the line, its involution acting by -1;
+  * the double cover of T(p, q) is Milnor's Sigma(2, p, q), the p-fold
+    cover of T(2, q), over the double cover of T(2, q) (k = p/2);
+  * that is L(q, 1), with form 1/q: for T(2, q), V + V^T is minus the
+    A_(q-1) Cartan matrix, whose inverse has corner (q-1)/q.
+So the class is (n/2 | q)(p/2 | q) = (pn | q).  The number of divisors
+and ``covers.validate_module`` at n are checked on every call.
 """
 
 from __future__ import annotations
@@ -52,18 +62,15 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from functools import lru_cache
-from math import prod
-from operator import mul
+from math import gcd, prod
 
-from . import modp, seifert
-from .covers import ConventionError, CoverModule, validate_module
+from .covers import ConventionError, CoverModule, model_module, validate_module
 from .cyclo import int_poly_div_exact
 from .knots import check_torus, prime_power_exponent
 from .laurent import LaurentPoly
 from .metabolizers import BudgetExceeded
 
-# the most rows of the Smith form (d) and of Y (N) in ``branched_cover``;
-# (7, 13, 7), with N = 432, takes about 6 s on a 2-CPU x86 machine
+# the most rows d of the Smith form in ``branched_cover``
 MAX_PRESENTATION_ROWS = 500
 
 
@@ -297,69 +304,6 @@ def _norm_multiplication(p: int, q: int, n: int) -> list:
     return rows
 
 
-def _symmetric_cover_presentation(V, n: int):
-    """The (n-1) x (n-1) block matrix with V + V^T on the diagonal, -V^T
-    above, -V below: the intersection form of the pushed-in Seifert
-    surface's n-fold cyclic cover, whose boundary linking form is the one
-    we want.  T is the block shift, with T^T Y T = Y."""
-    g2 = len(V)
-    N = (n - 1) * g2
-    Y = [[0] * N for _ in range(N)]
-    for k in range(n - 1):
-        for a in range(g2):
-            for b in range(g2):
-                Y[k * g2 + a][k * g2 + b] = V[a][b] + V[b][a]
-                if k + 1 < n - 1:
-                    Y[k * g2 + a][(k + 1) * g2 + b] = -V[b][a]
-                    Y[(k + 1) * g2 + a][k * g2 + b] = -V[a][b]
-    T = [[0] * N for _ in range(N)]
-    for k in range(n - 2):
-        for a in range(g2):
-            T[(k + 1) * g2 + a][k * g2 + a] = 1
-    for k in range(n - 1):
-        for a in range(g2):
-            T[k * g2 + a][(n - 2) * g2 + a] = -1
-    return Y, T
-
-
-def _prime_module(V, n: int, r: int, dim: int) -> CoverModule:
-    """The r-torsion of coker Y on a basis of ker(Y mod r), x -> Yx/r."""
-    Y, T = _symmetric_cover_presentation(V, n)
-    basis, pivots = modp.rref(modp.nullspace(Y, r), r)
-    if len(basis) != dim:
-        raise ConventionError(
-            f"ker(Y mod {r}) has dimension {len(basis)}, but the Alexander "
-            f"module has {dim} divisors"
-        )
-
-    def dot(u, v):
-        return sum(map(mul, u, v))
-
-    # lambda(x, z) = x^T Y z / r^2 mod 1, stored times r
-    Yx = [[dot(row, x) for row in Y] for x in basis]
-    gram = []
-    for x in basis:
-        row = []
-        for y in Yx:
-            value, rem = divmod(dot(x, y), r)
-            if rem:
-                raise ConventionError(f"linking value x^T Y z is not divisible by {r}")
-            row.append(value % r)
-        gram.append(tuple(row))
-    # T^T (Yx / r) = Y (T^-1 x) / r: the deck action is the inverse of the
-    # block shift on the kernel, whose coordinates sit at the pivots
-    shift = []
-    for x in basis:
-        y = [dot(row, x) % r for row in T]
-        coords = [y[c] for c in pivots]
-        if list(modp.vec_mat(coords, basis, r)) != y:
-            raise ConventionError(f"the block shift leaves ker(Y mod {r})")
-        shift.append(coords)
-    module = CoverModule(r=r, action=modp.mat_inv(shift, r), gram=tuple(gram))
-    validate_module(module, n)
-    return module
-
-
 def branched_cover(p: int, q: int, n: int) -> CoverHomology:
     """Homology of the n-fold cyclic branched cover of T(p, q), with its
     deck action and linking form when every divisor is the prime q; the
@@ -367,8 +311,10 @@ def branched_cover(p: int, q: int, n: int) -> CoverHomology:
 
     The divisors come from the cyclic Alexander module; a zero divisor
     (infinite homology) is rejected, which catches non-prime-power n, and
-    d or N over ``MAX_PRESENTATION_ROWS`` raises BudgetExceeded; see the
-    module docstring.
+    a d over ``MAX_PRESENTATION_ROWS`` raises BudgetExceeded.  The module
+    is ``covers.model_module(g, q)``, g = gcd(p, n), with its form scaled
+    by s = pn/b mod q for even g, b its value on x_0 + x_2 + ... + x_(g-2);
+    see the module docstring.
     """
     if n < 2:
         raise ValueError("cover degree must be at least 2")
@@ -386,12 +332,19 @@ def branched_cover(p: int, q: int, n: int) -> CoverHomology:
     torsion = tuple(d for d in divisors if d != 1)
     module = None
     if prime_power_exponent(q) == 1 and torsion and all(d == q for d in torsion):
-        rows = (n - 1) * d
-        if rows > MAX_PRESENTATION_ROWS:
-            raise BudgetExceeded(
-                f"the {n}-fold cover of T({p},{q}) has a presentation of {rows} "
-                f"rows, over the limit of {MAX_PRESENTATION_ROWS}"
+        g = gcd(p, n)
+        if len(torsion) != g - 1:
+            raise ConventionError(
+                f"the {n}-fold cover of T({p},{q}) has {len(torsion)} divisors, "
+                f"but F_{q}[t]/(1 + ... + t^{g - 1}) has dimension {g - 1}"
             )
-        module = _prime_module(seifert.seifert_matrix(p, q), n, q, len(torsion))
+        model = model_module(g, q)
+        s = 1
+        if g % 2 == 0:
+            b = sum(model.gram[i][j] for i in range(0, g - 1, 2) for j in range(0, g - 1, 2))
+            s = p * n * pow(b, -1, q) % q
+        module = CoverModule(r=q, action=model.action,
+                             gram=tuple(tuple(s * x % q for x in row) for row in model.gram))
+        validate_module(module, n)
     return CoverHomology(p=p, q=q, n=n, divisors=torsion, order=prod(torsion),
                          module=module)

@@ -2,8 +2,8 @@
 
 The package reads the linking form of the p-fold cover of T(p, r) and the
 Levine-Tristram signature of T(p, q) off closed forms, and the homology of
-a branched cover off the cyclic Alexander module.  The general routes they
-replaced live here, as independent oracles:
+a branched cover off the cyclic Alexander module and the model module.
+The general routes they replaced live here, as independent oracles:
 
 * ``seifert_cover`` is the branched cover from integer Smith forms with
   tracked transforms: U Y W = diag(d) for the symmetric presentation Y,
@@ -11,6 +11,9 @@ replaced live here, as independent oracles:
   cokernel is cross-checked against the block-circulant presentation.
   The linking form needs no inverse there: Y^-1 = W D^-1 U, so the pairing
   of generators u and v is u . W[:, v] / d_v.
+* ``kernel_cover`` reads the same module off ker(Y mod q), with no
+  transform tracked, for the shapes whose tracked Smith form does not
+  finish.
 * ``seifert_import`` pulls the linking form of that cover back to the
   model basis x_i = t^i x_0 along a matched cyclic generator.
 * ``interval_signature`` is the signature of the Hermitian Seifert form:
@@ -24,7 +27,8 @@ replaced live here, as independent oracles:
 * ``substitute`` is f(xi^c t^m), the classical order of a twisted and
   dilated torus-knot atom, whose roots the Witt supports count.
 * ``enumerate_subspaces`` lists every k-dimensional subspace of F_r^n,
-  the Grassmannian that the metabolizer walk prunes, and ``product_walk``
+  the Grassmannian that the metabolizer walk prunes, ``subspace_vectors``
+  every vector of one subspace, and ``product_walk``
   is the walk that tried every value of a row's free slots, where the
   package's walk solves the row's pairings.
 * ``cover_order_from_alexander`` is the classical order formula
@@ -216,6 +220,31 @@ def _circulant_presentation(V, n: int) -> CoverPresentation:
     return CoverPresentation(n, tuple(map(tuple, M)), tuple(map(tuple, P)))
 
 
+def _symmetric_cover_presentation(V, n: int):
+    """The (n-1) x (n-1) block matrix with V + V^T on the diagonal, -V^T
+    above, -V below: the intersection form of the pushed-in Seifert
+    surface's n-fold cyclic cover, whose boundary linking form is the one
+    we want.  T is the block shift, with T^T Y T = Y."""
+    g2 = len(V)
+    N = (n - 1) * g2
+    Y = [[0] * N for _ in range(N)]
+    for k in range(n - 1):
+        for a in range(g2):
+            for b in range(g2):
+                Y[k * g2 + a][k * g2 + b] = V[a][b] + V[b][a]
+                if k + 1 < n - 1:
+                    Y[k * g2 + a][(k + 1) * g2 + b] = -V[b][a]
+                    Y[(k + 1) * g2 + a][k * g2 + b] = -V[a][b]
+    T = [[0] * N for _ in range(N)]
+    for k in range(n - 2):
+        for a in range(g2):
+            T[(k + 1) * g2 + a][k * g2 + a] = 1
+    for k in range(n - 1):
+        for a in range(g2):
+            T[k * g2 + a][(n - 2) * g2 + a] = -1
+    return Y, T
+
+
 @lru_cache(maxsize=None)
 def seifert_cover(p: int, q: int, n: int) -> SeifertCover:
     """The n-fold branched cover of T(p, q) from its Seifert presentations:
@@ -227,7 +256,7 @@ def seifert_cover(p: int, q: int, n: int) -> SeifertCover:
     V = seifert.seifert_matrix(p, q)
     circ = _circulant_presentation(V, n)
     circ_div = smith_normal_form(circ.matrix)[0]
-    Y, T = presentations._symmetric_cover_presentation(V, n)
+    Y, T = _symmetric_cover_presentation(V, n)
     divisors, U, Uinv, W = smith_normal_form(Y)
     if 0 in divisors or 0 in circ_div:
         raise ConventionError(f"singular cover presentation for n={n}")
@@ -263,6 +292,42 @@ def _transform_module(T, divisors, U, Uinv, W, r: int, n: int) -> CoverModule:
         tg = [sum(T[j][i] * g[j] for j in range(N)) for i in range(N)]
         action.append(tuple(sum(U[k][i] * tg[i] for i in range(N)) % r for k in gen_idx))
     module = CoverModule(r=r, action=tuple(action), gram=tuple(gram))
+    validate_module(module, n)
+    return module
+
+
+@lru_cache(maxsize=None)
+def kernel_cover(p: int, q: int, n: int) -> CoverModule:
+    """The q-torsion of the n-fold cover of T(p, q), for a shape whose
+    divisors are all the prime q, on a basis of ker(Y mod q) for the
+    symmetric presentation Y: x -> Yx/q maps that kernel onto the
+    q-torsion of coker Y, lambda(x, z) = x^T Y z / q^2, and the deck action
+    a -> T^T a pulls back to x -> T^-1 x.  No transform is tracked, so it
+    finishes where ``seifert_cover`` does not, as on the 5-fold cover of
+    T(5, 7)."""
+    Y, T = _symmetric_cover_presentation(seifert.seifert_matrix(p, q), n)
+    basis, pivots = modp.rref(modp.nullspace(Y, q), q)
+    # lambda(x, z) = x^T Y z / q^2 mod 1, stored times q
+    Yx = [[_dot(row, x) for row in Y] for x in basis]
+    gram = []
+    for x in basis:
+        row = []
+        for y in Yx:
+            value, rem = divmod(_dot(x, y), q)
+            if rem:
+                raise ConventionError(f"linking value x^T Y z is not divisible by {q}")
+            row.append(value % q)
+        gram.append(tuple(row))
+    # T^T (Yx / q) = Y (T^-1 x) / q: the deck action is the inverse of the
+    # block shift on the kernel, whose coordinates sit at the pivots
+    shift = []
+    for x in basis:
+        y = [_dot(row, x) % q for row in T]
+        coords = [y[c] for c in pivots]
+        if list(modp.vec_mat(coords, basis, q)) != y:
+            raise ConventionError(f"the block shift leaves ker(Y mod {q})")
+        shift.append(coords)
+    module = CoverModule(r=q, action=modp.mat_inv(shift, q), gram=tuple(gram))
     validate_module(module, n)
     return module
 
@@ -557,6 +622,16 @@ def enumerate_subspaces(n: int, k: int, r: int):
                 rows[i][c] = v
             yield Subspace(rows, r, n)
 
+
+
+def subspace_vectors(S: Subspace):
+    """Every vector of the subspace, coefficient tuples in product order
+    over its echelon rows (small spaces only)."""
+    for coeffs in itertools.product(range(S.r), repeat=S.dim):
+        v = [0] * S.n
+        for c, row in zip(coeffs, S.rows):
+            v = [(x + c * y) % S.r for x, y in zip(v, row)]
+        yield tuple(v)
 
 def product_walk(F) -> list:
     """The isotropic echelon walk that tried every row, which

@@ -265,7 +265,7 @@ def test_criterion_06_character_construction_soundness():
                 assert isinstance(choice, CharacterChoice)
                 dim = F.block_dim
                 # independent evaluation on every vector of L
-                for v in L.vectors():
+                for v in oracles.subspace_vectors(L):
                     total = 0
                     for k, chi in enumerate(choice.chi_a + choice.chi_b):
                         block = v[k * dim : (k + 1) * dim]

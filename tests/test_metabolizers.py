@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -149,13 +150,19 @@ FORMULA_COUNTS = {(4, 2, 3): 896, (5, 1, 11): 196, (7, 1, 2): 11, (8, 1, 3): 96,
                   (9, 1, 2): 27}
 
 
+@functools.lru_cache(maxsize=None)
+def _walked(p, m1, r):
+    """The walk's metabolizers of a ``WALKED_COUNTS`` shape, walked once."""
+    return tuple(enumerate_invariant_metabolizers(FormSpace(p, r, m1), budget=10**30))
+
+
 class TestInvariantMetabolizerCount:
     """The closed-form count against the walk and the Grassmannian filter."""
 
     @pytest.mark.parametrize("p,m1,r", list(WALKED_COUNTS))
     def test_count_is_the_walk_length(self, p, m1, r):
         F = FormSpace(p, r, m1)
-        found = enumerate_invariant_metabolizers(F, budget=10**30)
+        found = _walked(p, m1, r)
         assert invariant_metabolizer_count(F) == len(found) == WALKED_COUNTS[(p, m1, r)]
 
     @pytest.mark.parametrize("p,r,m1", [shape for shape in _walk_shapes(limit=3000) if shape[2]])
@@ -188,6 +195,56 @@ class TestGraphDetection:
         g = graph_detect(L, F)
         assert isinstance(g, NotAGraph)
         assert g.meets_first and g.meets_second
+
+    @pytest.mark.parametrize("p,m1,r", list(WALKED_COUNTS))
+    def test_isometry_is_x_inverse_y(self, p, m1, r):
+        # the isometry is read off the reduced basis, whose X half is the
+        # identity on a graph: it is X^-1 Y on every metabolizer walked
+        F = FormSpace(p, r, m1)
+        D = F.half_dim
+        for L in _walked(p, m1, r):
+            X = [row[:D] for row in L.rows]
+            Y = [row[D:] for row in L.rows]
+            rank_x, rank_y = modp.rank(X, r), modp.rank(Y, r)
+            detected = graph_detect(L, F)
+            if rank_x == rank_y == D:
+                assert detected == Isometry(modp.mat_mul(modp.mat_inv(X, r), Y, r))
+            else:
+                assert detected == NotAGraph(meets_first=rank_y < D, meets_second=rank_x < D)
+
+    @pytest.mark.parametrize("r,D,I1,I2", [(5, 3, {0}, {1, 2}), (3, 4, {0}, {1, 2, 3}),
+                                           (3, 4, {0, 1}, {0, 2, 3})])
+    def test_graph_case_pins_the_first_vector_of_the_scan(self, r, D, I1, I2, monkeypatch):
+        # g(S1) properly inside S2: the pinned vector is the last echelon
+        # row of S2 outside g(S1), the first one the scan over every
+        # vector of S2 meets; g is tried with every image of S1 in S2
+        from sliceguard.metabolizers import _coordinate_subspace, _graph_case
+
+        pinned = []
+
+        def pin(rows, vector, r, n):
+            pinned.append(tuple(vector))
+            raise LookupError
+
+        monkeypatch.setattr(metabolizers, "_functional_killing", pin)
+        F = FormSpace(2, r, D)
+        S1 = _coordinate_subspace(frozenset(I1), D, 1, r)
+        S2 = _coordinate_subspace(frozenset(I2), D, 1, r)
+        images = [v for v in itertools.product(oracles.subspace_vectors(S2), repeat=S1.dim)
+                  if modp.rank(v, r) == S1.dim]
+        assert images
+        for image in images:
+            # rows of S1 go to the image, the other unit vectors stay put
+            g = list(modp.identity(D))
+            for row, v in zip(S1.rows, image):
+                g[row.index(1)] = v
+            gS1 = S1.image(g)
+            assert gS1.dim < S2.dim and all(S2.contains(w) for w in gS1.rows)
+            scan = next(w for w in oracles.subspace_vectors(S2)
+                        if any(w) and not gS1.contains(w))
+            with pytest.raises(LookupError):
+                _graph_case(None, F, None, g, None, 3, 1, S1, S2, gS1)
+            assert pinned.pop() == scan
 
     @pytest.mark.parametrize("name", list(FORMS))
     def test_graph_criterion_exhaustive(self, name):
@@ -260,7 +317,7 @@ class TestConstructCharacter:
             # a character is the functional of its first p - 1 values
             fa, fb = (tuple(v for chi in chis for v in chi.values[:-1])
                       for chis in (choice.chi_a, choice.chi_b))
-            for v in L.vectors():
+            for v in oracles.subspace_vectors(L):
                 total = sum(a * b for a, b in zip(v[:1], fa)) + sum(
                     a * b for a, b in zip(v[1:], fb)
                 )

@@ -341,7 +341,7 @@ def test_linking_form_matches_fraction_inverse_route(p, q, n):
     # the oracle's gram read off W D^-1 equals u^T Y^-1 v with Y inverted
     # over Q, and the tracked Uinv equals the rational inverse of U
     cover = oracles.seifert_cover(p, q, n)
-    Y, _ = presentations._symmetric_cover_presentation(seifert.seifert_matrix(p, q), n)
+    Y, _ = oracles._symmetric_cover_presentation(seifert.seifert_matrix(p, q), n)
     divisors, U, Uinv, _ = oracles.smith_normal_form(Y)
     assert [list(map(Fraction, row)) for row in Uinv] == _fraction_inverse(U)
     if cover.module is None:
@@ -426,13 +426,37 @@ def _discriminant_class(gram, r):
     return 1 if r == 2 else pow(det, (r - 1) // 2, r)
 
 
-@pytest.mark.parametrize("p,q,n", MODULE_COVERS)
+# n = 8 covers with g = gcd(p, n) in {4, 8}, whose t = -1 eigenline fixes
+# the scalar of the model's form
+EVEN_G_COVERS = [(4, 3, 8), (4, 5, 8), (8, 3, 4), (8, 5, 4)]
+# every module shape with p <= 8, q in {3, 5, 7, 11, 13}, n in {2, 3, 4, 5,
+# 7, 8, 9} and a presentation Y of (n-1)(p-1)(q-1) <= 300 rows: 73, on 11
+# of which, such as (5, 7, 5), the tracked Smith form does not finish in 20 s
+COVER_SWEEP = [
+    (p, q, n)
+    for p in range(2, 9) for q in (3, 5, 7, 11, 13) for n in (2, 3, 4, 5, 7, 8, 9)
+    if gcd(p, q) == 1 and (n - 1) * (p - 1) * (q - 1) <= 300
+    and seifert.branched_cover(p, q, n).module
+]
+
+
+@pytest.mark.parametrize("p,q,n", MODULE_COVERS + EVEN_G_COVERS)
 def test_cover_module_matches_the_smith_route(p, q, n):
     # the kernel basis and the Smith generators differ, but the modules
     # are the same: equivariantly isometric (by brute force where the
     # module is small) and of one discriminant class everywhere
     new = seifert.branched_cover(p, q, n).module
     old = oracles.seifert_cover(p, q, n).module
+    assert (new.r, new.dim) == (old.r, old.dim)
+    assert _discriminant_class(new.gram, q) == _discriminant_class(old.gram, q)
+    if q ** new.dim <= 3000:
+        assert _equivariant_isometries(old, new)
+
+
+@pytest.mark.parametrize("p,q,n", COVER_SWEEP)
+def test_cover_module_matches_the_kernel_route(p, q, n):
+    new = seifert.branched_cover(p, q, n).module
+    old = oracles.kernel_cover(p, q, n)
     assert (new.r, new.dim) == (old.r, old.dim)
     assert _discriminant_class(new.gram, q) == _discriminant_class(old.gram, q)
     if q ** new.dim <= 3000:
@@ -447,9 +471,9 @@ def test_closed_form_matches_the_kernel_route(p, r):
     from test_covers import _unit_isometries
 
     m = covers.model_module(p, r)
-    cover = seifert.branched_cover(p, r, p)
-    assert cover.divisors == (r,) * (p - 1)
-    imported = oracles.orbit_form(cover.module, p)
+    assert seifert.branched_cover(p, r, p).divisors == (r,) * (p - 1)
+    kernel = oracles.kernel_cover(p, r, p)
+    imported = oracles.orbit_form(kernel, p)
     hits = _unit_isometries(m, imported)
     assert hits
     for u, s in hits:
@@ -458,7 +482,7 @@ def test_closed_form_matches_the_kernel_route(p, r):
             rows.append(modp.vec_mat(rows[-1], m.action, r))
         pulled = modp.mat_mul(modp.mat_mul(rows, m.gram, r), tuple(zip(*rows)), r)
         assert modp.mat_eq(pulled, [[s * x % r for x in row] for row in imported])
-    assert _discriminant_class(cover.module.gram, r) == _discriminant_class(m.gram, r)
+    assert _discriminant_class(kernel.gram, r) == _discriminant_class(m.gram, r)
 
 
 @st.composite
