@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from math import gcd
 
 from . import covers, metabolizers, pipeline, seifert
 from .covers import Character
@@ -47,15 +48,24 @@ def _count(text: str) -> int:
     return value
 
 
+def _integer(text: str) -> int:
+    """A positional integer below 2**31 in size, like every integer the parser
+    takes: a larger one, whose prime test alone would not finish, is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 2**31
+    if not abs(value) < 2**31:
+        raise argparse.ArgumentTypeError(f"expected an integer below 2**31 in size, got {text!r}")
+    return value
+
+
 def _prime(text: str) -> int:
     """A forced obstruction prime: anything else is a usage error, before any work.
     The bound keeps the trial division instant; a larger prime's form would
     have more subspaces than any budget that finishes."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if not value < 2**31 or prime_power_exponent(value) != 1:
+    value = _integer(text)
+    if prime_power_exponent(value) != 1:
         raise argparse.ArgumentTypeError(f"expected a prime below 2**31, got {text!r}")
     return value
 
@@ -227,18 +237,19 @@ def _cmd_metabolizers(args) -> int:
 
 
 def _cmd_signature(args) -> int:
+    p, q = args.p, args.q
+    check_torus(p, q)
     if args.jumps:
-        check_torus(args.p, args.q)
-        d = (args.p - 1) * (args.q - 1)
-        _refuse_long_listing(d, f"T({args.p},{args.q}) has {d} signature jumps")
-        jumps = seifert.jump_function(args.p, args.q)
+        d = (p - 1) * (q - 1)
+        _refuse_long_listing(d, f"T({p},{q}) has {d} signature jumps")
+        jumps = seifert.jump_function(p, q)
         if args.json:
             print(json.dumps({
-                "p": args.p, "q": args.q,
+                "p": p, "q": q,
                 "jumps": {f"{x.numerator}/{x.denominator}": j for x, j in jumps.items()},
             }))
         else:
-            print(f"signature jumps of T({args.p},{args.q}):")
+            print(f"signature jumps of T({p},{q}):")
             for x, j in sorted(jumps.items()):
                 print(f"  {x}: {j:+d}")
         return 0
@@ -246,20 +257,28 @@ def _cmd_signature(args) -> int:
         print("a rational point or --jumps is required", file=sys.stderr)
         return 1
     x = _point(args.x)
-    sig = seifert.lt_signature(args.p, args.q, x)
+    _refuse_long_listing(min(p, q), f"the signature of T({p},{q}) is a sum over its "
+                                    f"smaller index {min(p, q)}")
+    sig = seifert.lt_signature(p, q, x)
     if args.json:
-        print(json.dumps({"p": args.p, "q": args.q, "x": str(x), "signature": sig}))
+        print(json.dumps({"p": p, "q": q, "x": str(x), "signature": sig}))
     else:
-        print(f"signature of T({args.p},{args.q}) at exp(2*pi*i*{x}) = {sig}")
+        print(f"signature of T({p},{q}) at exp(2*pi*i*{x}) = {sig}")
     return 0
 
 
 def _cmd_homology(args) -> int:
-    if not prime_power_exponent(args.n):
-        raise ValueError(f"cover degree {args.n} is not a prime power >= 2")
-    cover = seifert.branched_cover(args.p, args.q, args.n)
+    p, q, n = args.p, args.q, args.n
+    if not prime_power_exponent(n):
+        raise ValueError(f"cover degree {n} is not a prime power >= 2")
+    check_torus(p, q)
+    # the g + h - 2 divisors, then the module's two (g - 1)-square matrices
+    g, h = gcd(p, n), gcd(q, n)
+    listed = g + h - 2 + (2 * (g - 1) ** 2 if prime_power_exponent(q) == 1 else 0)
+    _refuse_long_listing(listed, f"H_1 of the {n}-fold cover of T({p},{q}) lists {listed} entries")
+    cover = seifert.branched_cover(p, q, n)
     doc = {
-        "p": args.p, "q": args.q, "n": args.n,
+        "p": p, "q": q, "n": n,
         "divisors": list(cover.divisors),
         "order": cover.order,
     }
@@ -274,7 +293,7 @@ def _cmd_homology(args) -> int:
         print(json.dumps(doc, indent=2))
     else:
         group = " + ".join(f"Z_{d}" for d in cover.divisors) or "0"
-        print(f"H_1 of the {args.n}-fold branched cover of T({args.p},{args.q}): {group}")
+        print(f"H_1 of the {n}-fold branched cover of T({p},{q}): {group}")
         if cover.module is not None:
             print(f"  deck action: {[list(r) for r in cover.module.action]}")
             print(f"  linking form (times {cover.module.r}): "
@@ -318,14 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
     sc.set_defaults(func=_cmd_slice_check)
 
     al = sub.add_parser("alex", help="Alexander polynomial of T(p,q)")
-    al.add_argument("p", type=int)
-    al.add_argument("q", type=int)
+    al.add_argument("p", type=_integer)
+    al.add_argument("q", type=_integer)
     add_common(al)
     al.set_defaults(func=_cmd_alex)
 
     ta = sub.add_parser("talex", help="twisted Alexander polynomial of T(p,q)")
-    ta.add_argument("p", type=int)
-    ta.add_argument("q", type=int)
+    ta.add_argument("p", type=_integer)
+    ta.add_argument("q", type=_integer)
     ta.add_argument("character", help="comma-separated values, e.g. '1,2'")
     ta.add_argument("--surgery", action="store_true",
                     help="0-surgery variant instead of the exterior")
@@ -333,32 +352,32 @@ def build_parser() -> argparse.ArgumentParser:
     ta.set_defaults(func=_cmd_talex)
 
     ch = sub.add_parser("characters", help="all characters of the cover module")
-    ch.add_argument("p", type=int)
-    ch.add_argument("r", type=int)
+    ch.add_argument("p", type=_integer)
+    ch.add_argument("r", type=_integer)
     add_common(ch)
     ch.set_defaults(func=_cmd_characters)
 
     me = sub.add_parser("metabolizers",
                         help="invariant metabolizers of lambda^m + -lambda^m")
-    me.add_argument("p", type=int)
-    me.add_argument("r", type=int)
+    me.add_argument("p", type=_integer)
+    me.add_argument("r", type=_integer)
     me.add_argument("--copies", type=_count, default=1, help="the exponent m")
     me.add_argument("--budget", type=_count, default=metabolizers.DEFAULT_BUDGET)
     add_common(me)
     me.set_defaults(func=_cmd_metabolizers)
 
     si = sub.add_parser("signature", help="Levine-Tristram signature of T(p,q)")
-    si.add_argument("p", type=int)
-    si.add_argument("q", type=int)
+    si.add_argument("p", type=_integer)
+    si.add_argument("q", type=_integer)
     si.add_argument("x", nargs="?", help="rational point, e.g. '1/2'")
     si.add_argument("--jumps", action="store_true", help="print the jump function")
     add_common(si)
     si.set_defaults(func=_cmd_signature)
 
     ho = sub.add_parser("homology", help="branched cover homology and linking form")
-    ho.add_argument("p", type=int)
-    ho.add_argument("q", type=int)
-    ho.add_argument("n", type=int)
+    ho.add_argument("p", type=_integer)
+    ho.add_argument("q", type=_integer)
+    ho.add_argument("n", type=_integer)
     add_common(ho)
     ho.set_defaults(func=_cmd_homology)
     return top

@@ -3,8 +3,9 @@ and its characters.
 
 A ``CoverModule`` is the r-torsion of H_1 of a branched cover with its
 deck action and linking form; the model below and the covers of
-``seifert.branched_cover`` (the model of gcd(p, n), form scaled) are
-both this record, and both must pass ``validate_module`` at their cover
+``seifert.branched_cover`` (the model of g = gcd(p, n), form scaled) are
+both this record, and both must pass ``validate_module``: the model at p,
+and a cover at g, the order of its deck action, which divides the cover
 degree.  Every failed self-check in the package raises the one
 ``ConventionError``.
 

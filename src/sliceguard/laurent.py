@@ -341,8 +341,7 @@ def divisor_closure(orders) -> set[int]:
     return out
 
 
-def unit_circle_roots(f: LaurentPoly, orders, *, max_depth: int = 16,
-                      prec: int = 192) -> dict[RootOfUnity, int]:
+def unit_circle_roots(f: LaurentPoly, orders) -> dict[RootOfUnity, int]:
     """Exact multiplicities of the roots of unity of ``f`` on the unit circle.
 
     ``orders`` is a finite set of candidate root orders; it is closed under
@@ -368,24 +367,30 @@ def unit_circle_roots(f: LaurentPoly, orders, *, max_depth: int = 16,
             if mult:
                 found[root] = mult
     if g.span() > 0:
-        _certify_no_circle_roots(g, max_depth, prec)
+        _certify_no_circle_roots(g)
     return found
 
 
-def _certify_no_circle_roots(g: LaurentPoly, max_depth: int, prec: int):
+# the residual-factor certificate's deepest arc split and interval bits
+MAX_ARC_DEPTH = 16
+ARC_PRECISION = 192
+
+
+def _certify_no_circle_roots(g: LaurentPoly):
     """Certify |g| > 0 on the unit circle by dyadic arc subdivision.
 
     Each arc {e^(2 pi i theta) : theta in [lo, hi]} is enclosed in a
-    complex interval box; if |g|^2 on the box excludes zero the arc is
-    done, otherwise the arc splits.  An arc surviving to max_depth is
-    reported as a possible residual root.
+    complex interval box at ARC_PRECISION bits; if |g|^2 on the box
+    excludes zero the arc is done, otherwise the arc splits.  An arc
+    surviving to MAX_ARC_DEPTH splits is reported as a possible residual
+    root.
     """
     from mpmath import iv  # loaded only when a residual factor is certified
 
     coeffs = [c for c in g.coeffs]  # the unit t^low does not move roots
     old = iv.prec
     try:
-        iv.prec = prec
+        iv.prec = ARC_PRECISION
         coeff_ivs = [c.interval() for c in coeffs]
 
         def arc_positive(lo: float, hi: float) -> bool:
@@ -402,7 +407,7 @@ def _certify_no_circle_roots(g: LaurentPoly, max_depth: int, prec: int):
             lo, hi, depth = stack.pop()
             if arc_positive(lo, hi):
                 continue
-            if depth >= max_depth:
+            if depth >= MAX_ARC_DEPTH:
                 raise RootExtractionError(
                     "residual factor may vanish on the unit circle in "
                     f"[{lo}, {hi}]; the candidate order set is too small"

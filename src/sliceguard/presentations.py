@@ -26,16 +26,29 @@ Sylvester's identity and is checked to be, by ``cyclo.int_poly_div_exact``.
 ``alexander_poly`` and the ``alex`` command read the closed form
 (t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)) that this check compares against.
 
-Branched covers serve the ``homology`` command.  The Alexander module of
-a torus knot is cyclic, so H_1 of the n-fold branched cover is
-Z[t]/(Delta, 1 + ... + t^(n-1)): its divisors are the elementary
-divisors of the d x d matrix of multiplication by 1 + ... + t^(n-1) on
-Z[t]/Delta, d = deg Delta, refused (``BudgetExceeded``) for d over
-``MAX_PRESENTATION_ROWS``.  When every divisor is the prime q, the module
-is F_q[t]/(Delta, 1 + ... + t^(n-1)) = F_q[t]/(1 + ... + t^(g-1)),
-g = gcd(p, n), with deck action t: Delta = (1 + ... + t^(p-1))^(q-1)
-mod q, and 1 + ... + t^(n-1) is squarefree mod q unless q | n, when the
-homology is infinite or g = 1.  That is ``covers.model_module(g, q)``.
+Branched covers serve the ``homology`` command.  The n-fold cover of
+T(p, q) is Milnor's Brieskorn manifold Sigma(p, q, n); as the Alexander
+module of a torus knot is cyclic, its H_1 is Z[t]/(Delta, N) with
+N = 1 + ... + t^(n-1).  With g = gcd(p, n) and h = gcd(q, n) it is
+infinite when g, h > 1, and else (Z/q)^(g-1) + (Z/p)^(h-1), by resultants
+of cyclotomic polynomials (Apostol, 1970):
+  * Delta = prod Phi_ab over a | p, b | q, a, b > 1, and N = prod Phi_e
+    over e | n, e > 1; so Phi_ab divides both for a | g, b | h;
+  * Res(Phi_x, Phi_y) = +-1 unless x/y is a prime power, and a power of
+    l when x/y is a power of the prime l.  So at l | q (l | p is
+    symmetric) no pair survives for g = 1; for g > 1, l does not divide
+    n, the Phi_e split the module into the Z[zeta_e]/(Delta(zeta_e)), and
+    only the pairs (Phi_(a l^m), Phi_a) with e = a | g survive;
+  * differentiating Phi_a(x^l) = Phi_a(x) Phi_al(x) at zeta_a gives
+    Phi_al(zeta_a) = l zeta_a^(l-1) Phi_a'(zeta_a^l) / Phi_a'(zeta_a): l
+    times a unit, a ratio of Galois-conjugate generators of the
+    different; Phi_(a l^m)(x) = Phi_al(x^(l^(m-1))) is conjugate to it;
+  * so the l-part is the sum over a | g, a > 1, of Z[zeta_a]/(l^v),
+    v = v_l(q), that is (Z/l^v)^(g-1).
+For q prime and g > 1 the module is F_q[t]/(Delta, N) =
+F_q[t]/(1 + ... + t^(g-1)), with deck action t, as Delta is
+(1 + ... + t^(p-1))^(q-1) mod q and N is squarefree mod q: that is
+``covers.model_module(g, q)``.
 
 Its form is the model's times s = pn/b mod q, b the model's value on its
 t = -1 eigenvector x_0 + x_2 + ... + x_(g-2) (1 for g = 2, -g for even
@@ -53,8 +66,9 @@ q-torsion for k prime to q:
     cover of T(2, q), over the double cover of T(2, q) (k = p/2);
   * that is L(q, 1), with form 1/q: for T(2, q), V + V^T is minus the
     A_(q-1) Cartan matrix, whose inverse has corner (q-1)/q.
-So the class is (n/2 | q)(p/2 | q) = (pn | q).  The number of divisors
-and ``covers.validate_module`` at n are checked on every call.
+So the class is (n/2 | q)(p/2 | q) = (pn | q).  ``covers.validate_module``
+at g checks the module on every call: t^g = 1 there, so the order of t
+divides n, and N = (n/g)(1 + ... + t^(g-1)) vanishes too.
 """
 
 from __future__ import annotations
@@ -68,10 +82,6 @@ from .covers import ConventionError, CoverModule, model_module, validate_module
 from .cyclo import int_poly_div_exact
 from .knots import check_torus, prime_power_exponent
 from .laurent import LaurentPoly
-from .metabolizers import BudgetExceeded
-
-# the most rows d of the Smith form in ``branched_cover``
-MAX_PRESENTATION_ROWS = 500
 
 
 # ---------------------------------------------------------------------------
@@ -219,125 +229,27 @@ class CoverHomology(namedtuple("CoverHomology", "p q n divisors order module")):
     __slots__ = ()
 
 
-def elementary_divisors(rows) -> tuple:
-    """The diagonal d_1 | d_2 | ... of the integer Smith normal form, one
-    entry per row or column, whichever is fewer (zeros last)."""
-    A = [list(map(int, r)) for r in rows]
-    nrows, ncols = len(A), len(A[0])
-    rank = min(nrows, ncols)
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-
-    def smallest_entry(t):
-        # first entry of least absolute value in row-major order
-        best = None
-        for i in range(t, nrows):
-            row = A[i]
-            for j in range(t, ncols):
-                if row[j] and (best is None or abs(row[j]) < best[0]):
-                    best = (abs(row[j]), i, j)
-                    if best[0] == 1:
-                        return best
-        return best
-
-    def reduce_from(t):
-        while t < rank:
-            best = smallest_entry(t)
-            if best is None:
-                return
-            _, i0, j0 = best
-            A[t], A[i0] = A[i0], A[t]
-            swap_cols(t, j0)
-            dirty = True
-            while dirty:
-                dirty = False
-                for i in range(t + 1, nrows):
-                    if A[i][t]:
-                        c = A[i][t] // A[t][t]
-                        A[i] = [x - c * y for x, y in zip(A[i], A[t])]
-                        if A[i][t]:
-                            A[t], A[i] = A[i], A[t]
-                            dirty = True
-                for j in range(t + 1, ncols):
-                    if A[t][j]:
-                        c = A[t][j] // A[t][t]
-                        for row in A:
-                            row[j] -= c * row[t]
-                        if A[t][j]:
-                            swap_cols(t, j)
-                            dirty = True
-            t += 1
-
-    reduce_from(0)
-    # sign normalization and the divisibility chain
-    while True:
-        for i in range(rank):
-            A[i][i] = abs(A[i][i])
-        broken = next((i for i in range(rank - 1)
-                       if A[i][i] and A[i + 1][i + 1] % A[i][i]), None)
-        if broken is None:
-            return tuple(A[i][i] for i in range(rank))
-        A[broken] = [x + y for x, y in zip(A[broken], A[broken + 1])]
-        reduce_from(broken)
-
-
-def _norm_multiplication(p: int, q: int, n: int) -> list:
-    """Multiplication by 1 + t + ... + t^(n-1) on Z[t]/Delta in the basis
-    1, t, ..., t^(d-1): row j holds t^j (1 + ... + t^(n-1)) mod Delta."""
-    delta = _torus_alexander_reference(p, q)
-    d = len(delta) - 1
-    if delta[-1] != 1:
-        raise ConventionError("the Alexander polynomial is not monic")
-
-    def times_t(v):
-        return [(v[i - 1] if i else 0) - v[-1] * delta[i] for i in range(d)]
-
-    power, norm = [1] + [0] * (d - 1), [0] * d
-    for _ in range(n):
-        norm = [a + b for a, b in zip(norm, power)]
-        power = times_t(power)
-    rows = [norm]
-    for _ in range(d - 1):
-        rows.append(times_t(rows[-1]))
-    return rows
-
-
 def branched_cover(p: int, q: int, n: int) -> CoverHomology:
     """Homology of the n-fold cyclic branched cover of T(p, q), with its
-    deck action and linking form when every divisor is the prime q; the
-    body of the cached ``seifert.branched_cover``.
+    deck action and linking form when q is prime and divides the order;
+    the body of the cached ``seifert.branched_cover``.
 
-    The divisors come from the cyclic Alexander module; a zero divisor
-    (infinite homology) is rejected, which catches non-prime-power n, and
-    a d over ``MAX_PRESENTATION_ROWS`` raises BudgetExceeded.  The module
-    is ``covers.model_module(g, q)``, g = gcd(p, n), with its form scaled
-    by s = pn/b mod q for even g, b its value on x_0 + x_2 + ... + x_(g-2);
-    see the module docstring.
+    The group is (Z/q)^(g-1) + (Z/p)^(h-1), g = gcd(p, n), h = gcd(q, n);
+    g, h > 1 (infinite homology) is rejected.  The module is
+    ``covers.model_module(g, q)`` with its form scaled by s = pn/b mod q
+    for even g, b its value on x_0 + x_2 + ... + x_(g-2); see the module
+    docstring.
     """
     if n < 2:
         raise ValueError("cover degree must be at least 2")
     check_torus(p, q)
-    d = (p - 1) * (q - 1)
-    if d > MAX_PRESENTATION_ROWS:
-        raise BudgetExceeded(f"the Alexander module of T({p},{q}) has rank {d}, "
-                             f"over the limit of {MAX_PRESENTATION_ROWS}")
-    divisors = elementary_divisors(_norm_multiplication(p, q, n))
-    if 0 in divisors:
-        raise ConventionError(
-            f"singular cover presentation for n={n}"
-            + ("" if prime_power_exponent(n) else " (n is not a prime power)")
-        )
-    torsion = tuple(d for d in divisors if d != 1)
+    g, h = gcd(p, n), gcd(q, n)
+    if g > 1 and h > 1:
+        raise ConventionError(f"the {n}-fold cover of T({p},{q}) has infinite homology "
+                              f"(n is not a prime power)")
+    torsion = (q,) * (g - 1) + (p,) * (h - 1)
     module = None
-    if prime_power_exponent(q) == 1 and torsion and all(d == q for d in torsion):
-        g = gcd(p, n)
-        if len(torsion) != g - 1:
-            raise ConventionError(
-                f"the {n}-fold cover of T({p},{q}) has {len(torsion)} divisors, "
-                f"but F_{q}[t]/(1 + ... + t^{g - 1}) has dimension {g - 1}"
-            )
+    if g > 1 and prime_power_exponent(q) == 1:
         model = model_module(g, q)
         s = 1
         if g % 2 == 0:
@@ -345,6 +257,6 @@ def branched_cover(p: int, q: int, n: int) -> CoverHomology:
             s = p * n * pow(b, -1, q) % q
         module = CoverModule(r=q, action=model.action,
                              gram=tuple(tuple(s * x % q for x in row) for row in model.gram))
-        validate_module(module, n)
+        validate_module(module, g)
     return CoverHomology(p=p, q=q, n=n, divisors=torsion, order=prod(torsion),
                          module=module)

@@ -36,7 +36,8 @@ def seifert_matrix(p: int, q: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def branched_cover(p: int, q: int, n: int):
     """Homology of the n-fold cyclic branched cover of T(p, q), as a
-    ``presentations.CoverHomology``; see ``presentations.branched_cover``."""
+    ``presentations.CoverHomology``: (Z/q)^(gcd(p,n)-1) + (Z/p)^(gcd(q,n)-1),
+    with the model module for prime q; see ``presentations.branched_cover``."""
     from .presentations import branched_cover
     return branched_cover(p, q, n)
 

@@ -31,8 +31,11 @@ The general routes they replaced live here, as independent oracles:
   every vector of one subspace, and ``product_walk``
   is the walk that tried every value of a row's free slots, where the
   package's walk solves the row's pairings.
-* ``cover_order_from_alexander`` is the classical order formula
-  |prod Delta(xi_n^a)| for the homology of the n-fold branched cover.
+* ``alexander_module_divisors`` is the divisors of that homology from the
+  Smith form of multiplication by 1 + ... + t^(n-1) on Z[t]/Delta, the
+  route that the closed form (Z/q)^(gcd(p,n)-1) + (Z/p)^(gcd(q,n)-1)
+  replaced, and ``cover_order_from_alexander`` the classical order
+  formula |prod Delta(xi_n^a)|.
 * ``evaluate_character`` extends a character linearly to the model
   module.
 * ``litherland_jumps`` is Litherland's double count of the torus-knot
@@ -668,6 +671,38 @@ def product_walk(F) -> list:
     for pivots in itertools.combinations(range(n), k):
         walk(pivots, [], [])
     return found
+
+
+def _norm_multiplication(p: int, q: int, n: int) -> list:
+    """Multiplication by 1 + t + ... + t^(n-1) on Z[t]/Delta in the basis
+    1, t, ..., t^(d-1): row j holds t^j (1 + ... + t^(n-1)) mod Delta."""
+    delta = presentations._torus_alexander_reference(p, q)
+    d = len(delta) - 1
+    if delta[-1] != 1:
+        raise ConventionError("the Alexander polynomial is not monic")
+
+    def times_t(v):
+        return [(v[i - 1] if i else 0) - v[-1] * delta[i] for i in range(d)]
+
+    power, norm = [1] + [0] * (d - 1), [0] * d
+    for _ in range(n):
+        norm = [a + b for a, b in zip(norm, power)]
+        power = times_t(power)
+    rows = [norm]
+    for _ in range(d - 1):
+        rows.append(times_t(rows[-1]))
+    return rows
+
+
+def alexander_module_divisors(p: int, q: int, n: int) -> tuple:
+    """The torsion divisors of H_1 of the n-fold branched cover of T(p, q),
+    Z[t]/(Delta, 1 + ... + t^(n-1)), from the d x d Smith form of
+    ``_norm_multiplication``, d = (p-1)(q-1); a zero divisor (infinite
+    homology) raises ConventionError."""
+    divisors = smith_normal_form(_norm_multiplication(p, q, n))[0]
+    if 0 in divisors:
+        raise ConventionError(f"singular cover presentation for n={n}")
+    return tuple(d for d in divisors if d != 1)
 
 
 def cover_order_from_alexander(p: int, q: int, n: int) -> int:

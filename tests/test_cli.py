@@ -312,10 +312,39 @@ def test_signature_point_with_a_huge_exponent_is_refused_at_once():
     _one_line_refusal(done, 1, "error: '1e-100000000' is not a rational point")
 
 
-def test_homology_large_rank_refused_before_the_smith_form():
-    # d = 3000: the d x d Smith form once ran first, for seconds growing with q
+def test_homology_large_rank_answers():
+    # d = 3000: a d x d Smith form once ran for seconds growing with q, and
+    # was then refused; the group is read off gcd(2, 3) and gcd(3001, 3)
     done = _child("homology", "2", "3001", "3", timeout=10)
-    _one_line_refusal(done, 2, "budget refused: the Alexander module of T(2,3001) has rank 3000")
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout == "H_1 of the 3-fold branched cover of T(2,3001): 0\n"
+
+
+@pytest.mark.parametrize("argv,divisors", [
+    (("homology", "5", "7", "25", "--json"), [7] * 4),
+    (("homology", "8", "9", "16", "--json"), [9] * 7),
+    (("homology", "2", "3", "1000000007", "--json"), []),
+], ids=["5-7-25", "8-9-16", "2-3-1000000007"])
+def test_homology_beyond_the_smith_form_answers(argv, divisors):
+    # the Smith forms of d = 24 and d = 56 ran past 100 s
+    done = _child(*argv, timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["divisors"] == divisors
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (("homology", "2", "3", "2305843009213693951"),
+     "error: argument n: expected an integer below 2**31 in size"),
+    (("metabolizers", "2", "2305843009213693951"),
+     "error: argument r: expected an integer below 2**31 in size"),
+    (("signature", "1000003", "1000033", "1/3"),
+     "budget refused: the signature of T(1000003,1000033) is a sum over its smaller "
+     "index 1000003, over the listing limit of 100000"),
+], ids=["homology", "metabolizers", "signature"])
+def test_large_positional_inputs_refused_in_one_line(argv, needle):
+    # the first two ran past 20 s in a trial division, the last took 6.8 s
+    done = _child(*argv, timeout=10)
+    _one_line_refusal(done, 1 if needle.startswith("error") else 2, needle)
 
 
 @pytest.mark.parametrize("argv", [("2", "503", "1,502"), ("32", "3", "1," * 31 + "2")],
@@ -334,7 +363,12 @@ def test_talex_large_knot_refused(argv):
     (("characters", "13", "101"), "the 13-fold cover module over Z_101 has 101^12 characters"),
     (("characters", "100000001", "3"),
      "the 100000001-fold cover module over Z_3 has 3^100000000 characters"),
-], ids=["alex", "signature-jumps", "characters", "characters-large-p"])
+    (("homology", "1024", "3", "1024"),
+     "H_1 of the 1024-fold cover of T(1024,3) lists 2094081 entries"),
+    (("homology", "3", "1048576", "1048576"),
+     "H_1 of the 1048576-fold cover of T(3,1048576) lists 1048575 entries"),
+], ids=["alex", "signature-jumps", "characters", "characters-large-p", "homology-module",
+        "homology-divisors"])
 def test_long_listing_refused_in_one_line(argv, needle):
     # the first died with a MemoryError traceback, the next two ran past 10 s
     done = _child(*argv, timeout=10)
@@ -487,6 +521,13 @@ def test_usage_errors_exit_1_with_one_line(capsys, argv):
     (["talex", "3", "5", "a,b,c"],
      "character values must be comma-separated integers, got 'a,b,c'"),
     (["talex", "3", "5", ""], "character values must be comma-separated integers, got ''"),
+    # every positional integer is below 2**31 in size, as in an expression
+    (["alex", "2", "2147483648"], "argument q: expected an integer below 2**31 in size"),
+    (["talex", "2147483648", "3", "1,2"], "argument p: expected an integer below 2**31"),
+    (["characters", "2", "-2147483648"], "argument r: expected an integer below 2**31"),
+    (["metabolizers", "2", "2147483659"], "argument r: expected an integer below 2**31"),
+    (["signature", "2", str(2**61 - 1), "1/3"], "argument q: expected an integer below 2**31"),
+    (["homology", "2", "3", "two"], "argument n: expected an integer below 2**31"),
 ])
 def test_bad_bounds_and_points_are_input_errors(capsys, monkeypatch, argv, needle):
     # each is refused before any work, as one line with exit 1

@@ -391,7 +391,7 @@ class TestVerification:
         numeric += tuple(value for module in (fox, presentations)
                          for value in vars(module).values()
                          if callable(value) and getattr(value, "__module__", None) == module.__name__)
-        assert presentations.elementary_divisors in numeric and fox._det in numeric
+        assert presentations._poly_det in numeric and fox._det in numeric
         for name, module in list(sys.modules.items()):
             if name == "sliceguard" or name.startswith("sliceguard."):
                 for attr, value in list(vars(module).items()):

@@ -360,14 +360,36 @@ def test_linking_form_matches_fraction_inverse_route(p, q, n):
 
 
 # ---------------------------------------------------------------------------
-# The cyclic Alexander route against the tracked-transform Smith route
+# The closed-form group against the cyclic Alexander module's Smith form
 # ---------------------------------------------------------------------------
 
 
-@given(_int_matrices())
-@settings(max_examples=150, deadline=None)
-def test_elementary_divisors_match_the_tracked_route(A):
-    assert presentations.elementary_divisors(A) == oracles.smith_normal_form(A)[0]
+@pytest.mark.parametrize("p", range(2, 10))
+def test_cover_group_matches_the_alexander_smith_form(p):
+    # every q <= 13 and n <= 16, composite n included, whose d x d Smith
+    # form takes well under 0.1 s: d * n <= 200 for d = (p - 1)(q - 1)
+    for q in range(2, 14):
+        for n in range(2, 17):
+            if gcd(p, q) != 1 or (p - 1) * (q - 1) * n > 200:
+                continue
+            g, h = gcd(p, n), gcd(q, n)
+            if g > 1 and h > 1:
+                # Phi_ab divides Delta and 1 + ... + t^(n-1) for a | g, b | h
+                with pytest.raises(seifert.ConventionError):
+                    oracles.alexander_module_divisors(p, q, n)
+                with pytest.raises(seifert.ConventionError):
+                    seifert.branched_cover(p, q, n)
+                continue
+            divisors = (q,) * (g - 1) + (p,) * (h - 1)
+            assert oracles.alexander_module_divisors(p, q, n) == divisors
+            assert seifert.branched_cover(p, q, n).divisors == divisors
+
+
+@pytest.mark.parametrize("p,q,n", [(5, 7, 25), (8, 9, 16), (9, 8, 16), (7, 13, 14),
+                                   (4, 9, 27), (11, 13, 11), (2, 3001, 3)])
+def test_cover_order_beyond_the_smith_form(p, q, n):
+    # shapes whose Smith form did not finish in seconds, or was refused
+    assert seifert.branched_cover(p, q, n).order == oracles.cover_order_from_alexander(p, q, n)
 
 
 # every (p, q, n) with p <= 5, q <= 13 and n <= 5 whose Smith route takes
