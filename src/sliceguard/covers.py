@@ -4,10 +4,11 @@ and its characters.
 A ``CoverModule`` is the r-torsion of H_1 of a branched cover with its
 deck action and linking form; the model below and the covers of
 ``seifert.branched_cover`` (the model of g = gcd(p, n), form scaled) are
-both this record, and both must pass ``validate_module``: the model at p,
-and a cover at g, the order of its deck action, which divides the cover
-degree.  Every failed self-check in the package raises the one
-``ConventionError``.
+both this record.  The model passes ``validate_module`` once, when it is
+built; a cover scales the validated form by a unit, which keeps it
+symmetric, nonsingular and invariant under the model's own action, so it
+is not checked again.  Every failed self-check in the package raises the
+one ``ConventionError``.
 
 The model module is F_r^(p-1) with the deck action given by the companion
 matrix of 1 + t + ... + t^(p-1); abstractly the homology is the cyclic
@@ -60,7 +61,8 @@ class CoverModule(namedtuple("CoverModule", "r action gram")):
 def validate_module(m: CoverModule, n: int):
     """The checks every cover module passes: the form is symmetric and
     nonsingular, the deck action is an isometry of order dividing the
-    cover degree n, and 1 + t + ... + t^(n-1) annihilates the module."""
+    cover degree n, and 1 + t + ... + t^(n-1) annihilates the module.
+    The power and the sum take O(log n) products of dim-square matrices."""
     r, dim = m.r, m.dim
     if any(m.gram[i][j] != m.gram[j][i] for i in range(dim) for j in range(i)):
         raise ConventionError("linking form is not symmetric")
@@ -70,15 +72,23 @@ def validate_module(m: CoverModule, n: int):
     AGA = modp.mat_mul(modp.mat_mul(A, m.gram, r), tuple(zip(*A)), r)
     if not modp.mat_eq(AGA, m.gram):
         raise ConventionError("deck action is not an isometry of the form")
-    power = modp.identity(dim)
-    total = [[0] * dim for _ in range(dim)]
-    for _ in range(n):
-        total = [[(x + y) % r for x, y in zip(row, prow)] for row, prow in zip(total, power)]
-        power = modp.mat_mul(power, A, r)
+    # t^k and S_k = 1 + ... + t^(k-1) from k = 1 to n by doubling,
+    # S_2k = S_k + S_k t^k, and steps S_(k+1) = S_k + t^k
+    power, total = A, modp.identity(dim)
+    for bit in bin(n)[3:]:
+        total = _mat_add(total, modp.mat_mul(total, power, r), r)
+        power = modp.mat_mul(power, power, r)
+        if bit == "1":
+            total = _mat_add(total, power, r)
+            power = modp.mat_mul(power, A, r)
     if not modp.mat_eq(power, modp.identity(dim)):
         raise ConventionError("deck action does not have order dividing n")
     if any(x for row in total for x in row):
         raise ConventionError("deck action not annihilated by 1 + t + ... + t^{n-1}")
+
+
+def _mat_add(a, b, r):
+    return tuple(tuple((x + y) % r for x, y in zip(row, brow)) for row, brow in zip(a, b))
 
 
 class Character(namedtuple("Character", "r values")):

@@ -1,5 +1,6 @@
-"""Fox calculus on the torus knot group, and the closed form of its twisted
-Alexander polynomials: the two routes of ``twisted``, imported on first use.
+"""The twisted Alexander polynomials of torus knots in closed form, with
+the Fox-calculus denominator checked for every character: the bodies of
+``twisted``, imported on first use.
 
 The torus knot group has the presentation <c1, c2 | c1^p = c2^q>.  For a
 zero-sum character chi = (a_1, ..., a_p) over Z_q the working
@@ -9,9 +10,18 @@ representative of the metabelian representation sends
     c1 |-> A_p(t)^q,
 
 with A_p(t) the companion-style matrix whose p-th power is t * id.  Both
-images are monomial (one entry xi^a t^k per row), so words in c1, c2 are
-multiplied as (column, a mod q, k) triples in integer arithmetic, and only
-the results are expanded into Laurent polynomial matrices.
+images are monomial (one entry xi^a t^k per row), so their powers are
+taken as (column, a mod q, k) triples in integer arithmetic, and only the
+results are expanded into Laurent polynomial matrices.
+
+The polynomial of the exterior is the torsion quotient
+det(rep(d relator / d c1)) / det(rep(c2) - id), which is the closed form
+(1 - t^q)^(p-1) / prod_i (t xi^(a_i) - 1).  The numerator, the
+determinant of the image of 1 + c1 + ... + c1^(p-1), does not depend on
+the character, so the package takes it in closed form, and the
+Fox-calculus route that derives it is the tests' oracle
+(``tests/oracles.py``).  The denominator is taken in closed form too,
+and det(rep(c2) - id) is checked against it for every character.
 
 The closed form depends only on the multiset of the character's values,
 so it is reduced once per multiset: by counting the roots of unity the
@@ -28,49 +38,6 @@ from .covers import Character
 from .cyclo import Cyclo, RootOfUnity
 from .knots import check_torus
 from .laurent import LaurentPoly, RationalFn
-
-Word = tuple[tuple[int, int], ...]  # ((generator, exponent), ...), reduced
-
-
-def word(*pairs) -> Word:
-    """Build a reduced word from (generator, exponent) pairs."""
-    out: list[list[int]] = []
-    for gen, exp in pairs:
-        if exp == 0:
-            continue
-        if out and out[-1][0] == gen:
-            out[-1][1] += exp
-            if out[-1][1] == 0:
-                out.pop()
-        else:
-            out.append([gen, exp])
-    return tuple((g, e) for g, e in out)
-
-
-def fox_derivative(w: Word, gen: int) -> list[tuple[int, Word]]:
-    """Free Fox derivative: d(uv) = du + u dv, d(g) = 1, d(g^-1) = -g^-1.
-
-    Returns a formal integer combination of group words; like terms are
-    collected so the result is canonical.
-    """
-    terms: list[tuple[int, Word]] = []
-    prefix: Word = ()
-    for g, e in w:
-        if g == gen:
-            if e > 0:
-                # d(g^e) = 1 + g + ... + g^(e-1)
-                for i in range(e):
-                    terms.append((1, word(*prefix, (g, i))))
-            else:
-                # d(g^e) = -(g^-1 + g^-2 + ... + g^e)
-                for i in range(1, -e + 1):
-                    terms.append((-1, word(*prefix, (g, -i))))
-        prefix = word(*prefix, (g, e))
-    collected: dict[Word, int] = {}
-    for c, u in terms:
-        collected[u] = collected.get(u, 0) + c
-    return [(c, u) for u, c in sorted(collected.items()) if c]
-
 
 # ---------------------------------------------------------------------------
 # The representation
@@ -95,12 +62,10 @@ def _mono_pow(M: Monomial, e: int, q: int) -> Monomial:
     return out
 
 
-def _monomial_companion(p: int, sign: int) -> Monomial:
-    """A_p(t) for sign 1, with ones on the superdiagonal and t in the
-    corner, so that A_p^p = t*id; its inverse for sign -1."""
-    if sign > 0:
-        return tuple((i + 1, 0, 0) for i in range(p - 1)) + ((0, 0, 1),)
-    return ((p - 1, 0, -1),) + tuple((i, 0, 0) for i in range(p - 1))
+def _monomial_companion(p: int) -> Monomial:
+    """A_p(t), with ones on the superdiagonal and t in the corner, so that
+    A_p^p = t*id."""
+    return tuple((i + 1, 0, 0) for i in range(p - 1)) + ((0, 0, 1),)
 
 
 def _dense(M: Monomial, q: int) -> list[list[LaurentPoly]]:
@@ -113,9 +78,9 @@ def _dense(M: Monomial, q: int) -> list[list[LaurentPoly]]:
 
 
 class TorusRep:
-    """Images of c1, c2 (and inverses) under the working representative,
-    as monomial matrices.  Every route of ``twisted`` builds one, so a
-    (p, q) that is not a torus knot is rejected here."""
+    """Images of c1 and c2 under the working representative, as monomial
+    matrices.  Every route of ``twisted`` builds one, so a (p, q) that is
+    not a torus knot is rejected here."""
 
     def __init__(self, p: int, q: int, chi: Character):
         check_torus(p, q)
@@ -125,28 +90,9 @@ class TorusRep:
             raise ValueError("character modulus must equal q")
         self.p, self.q, self.chi = p, q, chi
         self.images: dict[tuple[int, int], Monomial] = {
-            (1, 1): _mono_pow(_monomial_companion(p, 1), q, q),
-            (1, -1): _mono_pow(_monomial_companion(p, -1), q, q),
+            (1, 1): _mono_pow(_monomial_companion(p), q, q),
             (2, 1): tuple((i, a, 1) for i, a in enumerate(chi.values)),
-            (2, -1): tuple((i, -a % q, -1) for i, a in enumerate(chi.values)),
         }
-
-    def image_of_word(self, w: Word) -> Monomial:
-        out: Monomial = tuple((i, 0, 0) for i in range(self.p))
-        for g, e in w:
-            base = self.images[(g, 1 if e > 0 else -1)]
-            out = _mono_mul(out, _mono_pow(base, abs(e), self.q), self.q)
-        return out
-
-    def image_of_combination(self, terms):
-        out = [[LaurentPoly.zero()] * self.p for _ in range(self.p)]
-        for coeff, w in terms:
-            m = _dense(self.image_of_word(w), self.q)
-            for i in range(self.p):
-                for j in range(self.p):
-                    if not m[i][j].is_zero():
-                        out[i][j] = out[i][j] + m[i][j].scale(coeff)
-        return out
 
 
 def rep_images(p: int, q: int, chi: Character):
@@ -186,32 +132,11 @@ def _det(rows):
     return states.get((1 << n) - 1, LaurentPoly.zero())
 
 
-RELATOR_DERIVATIVE_GEN = 1  # differentiate c1^p c2^-q with respect to c1
-
-
-@lru_cache(maxsize=None)
-def _fox_numerator(p: int, q: int) -> LaurentPoly:
-    """det of the image of d(c1^p c2^-q)/d c1; character independent since
-    the image of c1 is."""
-    rep = TorusRep(p, q, Character(q, tuple([0] * p)))
-    relator = word((1, p), (2, -q))
-    terms = fox_derivative(relator, RELATOR_DERIVATIVE_GEN)
-    return _det(rep.image_of_combination(terms))
-
-
-def _disagree(p: int, q: int, chi=None) -> ArithmeticError:
-    where = f"p={p}, q={q}" + ("" if chi is None else f", chi={chi}")
-    return ArithmeticError(f"Fox-calculus and closed-form twisted polynomials disagree for {where}")
-
-
 @lru_cache(maxsize=None)
 def _closed_numerator(p: int, q: int) -> LaurentPoly:
-    """(1 - t^q)^(p-1), each q-th root of unity with multiplicity p - 1,
-    checked against the Fox numerator; neither depends on the character."""
-    closed = (LaurentPoly.one() - LaurentPoly.from_ints([1], q)) ** (p - 1)
-    if not _fox_numerator(p, q).eq_up_to_units(closed):
-        raise _disagree(p, q)
-    return closed
+    """(1 - t^q)^(p-1), each q-th root of unity with multiplicity p - 1; it
+    does not depend on the character."""
+    return (LaurentPoly.one() - LaurentPoly.from_ints([1], q)) ** (p - 1)
 
 
 @lru_cache(maxsize=None)
@@ -245,21 +170,18 @@ def _closed_form(p: int, q: int, values: tuple) -> tuple[LaurentPoly, RationalFn
 
 
 def twisted_alex_exterior(p: int, q: int, chi: Character) -> RationalFn:
-    """Twisted Alexander polynomial of the knot exterior, by both routes;
-    the body of the cached ``twisted.twisted_alex_exterior``.
-
-    Route one is the Fox calculus torsion quotient
-    det(rep(d relator / d c1)) / det(rep(c2) - id); route two is the
-    closed form (1 - t^q)^(p-1) / prod_i (t xi^(a_i) - 1).  Numerators and
-    denominators must agree up to units, each on its own, and both checks
-    run for every character.  The closed form is reduced by root
-    bookkeeping once per multiset of values (``_closed_form``).
+    """Twisted Alexander polynomial of the knot exterior in closed form,
+    (1 - t^q)^(p-1) / prod_i (t xi^(a_i) - 1), reduced by root bookkeeping
+    once per multiset of values (``_closed_form``); the body of the cached
+    ``twisted.twisted_alex_exterior``.  The Fox-calculus denominator
+    det(rep(c2) - id) must agree with the closed one up to units, for
+    every character.
     """
-    _closed_numerator(p, q)  # the numerator check, whether or not _closed_form is cached
     c2 = _dense(TorusRep(p, q, chi).images[(2, 1)], q)
     for i in range(p):
         c2[i][i] = c2[i][i] - LaurentPoly.one()
     den, exterior, _ = _closed_form(p, q, tuple(sorted(chi.values)))
     if not _det(c2).eq_up_to_units(den):
-        raise _disagree(p, q, chi)
+        raise ArithmeticError("Fox-calculus and closed-form twisted polynomials disagree "
+                              f"for p={p}, q={q}, chi={chi}")
     return exterior

@@ -269,8 +269,8 @@ def algebraically_slice(K: KnotCombination):
 
 def simplify(K: KnotCombination) -> KnotCombination:
     """Cancel mirror pairs.  Combinations combine equal sequences on
-    construction, so this is a re-normalization; it is idempotent and kept
-    as the explicit combination-level shadow of deleting slice summands."""
+    construction, so this is the identity on their terms, and the package
+    calls it nowhere; it stays in the public API."""
     return KnotCombination(K.p, K.terms)
 
 
@@ -333,7 +333,6 @@ def normal_form(K: KnotCombination, r: int) -> NormalForm:
     Pairing within a group is lexicographic, which makes the result
     deterministic; any pairing is equally valid.
     """
-    K = simplify(K)
     if K.is_empty():
         raise ValueError("empty combination has no normal form")
     positives: dict[int, list[tuple[int, ...]]] = {}

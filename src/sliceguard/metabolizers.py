@@ -129,26 +129,6 @@ def is_invariant_metabolizer(L: Subspace, F: FormSpace) -> bool:
     return all(L.contains(modp.vec_mat(v, A, r)) for v in rows)
 
 
-def check_budget(F: FormSpace, budget: int) -> None:
-    """The one refusal rule for a form's size, shared by the enumeration
-    and the verifier: the budget counts every half-dimension subspace,
-    and a shape over it is refused loudly before the module is built.  The
-    count is at least r^(k(n-k)); a shape whose bound alone has more than
-    4096 bits is refused from the bound, without the costly count."""
-    n, k, r = F.ambient_dim, F.half_dim, F.r
-    exponent = k * (n - k)
-    if exponent * (r.bit_length() - 1) > max(4096, budget.bit_length()):
-        raise BudgetExceeded(
-            f"at least {r}^{exponent} half-dimension subspaces exceed the "
-            f"budget of {budget}"
-        )
-    total = modp.subspace_count(n, k, r)
-    if total > budget:
-        raise BudgetExceeded(
-            f"{total} half-dimension subspaces exceed the budget of {budget}"
-        )
-
-
 def invariant_metabolizer_count(F: FormSpace) -> int:
     """The number of invariant metabolizers, in closed form.
 
@@ -188,10 +168,25 @@ def enumerate_invariant_metabolizers(F: FormSpace,
     visited, and each is kept if it pairs to zero with itself.  The kept
     rows are sorted, which is the product order of their free slots, so
     the leaves come as in the walk that tried every row, increasing in
-    (pivots, rows); ``is_invariant_metabolizer`` checks each.  A shape
-    over the budget is refused first (``check_budget``)."""
-    check_budget(F, budget)
+    (pivots, rows); ``is_invariant_metabolizer`` checks each.
+
+    The budget counts every half-dimension subspace, the Grassmannian the
+    walk prunes, and a shape over it is refused loudly before the module
+    is built.  The count is at least r^(k(n-k)); a shape whose bound alone
+    has more than 4096 bits is refused from the bound, without the costly
+    count."""
     n, k, r = F.ambient_dim, F.half_dim, F.r
+    exponent = k * (n - k)
+    if exponent * (r.bit_length() - 1) > max(4096, budget.bit_length()):
+        raise BudgetExceeded(
+            f"at least {r}^{exponent} half-dimension subspaces exceed the "
+            f"budget of {budget}"
+        )
+    total = modp.subspace_count(n, k, r)
+    if total > budget:
+        raise BudgetExceeded(
+            f"{total} half-dimension subspaces exceed the budget of {budget}"
+        )
     G = F.gram()
     found = []
 

@@ -13,10 +13,11 @@ class has a nonzero signature jump at a jump point of one level block
 arithmetic: the witness scan builds no jump table.  The metabolizer walk
 solves each row's pairings with the rows above instead of trying every
 row.  One certificate per metabolizer yields NOT_SLICE; any gap yields
-INCONCLUSIVE, never an unproven verdict.  The budget is the one refusal
-rule for a form's size: a prime whose form has more half-dimension
-subspaces than the budget is refused before its module is built, and the
-next prime is tried.
+INCONCLUSIVE, never an unproven verdict.  The budget bounds what each
+side visits: ``obstruct`` refuses a prime whose form has more
+half-dimension subspaces than the budget, before its module is built, and
+tries the next prime; ``verify_verdict`` refuses a form with more
+invariant metabolizers than the budget, the list a document must carry.
 
 The witness is decided by points.  For the character pair, the class is
 B1 + sum over the levels of (B3 + B4) (``decompose``).  The witness is the
@@ -263,7 +264,7 @@ def _certify_metabolizer(L: Subspace, F: FormSpace, nf: NormalForm,
     )
 
 
-def _certify_prime(simplified: KnotCombination, r: int, budget: int, recorded=None):
+def _certify_prime(K: KnotCombination, r: int, budget: int, recorded=None):
     """The per-prime step shared by ``obstruct`` and ``verify_verdict``.
 
     Builds the normal form at r and its index sets (every level sum must
@@ -273,11 +274,12 @@ def _certify_prime(simplified: KnotCombination, r: int, budget: int, recorded=No
     count (a ConventionError otherwise), or, given the document's
     ``recorded`` metabolizer list, its bases (``_recorded_metabolizers``).
     Each certificate's characters pass ``metabolizers.check_characters`` as
-    they are built.  The budget is checked before the form space builds
-    its module.  Raises BudgetExceeded over budget, and _Uncertified when a
-    metabolizer has no certificate.
+    they are built.  The budget, on the Grassmannian that the walk visits
+    or on the count of the recorded list, is checked before the form space
+    builds its module.  Raises BudgetExceeded over budget, and _Uncertified
+    when a metabolizer has no certificate.
     """
-    nf = knots.normal_form(simplified, r)
+    nf = knots.normal_form(K, r)
     sets = index_sets(nf)
     for (q, s) in sets.points:
         if sets.alternating_sum(q, s) != 0:
@@ -285,7 +287,7 @@ def _certify_prime(simplified: KnotCombination, r: int, budget: int, recorded=No
                 f"level multiplicity sum nonzero at (q={q}, s={s}) for an "
                 "algebraically slice combination"
             )
-    F = FormSpace(simplified.p, r, nf.m1)
+    F = FormSpace(K.p, r, nf.m1)
     if recorded is None:
         mets = metabolizers.enumerate_invariant_metabolizers(F, budget)
         count = metabolizers.invariant_metabolizer_count(F)
@@ -295,21 +297,22 @@ def _certify_prime(simplified: KnotCombination, r: int, budget: int, recorded=No
                 f"but the form has {count}"
             )
     else:
-        metabolizers.check_budget(F, budget)
-        mets = _recorded_metabolizers(recorded, F)
+        mets = _recorded_metabolizers(recorded, F, budget)
     dec_cache: dict = {}
     return tuple(_certify_metabolizer(L, F, nf, sets, dec_cache) for L in mets)
 
 
-def _recorded_metabolizers(recorded, F: FormSpace) -> list:
+def _recorded_metabolizers(recorded, F: FormSpace, budget: int) -> list:
     """The document's bases as subspaces, once they are shown to be all
     the invariant metabolizers in canonical order: each basis is a list of
     rows of ambient-length int lists in reduced echelon form, spans an
     invariant metabolizer, and has a greater (pivots, rows) key than the
-    one before, and there are as many as the closed-form count.  Raises
+    one before, and there are as many as the closed-form count.  The rows'
+    shape is checked first, and an empty list or basis refused, so the
+    O(p) count runs only for a shape the document carries; a count over
+    the budget raises BudgetExceeded before the module is built.  Raises
     VerificationError at the first failure."""
     r, n = F.r, F.ambient_dim
-    mets = []
     for i, entry in enumerate(recorded):
         basis = entry.get("basis") if isinstance(entry, dict) else None
         if not isinstance(basis, list):
@@ -317,6 +320,16 @@ def _recorded_metabolizers(recorded, F: FormSpace) -> list:
         if not all(isinstance(row, list) and len(row) == n
                    and all(type(x) is int for x in row) for row in basis):
             raise VerificationError(f"a row of metabolizer {i} is not {n} integers")
+        if not basis:
+            raise VerificationError(f"metabolizer {i} does not span an invariant metabolizer")
+    if not recorded:
+        raise VerificationError("the document lists no metabolizers")
+    count = metabolizers.invariant_metabolizer_count(F)
+    if count > budget:
+        raise BudgetExceeded(f"{count} invariant metabolizers exceed the budget of {budget}")
+    mets = []
+    for i, entry in enumerate(recorded):
+        basis = entry["basis"]
         L = Subspace(basis, r, n)
         if list(map(list, L.rows)) != basis:
             raise VerificationError(f"the basis of metabolizer {i} is not reduced")
@@ -327,7 +340,6 @@ def _recorded_metabolizers(recorded, F: FormSpace) -> list:
             raise VerificationError(
                 f"metabolizer {i} does not follow metabolizer {i - 1} in order")
         mets.append(L)
-    count = metabolizers.invariant_metabolizer_count(F)
     if len(mets) != count:
         raise VerificationError(
             f"the document certifies {len(mets)} of the form's {count} invariant metabolizers")
@@ -343,13 +355,12 @@ def _cheap_verdict(K: KnotCombination, source: str) -> Verdict | None:
             kind="INCONCLUSIVE", p=K.p, input_str=source,
             reason=hypothesis_problem,
         )
-    simplified = knots.simplify(K)
-    if simplified.is_empty():
+    if K.is_empty():
         return Verdict(
             kind="TRIVIAL_COMBINATION", p=K.p, input_str=source,
             algebraically_slice=True,
         )
-    alg_slice, witness = knots.algebraically_slice(simplified)
+    alg_slice, witness = knots.algebraically_slice(K)
     if not alg_slice:
         return Verdict(
             kind="NOT_ALGEBRAICALLY_SLICE", p=K.p, input_str=source,
@@ -365,15 +376,14 @@ def obstruct(K: KnotCombination, options: Options = Options(),
     cheap = _cheap_verdict(K, source)
     if cheap is not None:
         return cheap
-    simplified = knots.simplify(K)
-    candidates = [options.r] if options.r is not None else simplified.ending_primes()
+    candidates = [options.r] if options.r is not None else K.ending_primes()
     reasons = []
     for r in candidates:
-        if r not in simplified.ending_primes():
+        if r not in K.ending_primes():
             reasons.append(f"r={r}: not a final index of the combination")
             continue
         try:
-            certificates = _certify_prime(simplified, r, options.budget)
+            certificates = _certify_prime(K, r, options.budget)
         except (BudgetExceeded, _Uncertified) as exc:
             reasons.append(f"r={r}: {exc}")
             continue
@@ -401,9 +411,10 @@ def verify_verdict(doc: dict, *, budget: int = DEFAULT_BUDGET) -> None:
     recorded r on the document's own bases, which must be a list of all
     the invariant metabolizers in canonical order, as many as the
     closed-form count (``_recorded_metabolizers``); the enumeration never
-    runs.  ``budget`` bounds the form as in ``obstruct``, the one refusal
-    rule for a form's size; a document produced under a larger budget
-    needs that budget here, or BudgetExceeded is raised.  The rebuilt
+    runs.  ``budget`` bounds the closed-form count, the length of the list
+    the document must carry, and BudgetExceeded is raised over it; as the
+    count is at most the Grassmannian that bounds ``obstruct``, a document
+    produced under a budget verifies under that budget.  The rebuilt
     certificates' characters are checked as they are built, as under
     ``obstruct``.  The document must equal the rebuilt one as sorted JSON,
     so any changed, dropped, added, duplicated or reordered entry fails,
@@ -428,8 +439,7 @@ def verify_verdict(doc: dict, *, budget: int = DEFAULT_BUDGET) -> None:
         raise VerificationError("nothing to verify in an INCONCLUSIVE verdict")
     fresh = _cheap_verdict(K, source)
     if fresh is None:
-        simplified = knots.simplify(K)
-        primes = simplified.ending_primes()
+        primes = K.ending_primes()
         if doc.get("r") not in primes:
             raise VerificationError(f"recorded r={doc.get('r')} is not a final index")
         # the combination's own int, so a recorded 5.0 cannot pass as 5
@@ -438,7 +448,7 @@ def verify_verdict(doc: dict, *, budget: int = DEFAULT_BUDGET) -> None:
         if not isinstance(recorded, list):
             raise VerificationError("the document's metabolizers are not a list")
         try:
-            certificates = _certify_prime(simplified, r, budget, recorded)
+            certificates = _certify_prime(K, r, budget, recorded)
         except _Uncertified as exc:
             raise VerificationError(f"r={r}: {exc}") from None
         fresh = Verdict(

@@ -66,9 +66,11 @@ q-torsion for k prime to q:
     cover of T(2, q), over the double cover of T(2, q) (k = p/2);
   * that is L(q, 1), with form 1/q: for T(2, q), V + V^T is minus the
     A_(q-1) Cartan matrix, whose inverse has corner (q-1)/q.
-So the class is (n/2 | q)(p/2 | q) = (pn | q).  ``covers.validate_module``
-at g checks the module on every call: t^g = 1 there, so the order of t
-divides n, and N = (n/g)(1 + ... + t^(g-1)) vanishes too.
+So the class is (n/2 | q)(p/2 | q) = (pn | q).  ``covers.model_module``
+validates the model at g once: t^g = 1 there, so the order of t divides
+n, and N = (n/g)(1 + ... + t^(g-1)) vanishes too.  Scaling its form by
+the unit s keeps it symmetric, nonsingular and t-invariant, so the cover
+is not validated again.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import gcd, prod
 
-from .covers import ConventionError, CoverModule, model_module, validate_module
+from .covers import ConventionError, CoverModule, model_module
 from .cyclo import int_poly_div_exact
 from .knots import check_torus, prime_power_exponent
 from .laurent import LaurentPoly
@@ -257,6 +259,5 @@ def branched_cover(p: int, q: int, n: int) -> CoverHomology:
             s = p * n * pow(b, -1, q) % q
         module = CoverModule(r=q, action=model.action,
                              gram=tuple(tuple(s * x % q for x in row) for row in model.gram))
-        validate_module(module, g)
     return CoverHomology(p=p, q=q, n=n, divisors=torsion, order=prod(torsion),
                          module=module)

@@ -1,12 +1,10 @@
-"""Metabelian twisted Alexander polynomials of torus knots, by two routes.
+"""Metabelian twisted Alexander polynomials of torus knots.
 
-The twisted polynomial of the exterior is computed twice: once through
-Fox calculus on the relator (a determinant quotient) and once from the
-closed product formula.  The two numerators must agree up to units, and so
-must the two denominators, for every character.  The entry points here
-are thin: their bodies and both routes are in ``fox``, which each imports
-on a call or a cache miss, and ``RationalFn`` appears here only in
-annotations.
+The twisted polynomial of the exterior is the closed product formula,
+whose denominator is checked against the Fox-calculus determinant
+det(rep(c2) - id) for every character.  The entry points here are thin:
+their bodies are in ``fox``, which each imports on a call or a cache
+miss, and ``RationalFn`` appears here only in annotations.
 """
 
 from __future__ import annotations
@@ -25,9 +23,9 @@ def rep_images(p: int, q: int, chi: Character):
 
 @lru_cache(maxsize=None)
 def twisted_alex_exterior(p: int, q: int, chi: Character) -> RationalFn:
-    """Twisted Alexander polynomial of the knot exterior, by both routes,
-    whose numerators and denominators must agree up to units; the body is
-    ``fox.twisted_alex_exterior``."""
+    """Twisted Alexander polynomial of the knot exterior in closed form,
+    its denominator checked against the Fox-calculus determinant; the body
+    is ``fox.twisted_alex_exterior``."""
     from .fox import twisted_alex_exterior
     return twisted_alex_exterior(p, q, chi)
 
@@ -35,7 +33,7 @@ def twisted_alex_exterior(p: int, q: int, chi: Character) -> RationalFn:
 @lru_cache(maxsize=None)
 def twisted_alex_surgery(p: int, q: int, chi: Character) -> RationalFn:
     """Twisted polynomial of the 0-surgery: the exterior polynomial divided
-    by (-1)^(p-1) (t - 1).  The exterior's checks run for ``chi`` first;
+    by (-1)^(p-1) (t - 1).  The exterior's check runs for ``chi`` first;
     the reduced fraction is shared by every ordering of its values."""
     twisted_alex_exterior(p, q, chi)
     from .fox import _closed_form

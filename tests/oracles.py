@@ -26,6 +26,12 @@ The general routes they replaced live here, as independent oracles:
   the twisted polynomials' root bookkeeping replaced.
 * ``substitute`` is f(xi^c t^m), the classical order of a twisted and
   dilated torus-knot atom, whose roots the Witt supports count.
+* ``fox_numerator`` is the numerator of the twisted polynomials by Fox
+  calculus: the derivative of the relator c1^p c2^-q by c1
+  (``fox_derivative`` on reduced ``word``s), its image under the
+  package's representative with the inverse images added (``WordRep``),
+  and the subset-DP determinant.  The package takes the closed form
+  (1 - t^q)^(p-1) instead.
 * ``enumerate_subspaces`` lists every k-dimensional subspace of F_r^n,
   the Grassmannian that the metabolizer walk prunes, ``subspace_vectors``
   every vector of one subspace, and ``product_walk``
@@ -63,7 +69,7 @@ from operator import mul
 
 from mpmath import iv
 
-from sliceguard import modp, presentations, seifert, witt
+from sliceguard import fox, modp, presentations, seifert, witt
 from sliceguard.covers import Character, ConventionError, CoverModule, validate_module
 from sliceguard.cyclo import Cyclo, RootOfUnity
 from sliceguard.knots import KnotCombination, check_torus, prime_power_exponent
@@ -601,6 +607,98 @@ def substitute(f: LaurentPoly, c: RootOfUnity, m: int) -> LaurentPoly:
         if not a.is_zero():
             out[m * i] = a * Cyclo.from_root(c ** (f.low + i))
     return LaurentPoly(m * f.low, out)
+
+
+# ---------------------------------------------------------------------------
+# Fox calculus: the numerator of the twisted polynomials
+# ---------------------------------------------------------------------------
+
+Word = tuple[tuple[int, int], ...]  # ((generator, exponent), ...), reduced
+
+
+def word(*pairs) -> Word:
+    """Build a reduced word from (generator, exponent) pairs."""
+    out: list[list[int]] = []
+    for gen, exp in pairs:
+        if exp == 0:
+            continue
+        if out and out[-1][0] == gen:
+            out[-1][1] += exp
+            if out[-1][1] == 0:
+                out.pop()
+        else:
+            out.append([gen, exp])
+    return tuple((g, e) for g, e in out)
+
+
+def fox_derivative(w: Word, gen: int) -> list[tuple[int, Word]]:
+    """Free Fox derivative: d(uv) = du + u dv, d(g) = 1, d(g^-1) = -g^-1.
+
+    Returns a formal integer combination of group words; like terms are
+    collected so the result is canonical.
+    """
+    terms: list[tuple[int, Word]] = []
+    prefix: Word = ()
+    for g, e in w:
+        if g == gen:
+            if e > 0:
+                # d(g^e) = 1 + g + ... + g^(e-1)
+                for i in range(e):
+                    terms.append((1, word(*prefix, (g, i))))
+            else:
+                # d(g^e) = -(g^-1 + g^-2 + ... + g^e)
+                for i in range(1, -e + 1):
+                    terms.append((-1, word(*prefix, (g, -i))))
+        prefix = word(*prefix, (g, e))
+    collected: dict[Word, int] = {}
+    for c, u in terms:
+        collected[u] = collected.get(u, 0) + c
+    return [(c, u) for u, c in sorted(collected.items()) if c]
+
+
+def monomial_companion_inverse(p: int) -> fox.Monomial:
+    """A_p(t)^-1: ones on the subdiagonal and t^-1 in the corner."""
+    return ((p - 1, 0, -1),) + tuple((i, 0, 0) for i in range(p - 1))
+
+
+class WordRep(fox.TorusRep):
+    """The package's representative with the images of c1^-1 and c2^-1
+    too, so that it takes any word in c1 and c2."""
+
+    def __init__(self, p: int, q: int, chi: Character):
+        super().__init__(p, q, chi)
+        self.images[(1, -1)] = fox._mono_pow(monomial_companion_inverse(p), q, q)
+        self.images[(2, -1)] = tuple((i, -a % q, -1) for i, a in enumerate(chi.values))
+
+    def image_of_word(self, w: Word) -> fox.Monomial:
+        out: fox.Monomial = tuple((i, 0, 0) for i in range(self.p))
+        for g, e in w:
+            base = self.images[(g, 1 if e > 0 else -1)]
+            out = fox._mono_mul(out, fox._mono_pow(base, abs(e), self.q), self.q)
+        return out
+
+    def image_of_combination(self, terms):
+        out = [[LaurentPoly.zero()] * self.p for _ in range(self.p)]
+        for coeff, w in terms:
+            m = fox._dense(self.image_of_word(w), self.q)
+            for i in range(self.p):
+                for j in range(self.p):
+                    if not m[i][j].is_zero():
+                        out[i][j] = out[i][j] + m[i][j].scale(coeff)
+        return out
+
+
+RELATOR_DERIVATIVE_GEN = 1  # differentiate c1^p c2^-q with respect to c1
+
+
+@lru_cache(maxsize=None)
+def fox_numerator(p: int, q: int) -> LaurentPoly:
+    """det of the image of d(c1^p c2^-q)/d c1, by the subset-DP
+    determinant; character independent since the image of c1 is."""
+    rep = WordRep(p, q, Character(q, tuple([0] * p)))
+    relator = word((1, p), (2, -q))
+    terms = fox_derivative(relator, RELATOR_DERIVATIVE_GEN)
+    return fox._det(rep.image_of_combination(terms))
 
 
 # ---------------------------------------------------------------------------

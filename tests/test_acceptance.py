@@ -66,9 +66,11 @@ def _all_characters(p, q):
 
 def test_criterion_01_and_02_two_route_twisted_polynomials():
     """Fox-calculus route equals the closed form up to units for every
-    p in {2,3,4,5}, q in {2,3,5,7}, gcd(p,q)=1, all q^(p-1) characters;
-    dividing by (-1)^(p-1)(t-1) reproduces the 0-surgery fraction; the
-    representation relation c1^p = c2^q holds in every case."""
+    p in {2,3,4,5}, q in {2,3,5,7}, gcd(p,q)=1, all q^(p-1) characters:
+    the numerator through the oracle's Fox route, once per (p, q), and the
+    denominator inside the package for every character; dividing by
+    (-1)^(p-1)(t-1) reproduces the 0-surgery fraction; the representation
+    relation c1^p = c2^q holds in every case."""
     with _Timer("1+2 (two-route twisted polynomials, representation relation)",
                 budget=60):
         cases = 0
@@ -81,9 +83,10 @@ def test_criterion_01_and_02_two_route_twisted_polynomials():
                 closed_num = (
                     LaurentPoly.one() - LaurentPoly.from_ints([1], q)
                 ) ** (p - 1)
+                assert oracles.fox_numerator(p, q).eq_up_to_units(closed_num)
                 for chi in chars:
                     rep_images(p, q, chi)  # criterion 2: raises on violation
-                    ext = twisted_alex_exterior(p, q, chi)  # two-route assert inside
+                    ext = twisted_alex_exterior(p, q, chi)  # denominator assert inside
                     sur = twisted_alex_surgery(p, q, chi)
                     # independent reconstruction of the surgery fraction,
                     # compared by cross multiplication (no reduction needed)

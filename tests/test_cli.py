@@ -54,15 +54,17 @@ def test_obstruct_verify_roundtrip(tmp_path, capsys):
 
 
 def test_obstruct_verify_uses_the_budget(tmp_path, capsys):
-    # J2 at r = 5 needs a budget of 6 subspaces
+    # J2 at r = 5 needs a budget of 6 subspaces to obstruct, and its
+    # document lists the form's 2 invariant metabolizers, which the check's
+    # budget bounds
     code, out, _ = run(capsys, "obstruct", J2, "--json", "--budget", "6")
     path = tmp_path / "cert.json"
     path.write_text(out)
-    code, out, _ = run(capsys, "obstruct", "--verify", str(path), "--budget", "6")
+    code, out, _ = run(capsys, "obstruct", "--verify", str(path), "--budget", "2")
     assert code == 0 and "bit-for-bit" in out
-    code, out, err = run(capsys, "obstruct", "--verify", str(path), "--budget", "5")
+    code, out, err = run(capsys, "obstruct", "--verify", str(path), "--budget", "1")
     assert code == 2 and out == ""
-    assert err.count("\n") == 1 and "budget" in err
+    assert err == "budget refused: 2 invariant metabolizers exceed the budget of 1\n"
 
 
 def test_obstruct_verify_detects_tampering(tmp_path, capsys):
@@ -146,6 +148,15 @@ def test_homology_11_13_11_answers():
     doc = json.loads(done.stdout)
     assert doc["divisors"] == [13] * 10 and doc["order"] == 13**10
     assert doc["module"]["r"] == 13 and doc["module"]["dim"] == 10
+
+
+def test_homology_large_cover_answers():
+    # the deck action's order and norm were once checked by 128 products
+    # of 127-square matrices, twice (6.5 s); now by doubling, once
+    done = _child("homology", "128", "3", "128", "--json", timeout=3)
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout)
+    assert doc["divisors"] == [3] * 127 and doc["module"]["dim"] == 127
 
 
 def test_large_index_refused_in_one_line():

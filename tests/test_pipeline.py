@@ -38,8 +38,8 @@ M3 = ("T(2,3;2,5) # -T(2,3;2,11) # -3*T(2,5) # T(2,11) # 2*T(2,11;2,5) "
       "# -2*T(2,11;2,13) # 2*T(2,13)")
 R13 = "T(3,4;3,13) # -T(3,13) # -T(3,4;3,17) # T(3,17)"
 R17 = "T(2,3;2,17) # -T(2,17) # -T(2,3;2,19) # T(2,19)"
-# p = 3, m1 = 2: NOT_SLICE at r = 5 with 756 certificates, over the default
-# budget
+# p = 3, m1 = 2: NOT_SLICE at r = 5 with 756 certificates; its walk is over
+# the default budget, and its document verifies under it
 M12 = "T(3,2;3,5) # T(3,4;3,5) # -2*T(3,5) # -T(3,2;3,7) # -T(3,4;3,7) # 2*T(3,7)"
 P2003 = "T(2003,3;2003,5) # -T(2003,5) # -T(2003,3;2003,7) # T(2003,7)"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -245,26 +245,39 @@ class TestBudgetSemantics:
         )
 
     def test_large_p_verify_refused_before_the_module(self):
-        # a NOT_SLICE document at p = 2003 has 5^4008004 or more subspaces:
-        # refused from the bound, before the O(p^3) module build and the
-        # count itself, either of which would not finish
-        code = ("import json, sys\n"
+        # NOT_SLICE documents at p = 2003 and p = 2^29: a list too short for
+        # the form's rows is refused before the O(p) count, a list the form
+        # fits is counted and refused over the budget, and neither builds
+        # the O(p^3 log p) module
+        code = ("import json, sys, time\n"
                 "from sliceguard import pipeline\n"
-                "from sliceguard.metabolizers import BudgetExceeded\n"
-                "try:\n"
-                "    pipeline.verify_verdict(json.loads(sys.argv[1]))\n"
-                "except BudgetExceeded as exc:\n"
-                "    print(exc)\n")
-        doc = {"input": P2003, "p": 2003, "r": 5, "verdict": "NOT_SLICE",
-               "algebraically_slice": True, "metabolizers": [],
-               "axioms": list(pipeline.AXIOMS)}
-        done = subprocess.run([sys.executable, "-c", code, json.dumps(doc)],
-                              capture_output=True, text=True, timeout=5,
+                "for doc in json.loads(sys.argv[1]):\n"
+                "    start = time.perf_counter()\n"
+                "    try:\n"
+                "        pipeline.verify_verdict(doc)\n"
+                "    except Exception as exc:\n"
+                "        assert time.perf_counter() - start < 1\n"
+                "        print(type(exc).__name__, exc)\n")
+        j2 = json.loads(_J2_DOC)
+        big = 2 ** 29
+        p_big = f"T({big},3;{big},5) # -T({big},5) # -T({big},3;{big},7) # T({big},7)"
+        docs = [dict(j2, input=P2003, p=2003, metabolizers=[]),
+                dict(j2, input=P2003, p=2003),
+                dict(j2, input=P2003, p=2003, metabolizers=[{"basis": [[1] + [0] * 4003]}]),
+                dict(j2, input=p_big, p=big),
+                dict(j2, input=p_big, p=big, metabolizers=[{"basis": []}])]
+        done = subprocess.run([sys.executable, "-c", code, json.dumps(docs)],
+                              capture_output=True, text=True, timeout=10,
                               env=dict(os.environ, PYTHONPATH=str(SRC)))
+        count = metabolizers.invariant_metabolizer_count(metabolizers.FormSpace(2003, 5, 1))
         assert done.returncode == 0, done.stderr
-        assert done.stdout == (
-            "at least 5^4008004 half-dimension subspaces exceed the budget of 2000000\n"
-        )
+        assert done.stdout.splitlines() == [
+            "VerificationError the document lists no metabolizers",
+            "VerificationError a row of metabolizer 0 is not 4004 integers",
+            f"BudgetExceeded {count} invariant metabolizers exceed the budget of 2000000",
+            "VerificationError a row of metabolizer 0 is not 1073741822 integers",
+            "VerificationError metabolizer 0 does not span an invariant metabolizer",
+        ]
 
 
 class TestVerification:
@@ -309,13 +322,16 @@ class TestVerification:
             verify_verdict(bad4)
 
     def test_budget_reaches_the_enumeration(self):
-        # J2 at r = 5 scans the 6 lines of F_5^2: a document made under a
-        # budget verifies under that budget and is refused below it
+        # J2 at r = 5 scans the 6 lines of F_5^2, 2 of them invariant
+        # metabolizers: the walk is refused below 6, and the document made
+        # under a budget of 6 verifies under its count, 2, and not below it
+        assert "exceed the budget of 5" in obstruct(parse(J2), Options(budget=5)).reason
         doc = json.loads(obstruct(parse(J2), Options(budget=6)).to_json())
         assert doc["verdict"] == "NOT_SLICE"
-        verify_verdict(doc, budget=6)
-        with pytest.raises(BudgetExceeded):
-            verify_verdict(doc, budget=5)
+        verify_verdict(doc, budget=2)
+        with pytest.raises(BudgetExceeded,
+                           match="^2 invariant metabolizers exceed the budget of 1$"):
+            verify_verdict(doc, budget=1)
 
     def test_m1_3_document_under_a_larger_budget(self):
         # over the default budget: produced and verified under a larger
@@ -614,6 +630,32 @@ class TestVerifyByCount:
         verify_verdict(json.loads(m12_document), budget=10**30)
         with pytest.raises(AssertionError, match="the metabolizer enumeration ran"):
             obstruct(parse(J2))
+
+    def test_m1_2_document_verifies_under_the_default_budget(self, m12_document, tmp_path):
+        # its walk visits 200525284806 subspaces, but the check reads 756
+        # bases, which the budget bounds
+        verify_verdict(json.loads(m12_document))
+        path = tmp_path / "m12.json"
+        path.write_text(m12_document)
+        argv = [sys.executable, "-m", "sliceguard.cli", "obstruct", "--verify", str(path)]
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run(argv, capture_output=True, text=True, timeout=30, env=env)
+        assert done.returncode == 0 and "bit-for-bit" in done.stdout, done.stderr
+        done = subprocess.run([*argv, "--budget", "755"], capture_output=True, text=True,
+                              timeout=30, env=env)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == ("budget refused: 756 invariant metabolizers exceed the "
+                               "budget of 755\n")
+
+    def test_the_count_is_at_most_the_grassmannian(self):
+        # so a document obstruct writes under a budget verifies under it
+        for p in range(2, 8):
+            for r in (2, 3, 5, 7, 11, 13):
+                for m1 in (1, 2, 3):
+                    if p % r:
+                        F = metabolizers.FormSpace(p, r, m1)
+                        total = modp.subspace_count(F.ambient_dim, F.half_dim, r)
+                        assert metabolizers.invariant_metabolizer_count(F) <= total
 
     def test_a_dropped_metabolizer_is_refused_by_the_count(self, monkeypatch):
         # the walk loses its last metabolizer and obstruct's own count check

@@ -9,10 +9,10 @@ from sliceguard import fox
 from sliceguard.covers import Character, characters
 from sliceguard.cyclo import Cyclo, normalize_root
 from sliceguard.laurent import LaurentPoly, RationalFn, unit_circle_roots
-from sliceguard.fox import TorusRep, fox_derivative, word
 from sliceguard.twisted import rep_images, twisted_alex_exterior, twisted_alex_surgery
 
-from oracles import reduced_fraction
+from oracles import (WordRep, fox_derivative, fox_numerator, monomial_companion_inverse,
+                     reduced_fraction, word)
 
 
 # -- dense oracle: matrices of Laurent polynomials, multiplied entry by entry
@@ -80,8 +80,8 @@ def _closed_form(p, q, chi):
 
 
 @st.composite
-def _monomial_case(draw):
-    p = draw(st.integers(2, 6))
+def _monomial_case(draw, max_p=6):
+    p = draw(st.integers(2, max_p))
     q = draw(st.integers(2, 13).filter(lambda q: gcd(p, q) == 1))
     head = draw(st.lists(st.integers(0, q - 1), min_size=p - 1, max_size=p - 1))
     chi = Character(q, tuple(head) + ((-sum(head)) % q,))
@@ -153,10 +153,10 @@ class TestRepresentation:
     @given(_monomial_case())
     def test_monomial_powers_match_dense(self, case):
         p, q, chi, e = case
-        rep = TorusRep(p, q, chi)
+        rep = WordRep(p, q, chi)
         bases = [
-            (fox._monomial_companion(p, 1), _companion(p)),
-            (fox._monomial_companion(p, -1), _companion_inv(p)),
+            (fox._monomial_companion(p), _companion(p)),
+            (monomial_companion_inverse(p), _companion_inv(p)),
             (rep.images[(2, 1)], _diagonal(chi, 1)),
             (rep.images[(2, -1)], _diagonal(chi, -1)),
         ]
@@ -268,30 +268,7 @@ class TestReduction:
             assert str(out) == str(ref)
             assert (out.num.conductor, out.den.conductor) == (ref.num.conductor, ref.den.conductor)
 
-    @pytest.mark.parametrize("p,q", [(2, 5), (3, 7), (4, 3)])
-    def test_fox_numerator_is_checked_up_to_units(self, p, q, monkeypatch):
-        real = fox._fox_numerator(p, q)
-        expected = [str(twisted_alex_exterior(p, q, chi)) for chi in characters(p, q)]
-
-        def run(numerator):
-            monkeypatch.setattr(fox, "_fox_numerator", lambda p, q: numerator)
-            fox._closed_numerator.cache_clear()
-            twisted_alex_exterior.cache_clear()
-            try:
-                return [str(twisted_alex_exterior(p, q, chi)) for chi in characters(p, q)]
-            finally:
-                fox._closed_numerator.cache_clear()
-                twisted_alex_exterior.cache_clear()
-
-        # a unit, such as the sign a determinant convention gives, is allowed
-        assert run(-real.shift(3)) == expected
-        with pytest.raises(ArithmeticError):
-            run(real * LaurentPoly.from_ints([1, 1]))
-        with pytest.raises(ArithmeticError):
-            run(real.scale(2) + LaurentPoly.one())
-
     def test_denominator_is_checked(self, monkeypatch):
-        fox._closed_numerator(3, 5)  # the numerator check passes first
         monkeypatch.setattr(fox, "_det", lambda rows: LaurentPoly.from_ints([1, 1]))
         twisted_alex_exterior.cache_clear()
         try:
@@ -336,6 +313,23 @@ def test_polynomials_depend_only_on_the_value_multiset(case):
 
     first, second = both(chi), both(permuted)
     for fn in (twisted_alex_exterior, twisted_alex_surgery, fox._closed_form,
-               fox._closed_numerator, fox._fox_numerator):
+               fox._closed_numerator):
         fn.cache_clear()
     assert first == second == both(permuted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_monomial_case(max_p=8))
+def test_fox_routes_match_the_closed_form(case):
+    # the Fox numerator, which only the tests derive, and the Fox
+    # denominator that the package checks per character, against the
+    # closed form
+    p, q, chi, _ = case
+    num, den = _closed_form(p, q, chi)
+    assert fox_numerator(p, q).eq_up_to_units(num)
+    assert fox._closed_numerator(p, q) == num
+    c2 = rep_images(p, q, chi)[1]
+    for i in range(p):
+        c2[i][i] = c2[i][i] - LaurentPoly.one()
+    assert fox._det(c2).eq_up_to_units(den)
+    assert fox._closed_form(p, q, tuple(sorted(chi.values)))[0] == den
