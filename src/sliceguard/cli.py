@@ -175,9 +175,10 @@ def _character_values(text: str, r: int) -> tuple[int, ...]:
 
 def _cmd_talex(args) -> int:
     check_torus(args.p, args.q)
-    # time grows about as q^3: T(2,503) takes 6.7 s and T(2,251) 0.7 s on 2 x86 CPUs
-    if args.p > 12 or args.p * args.q > 512:
-        raise BudgetExceeded(f"talex takes p <= 12 and pq <= 512, got T({args.p},{args.q})")
+    # time grows with the knot: T(2,503) takes 6.7 s, and the slowest accepted
+    # shapes, T(255,2) and T(253,2), about 2 s as processes on 2 x86 CPUs
+    if args.p * args.q > 512:
+        raise BudgetExceeded(f"talex takes pq <= 512, got T({args.p},{args.q})")
     values = _character_values(args.character, args.q)
     # the count before the character, whose constructor checks the sum
     if len(values) != args.p:
@@ -323,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     ob.add_argument("expression", nargs="?", help="knot combination, e.g. 'T(2,3;2,5) # -T(2,5)'")
     ob.add_argument("--r", type=_prime, default=None, help="force one obstruction prime")
     ob.add_argument("--budget", type=_count, default=metabolizers.DEFAULT_BUDGET,
-                    help="max subspaces to enumerate per form")
+                    help="max half-dimension subspaces of a form to enumerate; "
+                         "with --verify, max invariant metabolizers of the recorded form")
     ob.add_argument("--verify", metavar="FILE",
                     help="check a previously emitted JSON verdict's metabolizers, "
                          "certify them again and require the document bit-for-bit")
@@ -361,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     me.add_argument("p", type=_integer)
     me.add_argument("r", type=_integer)
     me.add_argument("--copies", type=_count, default=1, help="the exponent m")
-    me.add_argument("--budget", type=_count, default=metabolizers.DEFAULT_BUDGET)
+    me.add_argument("--budget", type=_count, default=metabolizers.DEFAULT_BUDGET,
+                    help="max half-dimension subspaces of the form to enumerate")
     add_common(me)
     me.set_defaults(func=_cmd_metabolizers)
 

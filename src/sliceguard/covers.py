@@ -4,11 +4,8 @@ and its characters.
 A ``CoverModule`` is the r-torsion of H_1 of a branched cover with its
 deck action and linking form; the model below and the covers of
 ``seifert.branched_cover`` (the model of g = gcd(p, n), form scaled) are
-both this record.  The model passes ``validate_module`` once, when it is
-built; a cover scales the validated form by a unit, which keeps it
-symmetric, nonsingular and invariant under the model's own action, so it
-is not checked again.  Every failed self-check in the package raises the
-one ``ConventionError``.
+both this record.  Every failed self-check in the package raises the one
+``ConventionError``.
 
 The model module is F_r^(p-1) with the deck action given by the companion
 matrix of 1 + t + ... + t^(p-1); abstractly the homology is the cyclic
@@ -20,6 +17,16 @@ for p = 2 (cf. Borodzik-Friedl, "The unknotting number and classical
 invariants I", 2015).  The tests check it against the form of the
 Seifert-presented cover: the two agree up to an equivariant unit and the
 scalar that ``presentations`` derives.
+
+The model is built unchecked, as no check of it can fail.  The form is
+symmetric, as c[k] = c[p - k].  It is nonsingular: for p >= 3 its Gram
+matrix is minus the Cartan matrix of A_(p-1), of determinant +-p, which
+``check_model_shape`` makes a unit mod r, and for p = 2 it is (1).  It is
+t-invariant, as the pairing depends only on j - i.  And the companion
+matrix of 1 + t + ... + t^(p-1) has order p and is killed by that
+polynomial.  A cover scales the form by a unit, which keeps all four.
+The tests hold the general validator of ``tests/oracles.py`` against
+the models.
 
 Characters are zero-sum vectors of length p over Z_r: the character sends
 the i-th orbit generator x_i = t^i x_0 to the (i+1)-st entry.  As
@@ -35,7 +42,6 @@ from functools import lru_cache
 from math import gcd
 import itertools
 
-from . import modp
 from .knots import prime_power_exponent
 
 
@@ -56,39 +62,6 @@ class CoverModule(namedtuple("CoverModule", "r action gram")):
     @property
     def dim(self) -> int:
         return len(self.gram)
-
-
-def validate_module(m: CoverModule, n: int):
-    """The checks every cover module passes: the form is symmetric and
-    nonsingular, the deck action is an isometry of order dividing the
-    cover degree n, and 1 + t + ... + t^(n-1) annihilates the module.
-    The power and the sum take O(log n) products of dim-square matrices."""
-    r, dim = m.r, m.dim
-    if any(m.gram[i][j] != m.gram[j][i] for i in range(dim) for j in range(i)):
-        raise ConventionError("linking form is not symmetric")
-    if modp.rank(m.gram, r) < dim:
-        raise ConventionError("linking form is singular mod r")
-    A = m.action
-    AGA = modp.mat_mul(modp.mat_mul(A, m.gram, r), tuple(zip(*A)), r)
-    if not modp.mat_eq(AGA, m.gram):
-        raise ConventionError("deck action is not an isometry of the form")
-    # t^k and S_k = 1 + ... + t^(k-1) from k = 1 to n by doubling,
-    # S_2k = S_k + S_k t^k, and steps S_(k+1) = S_k + t^k
-    power, total = A, modp.identity(dim)
-    for bit in bin(n)[3:]:
-        total = _mat_add(total, modp.mat_mul(total, power, r), r)
-        power = modp.mat_mul(power, power, r)
-        if bit == "1":
-            total = _mat_add(total, power, r)
-            power = modp.mat_mul(power, A, r)
-    if not modp.mat_eq(power, modp.identity(dim)):
-        raise ConventionError("deck action does not have order dividing n")
-    if any(x for row in total for x in row):
-        raise ConventionError("deck action not annihilated by 1 + t + ... + t^{n-1}")
-
-
-def _mat_add(a, b, r):
-    return tuple(tuple((x + y) % r for x, y in zip(row, brow)) for row, brow in zip(a, b))
 
 
 class Character(namedtuple("Character", "r values")):
@@ -161,9 +134,7 @@ def model_module(p: int, r: int) -> CoverModule:
     check_model_shape(p, r)
     c = (1, -1) if p == 2 else (-2, 1) + (0,) * (p - 3) + (1,)
     gram = tuple(tuple(c[(j - i) % p] % r for j in range(p - 1)) for i in range(p - 1))
-    module = CoverModule(r=r, action=companion_action(p, r), gram=gram)
-    validate_module(module, p)
-    return module
+    return CoverModule(r=r, action=companion_action(p, r), gram=gram)
 
 
 def characters(p: int, r: int) -> list[Character]:

@@ -300,16 +300,11 @@ class IndexSets(namedtuple("IndexSets", "pairs points I1 I2 I3 I4")):
     ``pairs``, and for each companion level (q, s) in ``points``, which
     indices of those pairs appear positively (I1) and negatively (I2), and
     which pairs (j, i) of the remaining groups appear positively (I3) and
-    negatively (I4)."""
+    negatively (I4).  Each copy of a term is one member, so
+    |I1| - |I2| + |I3| - |I4| at (q, s) is the coefficient of T(p, q) in
+    ``s_level(K, s)``: zero at every level of an algebraically slice K."""
 
     __slots__ = ()
-
-    def alternating_sum(self, q: int, s: int) -> int:
-        key = (q, s)
-        return (
-            len(self.I1[key]) - len(self.I2[key])
-            + len(self.I3[key]) - len(self.I4[key])
-        )
 
 
 def index_sets(nf: NormalForm) -> IndexSets:

@@ -1,10 +1,8 @@
 """Small dense linear algebra over a prime field F_r.
 
 Vectors are tuples of ints in [0, r); matrices are tuples of row tuples.
-The forms of the verdict path have dimension under ~20, and the cover
-modules of ``homology`` gcd(p, n) - 1.  The elimination is plain O(n^3)
-Python.
-The hot use is the metabolizer walk, which solves one small system per
+The forms of the verdict path have dimension under ~20, and the
+elimination is plain O(n^3) Python.  The hot use is the metabolizer walk, which solves one small system per
 echelon row (``solve`` and ``nullspace``) instead of trying every row,
 so products are ``sum(map(mul, ...))`` over rows and columns.
 """
@@ -12,11 +10,6 @@ so products are ``sum(map(mul, ...))`` over rows and columns.
 from __future__ import annotations
 
 from operator import mul
-
-
-def mat_mul(a, b, r):
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) % r for col in bt) for row in a)
 
 
 def mat_vec(a, v, r):
@@ -29,10 +22,6 @@ def vec_mat(v, a, r):
 
 def identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_eq(a, b):
-    return tuple(map(tuple, a)) == tuple(map(tuple, b))
 
 
 def rref(rows, r):

@@ -267,9 +267,11 @@ def _certify_metabolizer(L: Subspace, F: FormSpace, nf: NormalForm,
 def _certify_prime(K: KnotCombination, r: int, budget: int, recorded=None):
     """The per-prime step shared by ``obstruct`` and ``verify_verdict``.
 
-    Builds the normal form at r and its index sets (every level sum must
-    cancel), the form space, and one certificate per invariant metabolizer,
-    in (pivots, rows) order, and returns the certificates.  The
+    Builds the normal form at r and its index sets, the form space, and one
+    certificate per invariant metabolizer, in (pivots, rows) order, and
+    returns the certificates.  Both callers settle ``_cheap_verdict``
+    first, so K is algebraically slice and every level sum of the index
+    sets, a coefficient of ``knots.s_level``, is zero (``IndexSets``).  The
     metabolizers are the enumeration's, whose length must be the closed-form
     count (a ConventionError otherwise), or, given the document's
     ``recorded`` metabolizer list, its bases (``_recorded_metabolizers``).
@@ -281,12 +283,6 @@ def _certify_prime(K: KnotCombination, r: int, budget: int, recorded=None):
     """
     nf = knots.normal_form(K, r)
     sets = index_sets(nf)
-    for (q, s) in sets.points:
-        if sets.alternating_sum(q, s) != 0:
-            raise covers.ConventionError(
-                f"level multiplicity sum nonzero at (q={q}, s={s}) for an "
-                "algebraically slice combination"
-            )
     F = FormSpace(K.p, r, nf.m1)
     if recorded is None:
         mets = metabolizers.enumerate_invariant_metabolizers(F, budget)

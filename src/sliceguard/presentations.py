@@ -17,14 +17,12 @@ j+1 of letter i, the linking numbers reduce to a four-line rule:
     interleaving patterns the four band positions form;
   * everything else is 0.
 
-The construction is validated once per (p, q): det(V - t V^T) must give
-the torus-knot Alexander polynomial, and its value at t = 1, which is
-det(V - V^T), must be a unit, so a convention slip cannot propagate
-silently.  The determinant is one fraction-free Bareiss elimination over
-Z[t] on integer coefficient lists; every division in it is exact by
-Sylvester's identity and is checked to be, by ``cyclo.int_poly_div_exact``.
+The matrix is returned as the rule builds it, after ``check_torus``: the
+tests hold det(V - V^T) = +-1 and det(V - t V^T) against the torus-knot
+Alexander polynomial on a grid of shapes, by fraction-free Bareiss
+elimination over Z[t] (``tests/oracles.py``) and by sympy.
 ``alexander_poly`` and the ``alex`` command read the closed form
-(t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)) that this check compares against.
+(t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)).
 
 Branched covers serve the ``homology`` command.  The n-fold cover of
 T(p, q) is Milnor's Brieskorn manifold Sigma(p, q, n); as the Alexander
@@ -66,11 +64,11 @@ q-torsion for k prime to q:
     cover of T(2, q), over the double cover of T(2, q) (k = p/2);
   * that is L(q, 1), with form 1/q: for T(2, q), V + V^T is minus the
     A_(q-1) Cartan matrix, whose inverse has corner (q-1)/q.
-So the class is (n/2 | q)(p/2 | q) = (pn | q).  ``covers.model_module``
-validates the model at g once: t^g = 1 there, so the order of t divides
-n, and N = (n/g)(1 + ... + t^(g-1)) vanishes too.  Scaling its form by
-the unit s keeps it symmetric, nonsingular and t-invariant, so the cover
-is not validated again.
+So the class is (n/2 | q)(p/2 | q) = (pn | q).  No check of the cover
+can fail: the model at g is the closed form of ``covers``, t^g = 1 there,
+so the order of t divides n, N = (n/g)(1 + ... + t^(g-1)) vanishes too,
+and scaling its form by the unit s keeps it symmetric, nonsingular and
+t-invariant.
 """
 
 from __future__ import annotations
@@ -91,24 +89,14 @@ from .laurent import LaurentPoly
 # ---------------------------------------------------------------------------
 
 
-def braid_word(p: int, q: int) -> list[int]:
-    """The positive word (s_1 s_2 ... s_{p-1})^q on p strands."""
-    return [i for _ in range(q) for i in range(1, p)]
-
-
-def _band_cycles(word: list[int], strands: int):
-    occurrences: dict[int, list[int]] = {i: [] for i in range(1, strands)}
-    for pos, letter in enumerate(word):
-        occurrences[letter].append(pos)
-    cycles = []
-    for letter in range(1, strands):
-        pos = occurrences[letter]
-        cycles.extend((letter, pos[j], pos[j + 1]) for j in range(len(pos) - 1))
-    return cycles
-
-
-def _seifert_matrix_raw(p: int, q: int) -> tuple[tuple[int, ...], ...]:
-    cycles = _band_cycles(braid_word(p, q), p)
+def seifert_matrix(p: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """Seifert matrix of T(p, q), size (p-1)(q-1), by the band rule of the
+    module docstring on the cycles e(i, j) of (s_1 ... s_{p-1})^q; the
+    body of the cached ``seifert.seifert_matrix``."""
+    check_torus(p, q)
+    # the cycle (i, s, t) runs through occurrences s and t of letter i
+    cycles = [(i, k * (p - 1) + i - 1, (k + 1) * (p - 1) + i - 1)
+              for i in range(1, p) for k in range(q - 1)]
     n = len(cycles)
     V = [[0] * n for _ in range(n)]
     for a in range(n):
@@ -125,14 +113,7 @@ def _seifert_matrix_raw(p: int, q: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in V)
 
 
-# Integer polynomials are coefficient lists, lowest degree first, with no
-# trailing zeros; the zero polynomial is the empty list.
-
-
-def _poly_trim(a: list) -> list:
-    while a and not a[-1]:
-        a.pop()
-    return a
+# Integer polynomials are coefficient lists, lowest degree first.
 
 
 def _poly_mul(a: list, b: list) -> list:
@@ -146,37 +127,6 @@ def _poly_mul(a: list, b: list) -> list:
     return out
 
 
-def _poly_sub(a: list, b: list) -> list:
-    return _poly_trim([x - y for x, y in itertools.zip_longest(a, b, fillvalue=0)])
-
-
-def _poly_det(rows) -> list:
-    """Determinant over Z[t] by Bareiss's fraction-free elimination: every
-    division is exact by the Sylvester identity, which doubles as a
-    consistency check."""
-    M = [list(row) for row in rows]
-    n = len(M)
-    sign = 1
-    prev = [1]
-    for k in range(n - 1):
-        if not M[k][k]:
-            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
-            if swap is None:
-                return []
-            M[k], M[swap] = M[swap], M[k]
-            sign = -sign
-        pivot, row_k = M[k][k], M[k]
-        for i in range(k + 1, n):
-            row_i = M[i]
-            a_ik = row_i[k]
-            for j in range(k + 1, n):
-                num = _poly_sub(_poly_mul(row_i[j], pivot), _poly_mul(a_ik, row_k[j]))
-                row_i[j] = int_poly_div_exact(num, prev)
-        prev = pivot
-    out = M[n - 1][n - 1]
-    return out if sign == 1 else [-c for c in out]
-
-
 @lru_cache(maxsize=None)
 def _torus_alexander_reference(p: int, q: int) -> list:
     # (t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)), exact integer division
@@ -187,33 +137,9 @@ def _torus_alexander_reference(p: int, q: int) -> list:
     return int_poly_div_exact(int_poly_div_exact(num, cyc(p)), cyc(q))
 
 
-def seifert_matrix(p: int, q: int) -> tuple[tuple[int, ...], ...]:
-    """Validated Seifert matrix of T(p, q), size (p-1)(q-1); the body of
-    the cached ``seifert.seifert_matrix``."""
-    check_torus(p, q)
-    V = _seifert_matrix_raw(p, q)
-    n = len(V)
-    if n != (p - 1) * (q - 1):
-        raise ConventionError("unexpected cycle count in the band basis")
-    delta = _poly_det([[_poly_trim([V[i][j], -V[j][i]]) for j in range(n)]
-                       for i in range(n)])
-    # det(V - V^T) is det(V - t V^T) at t = 1
-    if abs(sum(delta)) != 1:
-        raise ConventionError("det(V - V^T) is not a unit")
-    # det(V - t V^T) against the closed torus-knot Alexander polynomial
-    ref = _torus_alexander_reference(p, q)
-    while delta and not delta[0]:
-        delta = delta[1:]
-    if len(delta) != len(ref) or any(
-        a * ref[-1] != b * delta[-1] for a, b in zip(delta, ref)
-    ):
-        raise ConventionError("det(V - t V^T) does not match the Alexander polynomial")
-    return V
-
-
 def alexander_poly(p: int, q: int) -> LaurentPoly:
     """The Alexander polynomial of T(p, q) from its closed form, in monic
-    low-0 normal form; ``seifert.seifert_matrix`` checks det(V - t V^T) against it."""
+    low-0 normal form; the tests hold det(V - t V^T) against it."""
     check_torus(p, q)
     return LaurentPoly.from_ints(_torus_alexander_reference(p, q)).unit_normal()
 

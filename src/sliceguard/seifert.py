@@ -28,7 +28,9 @@ from .knots import check_torus
 
 @lru_cache(maxsize=None)
 def seifert_matrix(p: int, q: int) -> tuple[tuple[int, ...], ...]:
-    """Validated Seifert matrix of T(p, q), size (p-1)(q-1)."""
+    """Seifert matrix of T(p, q), size (p-1)(q-1), from the band rule of
+    ``presentations``; the tests hold its determinants against the closed
+    Alexander polynomial."""
     from .presentations import seifert_matrix
     return seifert_matrix(p, q)
 

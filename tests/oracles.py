@@ -53,6 +53,13 @@ The general routes they replaced live here, as independent oracles:
   intersects them, to find where the point rule's witness must be the
   level block's own.
 
+* ``validate_module``, ``check_seifert_matrix`` (on ``poly_det``, the
+  Bareiss determinant over Z[t]), the graph isometry's identities on
+  ``half_gram`` and ``half_action``, and ``level_sum`` are the run-time
+  checks that the closed forms made redundant: of the model module, of
+  the band rule's Seifert matrix, of a graph metabolizer's isometry, and
+  of the level sums of an algebraically slice combination.
+
 The formal sums the package has no use for, ``mirror`` and ``add`` of
 knot combinations and ``negate`` of a Witt class, are kept here too.
 """
@@ -69,9 +76,9 @@ from operator import mul
 
 from mpmath import iv
 
-from sliceguard import fox, modp, presentations, seifert, witt
-from sliceguard.covers import Character, ConventionError, CoverModule, validate_module
-from sliceguard.cyclo import Cyclo, RootOfUnity
+from sliceguard import fox, metabolizers, modp, presentations, seifert, witt
+from sliceguard.covers import Character, ConventionError, CoverModule
+from sliceguard.cyclo import Cyclo, RootOfUnity, int_poly_div_exact
 from sliceguard.knots import KnotCombination, check_torus, prime_power_exponent
 from sliceguard.laurent import LaurentPoly, RationalFn
 from sliceguard.modp import Subspace
@@ -339,6 +346,134 @@ def kernel_cover(p: int, q: int, n: int) -> CoverModule:
     module = CoverModule(r=q, action=modp.mat_inv(shift, q), gram=tuple(gram))
     validate_module(module, n)
     return module
+
+
+# ---------------------------------------------------------------------------
+# The run-time checks that the closed forms made redundant
+# ---------------------------------------------------------------------------
+
+
+def mat_mul(a, b, r):
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) % r for col in bt) for row in a)
+
+
+def mat_eq(a, b):
+    return tuple(map(tuple, a)) == tuple(map(tuple, b))
+
+
+def _mat_add(a, b, r):
+    return tuple(tuple((x + y) % r for x, y in zip(row, brow)) for row, brow in zip(a, b))
+
+
+def validate_module(m: CoverModule, n: int):
+    """The checks every cover module passes: the form is symmetric and
+    nonsingular, the deck action is an isometry of order dividing the
+    cover degree n, and 1 + t + ... + t^(n-1) annihilates the module.
+    The power and the sum take O(log n) products of dim-square matrices.
+    ``covers.model_module`` once ran it on every model it built."""
+    r, dim = m.r, m.dim
+    if any(m.gram[i][j] != m.gram[j][i] for i in range(dim) for j in range(i)):
+        raise ConventionError("linking form is not symmetric")
+    if modp.rank(m.gram, r) < dim:
+        raise ConventionError("linking form is singular mod r")
+    A = m.action
+    AGA = mat_mul(mat_mul(A, m.gram, r), tuple(zip(*A)), r)
+    if not mat_eq(AGA, m.gram):
+        raise ConventionError("deck action is not an isometry of the form")
+    # t^k and S_k = 1 + ... + t^(k-1) from k = 1 to n by doubling,
+    # S_2k = S_k + S_k t^k, and steps S_(k+1) = S_k + t^k
+    power, total = A, modp.identity(dim)
+    for bit in bin(n)[3:]:
+        total = _mat_add(total, mat_mul(total, power, r), r)
+        power = mat_mul(power, power, r)
+        if bit == "1":
+            total = _mat_add(total, power, r)
+            power = mat_mul(power, A, r)
+    if not mat_eq(power, modp.identity(dim)):
+        raise ConventionError("deck action does not have order dividing n")
+    if any(x for row in total for x in row):
+        raise ConventionError("deck action not annihilated by 1 + t + ... + t^{n-1}")
+
+
+# Integer polynomials are coefficient lists, lowest degree first, with no
+# trailing zeros; the zero polynomial is the empty list.
+
+
+def poly_trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def poly_sub(a: list, b: list) -> list:
+    return poly_trim([x - y for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+
+
+def poly_det(rows) -> list:
+    """Determinant over Z[t] by Bareiss's fraction-free elimination: every
+    division is exact by the Sylvester identity, which
+    ``cyclo.int_poly_div_exact`` checks."""
+    M = [list(row) for row in rows]
+    n = len(M)
+    sign = 1
+    prev = [1]
+    for k in range(n - 1):
+        if not M[k][k]:
+            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if swap is None:
+                return []
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        pivot, row_k = M[k][k], M[k]
+        for i in range(k + 1, n):
+            row_i = M[i]
+            a_ik = row_i[k]
+            for j in range(k + 1, n):
+                num = poly_sub(presentations._poly_mul(row_i[j], pivot),
+                               presentations._poly_mul(a_ik, row_k[j]))
+                row_i[j] = int_poly_div_exact(num, prev)
+        prev = pivot
+    out = M[n - 1][n - 1]
+    return out if sign == 1 else [-c for c in out]
+
+
+def check_seifert_matrix(p: int, q: int, V) -> None:
+    """The checks ``presentations.seifert_matrix`` once ran on the band
+    rule's matrix V of T(p, q): (p-1)(q-1) cycles, det(V - V^T) = +-1, and
+    det(V - t V^T), by ``poly_det``, the closed Alexander polynomial up to
+    units.  Raises ConventionError otherwise."""
+    n = len(V)
+    if n != (p - 1) * (q - 1):
+        raise ConventionError("unexpected cycle count in the band basis")
+    delta = poly_det([[poly_trim([V[i][j], -V[j][i]]) for j in range(n)]
+                      for i in range(n)])
+    # det(V - V^T) is det(V - t V^T) at t = 1
+    if abs(sum(delta)) != 1:
+        raise ConventionError("det(V - V^T) is not a unit")
+    ref = presentations._torus_alexander_reference(p, q)
+    while delta and not delta[0]:
+        delta = delta[1:]
+    if len(delta) != len(ref) or any(
+        a * ref[-1] != b * delta[-1] for a, b in zip(delta, ref)
+    ):
+        raise ConventionError("det(V - t V^T) does not match the Alexander polynomial")
+
+
+def half_gram(F) -> tuple:
+    """Gram of lambda^m1 on one half of the form space (positive sign)."""
+    return metabolizers._block_diagonal(F.module.gram, (1,) * F.m1, F.r)
+
+
+def half_action(F) -> tuple:
+    """The deck action on one half of the form space."""
+    return metabolizers._block_diagonal(F.module.action, (1,) * F.m1, F.r)
+
+
+def level_sum(sets, q: int, s: int) -> int:
+    """|I1| - |I2| + |I3| - |I4| at the level (q, s) of ``knots.IndexSets``."""
+    key = (q, s)
+    return len(sets.I1[key]) - len(sets.I2[key]) + len(sets.I3[key]) - len(sets.I4[key])
 
 
 # ---------------------------------------------------------------------------
@@ -741,8 +876,6 @@ def product_walk(F) -> list:
     combinations order and free slots in product order, and a row is kept
     if it pairs to zero with itself and the rows above it.  Its leaves go
     to ``metabolizers.is_invariant_metabolizer``, looked up at call time."""
-    from sliceguard import metabolizers
-
     n, k, r, G = F.ambient_dim, F.half_dim, F.r, F.gram()
     found = []
 

@@ -33,6 +33,17 @@ def test_obstruct_json(capsys):
     assert len(doc["metabolizers"]) == 2
 
 
+@pytest.mark.parametrize("command,bounds", [
+    ("obstruct", ["half-dimension subspaces", "with --verify, max invariant metabolizers"]),
+    ("metabolizers", ["half-dimension subspaces"]),
+])
+def test_budget_help_names_what_it_bounds(capsys, command, bounds):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert all(bound in text for bound in bounds)
+
+
 def test_obstruct_human(capsys):
     code, out, _ = run(capsys, "obstruct", "T(2,3)")
     assert code == 0
@@ -152,11 +163,23 @@ def test_homology_11_13_11_answers():
 
 def test_homology_large_cover_answers():
     # the deck action's order and norm were once checked by 128 products
-    # of 127-square matrices, twice (6.5 s); now by doubling, once
+    # of 127-square matrices, twice (6.5 s); the model is now unchecked
     done = _child("homology", "128", "3", "128", "--json", timeout=3)
     assert done.returncode == 0, done.stderr
     doc = json.loads(done.stdout)
     assert doc["divisors"] == [3] * 127 and doc["module"]["dim"] == 127
+
+
+def test_homology_largest_cover_answers():
+    # the largest cover module under the listing limit: its check by
+    # doubling took 7.4 s of 8.0 s, and the model is now built unchecked
+    done = _child("homology", "223", "3", "223", "--json", timeout=3)
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout)
+    assert doc["divisors"] == [3] * 222 and doc["module"]["dim"] == 222
+    # odd g = 223: the orbit pairing of t - 2 + t^-1 itself, mod 3
+    assert doc["module"]["gram_times_r"][0][:3] == [1, 1, 0]
+    assert doc["module"]["gram_times_r"][0][-1] == 0
 
 
 def test_large_index_refused_in_one_line():
@@ -358,12 +381,20 @@ def test_large_positional_inputs_refused_in_one_line(argv, needle):
     _one_line_refusal(done, 1 if needle.startswith("error") else 2, needle)
 
 
-@pytest.mark.parametrize("argv", [("2", "503", "1,502"), ("32", "3", "1," * 31 + "2")],
+@pytest.mark.parametrize("argv", [("2", "503", "1,502"), ("257", "2", "1," * 256 + "1")],
                          ids=["large-q", "large-p"])
 def test_talex_large_knot_refused(argv):
-    # these took 11 s and 18 s
+    # T(2, 503) took 11 s; pq <= 512 is the one limit, as time grows with q
     done = _child("talex", *argv, timeout=10)
-    _one_line_refusal(done, 2, "budget refused: talex takes p <= 12 and pq <= 512")
+    _one_line_refusal(done, 2, "budget refused: talex takes pq <= 512")
+
+
+def test_talex_large_p_answers():
+    # p > 12 was refused while the numerator's determinant grew as 2^p;
+    # T(32, 3) took 18 s then
+    done = _child("talex", "31", "16", "1," * 30 + "2", timeout=10)
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    assert done.stdout.endswith("(up to units, exterior)\n")
 
 
 @pytest.mark.parametrize("argv,needle", [

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sliceguard import covers, modp, seifert
 from sliceguard.covers import (
@@ -10,14 +12,13 @@ from sliceguard.covers import (
     CoverModule,
     characters,
     model_module,
-    validate_module,
 )
 from sliceguard.expr import parse
 from sliceguard.metabolizers import FormSpace, enumerate_invariant_metabolizers
 from sliceguard.pipeline import Options, obstruct
 
 import oracles
-from oracles import evaluate_character
+from oracles import evaluate_character, validate_module
 
 # every shape whose Seifert import finishes within a few seconds; the Smith
 # forms of (5, 7), (5, 11), (6, r >= 5) and (7, 5) do not
@@ -73,9 +74,9 @@ class TestModelModule:
             for i in range(m.dim):
                 for j in range(m.dim):
                     acc[i][j] = (acc[i][j] + power[i][j]) % r
-            power = modp.mat_mul(power, m.action, r)
+            power = oracles.mat_mul(power, m.action, r)
         assert all(x == 0 for row in acc for x in row)
-        assert modp.mat_eq(power, modp.identity(m.dim))
+        assert oracles.mat_eq(power, modp.identity(m.dim))
 
     @pytest.mark.parametrize("p,r", IMPORT_SHAPES)
     def test_gram_matches_seifert_presentation(self, p, r):
@@ -90,8 +91,8 @@ class TestModelModule:
             rows = [u]
             for _ in range(m.dim - 1):
                 rows.append(modp.vec_mat(rows[-1], m.action, r))
-            pulled = modp.mat_mul(modp.mat_mul(rows, m.gram, r), tuple(zip(*rows)), r)
-            assert modp.mat_eq(pulled, [[s * x % r for x in row] for row in imported])
+            pulled = oracles.mat_mul(oracles.mat_mul(rows, m.gram, r), tuple(zip(*rows)), r)
+            assert oracles.mat_eq(pulled, [[s * x % r for x in row] for row in imported])
         scalar = any(not any(u[1:]) for u, _ in hits)
         assert scalar == ((p, r) not in NEEDS_NON_SCALAR_UNIT)
 
@@ -118,8 +119,8 @@ class TestModelModule:
     def test_equivariance(self, p, r):
         m = model_module(p, r)
         A = m.action
-        lhs = modp.mat_mul(modp.mat_mul(A, m.gram, r), tuple(zip(*A)), r)
-        assert modp.mat_eq(lhs, m.gram)
+        lhs = oracles.mat_mul(oracles.mat_mul(A, m.gram, r), tuple(zip(*A)), r)
+        assert oracles.mat_eq(lhs, m.gram)
 
 
 def _asymmetric(m):
@@ -138,8 +139,8 @@ def _wrong_order(m):
 
 
 class TestValidator:
-    """The one validator of cover modules, on the model module and on the
-    Seifert-side cover module of the 3-fold cover of T(3, 5)."""
+    """The oracles' validator of cover modules, on the model module and on
+    the Seifert-side cover module of the 3-fold cover of T(3, 5)."""
 
     SOURCES = {"model": lambda: model_module(3, 5),
                "cover": lambda: seifert.branched_cover(3, 5, 3).module}
@@ -156,6 +157,21 @@ class TestValidator:
         validate_module(m, 3)
         with pytest.raises(ConventionError, match=message):
             validate_module(tamper(m), 3)
+
+
+_PRIMES_TO_47 = [r for r in range(2, 48) if all(r % d for d in range(2, r))]
+
+
+@given(st.integers(2, 40), st.sampled_from(_PRIMES_TO_47))
+@settings(max_examples=60, deadline=None)
+def test_model_module_passes_the_validator(p, r):
+    # the model is built unchecked, as no check can fail; the general
+    # validator agrees on every model shape with p <= 40 and r <= 47
+    if p % r == 0:
+        with pytest.raises(ValueError):
+            model_module(p, r)
+        return
+    validate_module(model_module(p, r), p)
 
 
 class TestCharacters:

@@ -5,6 +5,7 @@ import pytest
 from sliceguard import modp
 from sliceguard.modp import Subspace, subspace_count
 
+import oracles
 from oracles import enumerate_subspaces, subspace_vectors
 
 
@@ -32,7 +33,7 @@ def test_nullspace_and_solve():
 def test_mat_inv():
     m = ((1, 2), (3, 4))
     inv = modp.mat_inv(m, 7)
-    assert modp.mat_mul(m, inv, 7) == modp.identity(2)
+    assert oracles.mat_mul(m, inv, 7) == modp.identity(2)
     with pytest.raises(ZeroDivisionError):
         modp.mat_inv(((1, 2), (2, 4)), 5)
 

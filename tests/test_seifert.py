@@ -75,6 +75,24 @@ class TestSeifertMatrix:
         with pytest.raises(ValueError):
             seifert.seifert_matrix(2, 4)
 
+    @pytest.mark.parametrize("p,q", [
+        (p, q) for p in range(2, 62) for q in range(2, 62)
+        if gcd(p, q) == 1 and (p - 1) * (q - 1) <= 60
+    ])
+    def test_band_rule_passes_the_bareiss_check(self, p, q):
+        # the matrix is built unchecked; the check it once ran, of the
+        # cycle count, det(V - V^T) = +-1 and det(V - t V^T) = Delta, holds
+        # on every shape with at most 60 cycles
+        oracles.check_seifert_matrix(p, q, seifert.seifert_matrix(p, q))
+
+    def test_bareiss_check_rejects_a_tampered_matrix(self):
+        V = [list(row) for row in seifert.seifert_matrix(3, 4)]
+        V[0][1] += 1
+        with pytest.raises(covers.ConventionError, match="not a unit|does not match"):
+            oracles.check_seifert_matrix(3, 4, V)
+        with pytest.raises(covers.ConventionError, match="cycle count"):
+            oracles.check_seifert_matrix(3, 5, V)
+
 
 class TestAlexander:
     @pytest.mark.parametrize("p,q", [(2, 3), (3, 4), (3, 5), (2, 11)])
@@ -83,8 +101,8 @@ class TestAlexander:
         # the closed form alexander_poly reads, both against sympy's det
         V = seifert.seifert_matrix(p, q)
         ref = _normalize_int_poly(_sympy_seifert_det_oracle(V))
-        bareiss = presentations._poly_det([[presentations._poly_trim([V[i][j], -V[j][i]])
-                                      for j in range(len(V))] for i in range(len(V))])
+        bareiss = oracles.poly_det([[oracles.poly_trim([V[i][j], -V[j][i]])
+                                     for j in range(len(V))] for i in range(len(V))])
         assert _normalize_int_poly(bareiss) == ref
         got = _normalize_int_poly(
             [c.to_fraction() for c in presentations.alexander_poly(p, q).coeffs]
@@ -229,14 +247,14 @@ class TestBranchedCovers:
         from sliceguard import modp
 
         A = mod.action
-        A2 = modp.mat_mul(A, A, 2)
+        A2 = oracles.mat_mul(A, A, 2)
         s = tuple(
             tuple((modp.identity(2)[i][j] + A[i][j] + A2[i][j]) % 2 for j in range(2))
             for i in range(2)
         )
         assert all(x == 0 for row in s for x in row)
-        A3 = modp.mat_mul(A2, A, 2)
-        assert modp.mat_eq(A3, modp.identity(2))
+        A3 = oracles.mat_mul(A2, A, 2)
+        assert oracles.mat_eq(A3, modp.identity(2))
 
     @pytest.mark.parametrize("p,q", [(2, 3), (2, 5), (3, 2), (3, 4)])
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -325,8 +343,8 @@ def test_poly_bareiss_matches_sympy(rows):
     ref = sympy.Poly(dM.domain.to_sympy(dM.det()), t).all_coeffs()[::-1]
     while ref and ref[-1] == 0:
         ref.pop()
-    trimmed = [[presentations._poly_trim(list(entry)) for entry in row] for row in rows]
-    assert presentations._poly_det(trimmed) == ref
+    trimmed = [[oracles.poly_trim(list(entry)) for entry in row] for row in rows]
+    assert oracles.poly_det(trimmed) == ref
 
 
 ACCEPTANCE_COVERS = [
@@ -432,11 +450,11 @@ def _equivariant_isometries(a, b):
                   if modp.rank(G := orbit(v, a.action), r) == dim)
     hits = []
     for v in itertools.product(range(r), repeat=dim):
-        M = modp.mat_mul(modp.mat_inv(cyclic, r), orbit(v, b.action), r)
+        M = oracles.mat_mul(modp.mat_inv(cyclic, r), orbit(v, b.action), r)
         if (modp.rank(M, r) == dim
-                and modp.mat_eq(modp.mat_mul(a.action, M, r), modp.mat_mul(M, b.action, r))
-                and modp.mat_eq(modp.mat_mul(modp.mat_mul(M, b.gram, r),
-                                             tuple(zip(*M)), r), a.gram)):
+                and oracles.mat_eq(oracles.mat_mul(a.action, M, r), oracles.mat_mul(M, b.action, r))
+                and oracles.mat_eq(oracles.mat_mul(oracles.mat_mul(M, b.gram, r),
+                                                   tuple(zip(*M)), r), a.gram)):
             hits.append(M)
     return hits
 
@@ -502,8 +520,8 @@ def test_closed_form_matches_the_kernel_route(p, r):
         rows = [u]
         for _ in range(m.dim - 1):
             rows.append(modp.vec_mat(rows[-1], m.action, r))
-        pulled = modp.mat_mul(modp.mat_mul(rows, m.gram, r), tuple(zip(*rows)), r)
-        assert modp.mat_eq(pulled, [[s * x % r for x in row] for row in imported])
+        pulled = oracles.mat_mul(oracles.mat_mul(rows, m.gram, r), tuple(zip(*rows)), r)
+        assert oracles.mat_eq(pulled, [[s * x % r for x in row] for row in imported])
     assert _discriminant_class(kernel.gram, r) == _discriminant_class(m.gram, r)
 
 
